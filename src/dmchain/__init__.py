@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .chain import (
     ChainParams,
     ChainPoint,
+    ChainPoints,
     Correlators,
     CriticalPoint,
     PARAM_TAGS,
@@ -13,6 +14,7 @@ from .chain import (
     TwoSpinXState,
     XStateDerivative,
     chain_point,
+    chain_points,
     correlators,
     d_correlators,
     delta,
@@ -39,6 +41,7 @@ from .quadrature import (
     QuadratureFailure,
     integrate,
     integrate_many,
+    integrate_points,
 )
 from .multiparam import (
     QfiMatrix,

@@ -11,12 +11,13 @@ integrands with the adaptive Gauss-Kronrod engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate_many
+from .quadrature import (DEFAULT_QUAD, QuadratureConfig, integrate_many,
+                         integrate_points)
 
 __all__ = [
     "PARAM_TAGS",
@@ -26,6 +27,7 @@ __all__ = [
     "TwoSpinXState",
     "XStateDerivative",
     "ChainPoint",
+    "ChainPoints",
     "CriticalPoint",
     "PositivityViolation",
     "delta",
@@ -36,6 +38,7 @@ __all__ = [
     "x_state",
     "x_matrix",
     "chain_point",
+    "chain_points",
 ]
 
 PARAM_TAGS = ("J", "gamma", "D")
@@ -167,37 +170,42 @@ def _derivative_guard(params: ChainParams) -> None:
         )
 
 
+def _integrand_rows(J, g, D, tags: Tuple[str, ...], phi: np.ndarray) -> np.ndarray:
+    """Integrand stack at nodes phi; J, g, D are scalars or per-node arrays."""
+    s = np.sin(phi)
+    cp = np.cos(phi)
+    k = cp - 2.0 * D * s
+    u = J * k - 1.0
+    dl = np.sqrt(u * u + (J * g * s) ** 2)
+    inv = 1.0 / dl
+    inv3 = inv * inv * inv
+    s2 = s * s
+    rows = [
+        (-1.0 / _PI) * u * inv,        # magnetization
+        (-1.0 / _PI) * cp * u * inv,   # even part of the pair correlator
+        (g / _PI) * J * s2 * inv,      # odd (anisotropy) part
+    ]
+    for tag in tags:
+        if tag == "J":
+            du = J * g * g * s2 * inv3            # d(u/Delta)/dJ
+            dq = -g * u * inv3                    # d(gamma J/Delta)/dJ
+        elif tag == "gamma":
+            du = -u * J * J * g * s2 * inv3
+            dq = J * u * u * inv3
+        else:
+            du = -2.0 * J ** 3 * g * g * s2 * s * inv3
+            dq = 2.0 * J * J * g * s * u * inv3
+        rows.append((-1.0 / _PI) * du)
+        rows.append((-1.0 / _PI) * cp * du)
+        rows.append((1.0 / _PI) * s2 * dq)
+    return np.stack(rows)
+
+
 def _integrand_stack(params: ChainParams, tags: Tuple[str, ...]) -> Callable[[np.ndarray], np.ndarray]:
     J, g, D = params.J, params.gamma, params.D
 
     def f(phi: np.ndarray) -> np.ndarray:
-        s = np.sin(phi)
-        cp = np.cos(phi)
-        k = cp - 2.0 * D * s
-        u = J * k - 1.0
-        dl = np.sqrt(u * u + (J * g * s) ** 2)
-        inv = 1.0 / dl
-        inv3 = inv * inv * inv
-        s2 = s * s
-        rows = [
-            (-1.0 / _PI) * u * inv,        # magnetization
-            (-1.0 / _PI) * cp * u * inv,   # even part of the pair correlator
-            (g / _PI) * J * s2 * inv,      # odd (anisotropy) part
-        ]
-        for tag in tags:
-            if tag == "J":
-                du = J * g * g * s2 * inv3            # d(u/Delta)/dJ
-                dq = -g * u * inv3                    # d(gamma J/Delta)/dJ
-            elif tag == "gamma":
-                du = -u * J * J * g * s2 * inv3
-                dq = J * u * u * inv3
-            else:
-                du = -2.0 * J ** 3 * g * g * s2 * s * inv3
-                dq = 2.0 * J * J * g * s * u * inv3
-            rows.append((-1.0 / _PI) * du)
-            rows.append((-1.0 / _PI) * cp * du)
-            rows.append((1.0 / _PI) * s2 * dq)
-        return np.stack(rows)
+        return _integrand_rows(J, g, D, tags, phi)
 
     return f
 
@@ -238,14 +246,24 @@ def _dstate_from(dcorr: Correlators) -> XStateDerivative:
 
 
 def _check_positivity(state: TwoSpinXState) -> None:
+    """Raise PositivityViolation; a state of arrays reports its first bad point."""
     tol = POSITIVITY_TOL
-    bad = []
-    if state.a_plus < -tol or state.a_minus < -tol or state.c < -tol:
-        bad.append("negative diagonal entry")
-    if state.b_minus ** 2 > state.a_plus * state.a_minus + tol:
-        bad.append("outer coherence exceeds its diagonal bound")
-    if abs(state.b_plus) > state.c + tol:
-        bad.append("inner coherence exceeds its diagonal bound")
+    defects = (
+        ("negative diagonal entry",
+         (state.a_plus < -tol) | (state.a_minus < -tol) | (state.c < -tol)),
+        ("outer coherence exceeds its diagonal bound",
+         state.b_minus ** 2 > state.a_plus * state.a_minus + tol),
+        ("inner coherence exceeds its diagonal bound",
+         abs(state.b_plus) > state.c + tol),
+    )
+    if np.ndim(state.a_plus):
+        bad_points = np.flatnonzero(np.any([hit for _, hit in defects], axis=0))
+        if bad_points.size:
+            i = bad_points[0]
+            _check_positivity(TwoSpinXState(*(
+                float(getattr(state, f.name)[i]) for f in fields(state))))
+        return
+    bad = [message for message, hit in defects if hit]
     if bad:
         raise PositivityViolation(
             "; ".join(bad) + f" (beyond {tol:g}; likely quadrature inaccuracy): {state!r}"
@@ -285,6 +303,61 @@ def chain_point(
         dcorr[tag] = d
         dstate[tag] = _dstate_from(d)
     return ChainPoint(params, corr, _state_from(corr), dcorr, dstate)
+
+
+@dataclass(frozen=True)
+class ChainPoints:
+    """Correlators, X states and requested derivatives of a family of points.
+
+    Every field of ``corr``, ``state`` and each ``dcorr`` entry is an array
+    over the points, in the order of ``J``, ``gamma`` and ``D``.
+    """
+
+    J: np.ndarray
+    gamma: np.ndarray
+    D: np.ndarray
+    corr: Correlators
+    state: TwoSpinXState
+    dcorr: Dict[str, Correlators]
+
+
+def chain_points(
+    J,
+    gamma,
+    D,
+    tags: Sequence[str] = (),
+    quad: QuadratureConfig = DEFAULT_QUAD,
+) -> ChainPoints:
+    """:func:`chain_point` for a family of points in one batched quadrature.
+
+    J, gamma and D broadcast against each other to a 1-D family.  Each
+    point is refined on its own panels to the same tolerance as in
+    :func:`chain_point`, so the values agree with it to well within that
+    tolerance and do not depend on the rest of the family.  Raises what
+    :func:`chain_point` raises at the first offending point.
+    """
+    tags = _validate_tags(tags)
+    J, gamma, D = (np.array(a, dtype=float).ravel()
+                   for a in np.broadcast_arrays(J, gamma, D))
+    # Cheap superset of the points the scalar checks could reject; only
+    # those are rebuilt as ChainParams, which raise with the scalar message.
+    suspect = ~(np.isfinite(J) & np.isfinite(gamma) & np.isfinite(D)
+                & (np.abs(gamma) <= 1.0))
+    if tags:
+        suspect |= (gamma == 0.0) | (np.abs(np.abs(J) - 1.0) <= 2.0 * _CRIT_EPS)
+    for i in np.flatnonzero(suspect):
+        params = ChainParams(float(J[i]), float(gamma[i]), float(D[i]))
+        if tags:
+            _derivative_guard(params)
+
+    def f(phi: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return _integrand_rows(J[owner], gamma[owner], D[owner], tags, phi)
+
+    vals, _ = integrate_points(f, J.size, 0.0, _PI, quad)
+    corr = _assemble(vals[0], vals[1], vals[2])
+    dcorr = {tag: _assemble_derivative(corr, *vals[3 + 3 * i : 6 + 3 * i])
+             for i, tag in enumerate(tags)}
+    return ChainPoints(J, gamma, D, corr, _state_from(corr), dcorr)
 
 
 def magnetization(params: ChainParams, quad: QuadratureConfig = DEFAULT_QUAD) -> float:

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.signal import find_peaks
 
-from .chain import ChainParams
-from .fisher import qfi_xstate
+from .chain import chain_points
+from .fisher import _qfi_points
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
 __all__ = [
@@ -67,6 +67,12 @@ class FeatureReport:
                 raise ValueError("bump threshold cannot exceed peak threshold")
 
 
+def _h_curve(js: np.ndarray, gamma: float, D: float,
+             quad: QuadratureConfig) -> np.ndarray:
+    """H(J) for the coupling at every J of js, as one batched quadrature."""
+    return _qfi_points(chain_points(js, gamma, D, ("J",), quad), "J")
+
+
 def default_curve(
     gamma: float,
     D: float,
@@ -75,8 +81,7 @@ def default_curve(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Sample H(J) for the coupling on the standard detection window."""
     js = np.linspace(WINDOW[0], WINDOW[1], points)
-    hs = np.array([qfi_xstate(ChainParams(j, gamma, D), "J", quad) for j in js])
-    return js, hs
+    return js, _h_curve(js, gamma, D, quad)
 
 
 def _classify_once(js: np.ndarray, hs: np.ndarray) -> str:
@@ -100,36 +105,43 @@ def _classify_once(js: np.ndarray, hs: np.ndarray) -> str:
     return "bump" if (up.size + dn.size) > 0 else "monotone"
 
 
+def _checked_curve(js, hs) -> Tuple[np.ndarray, np.ndarray]:
+    """The curve as float arrays, or ValueError if it cannot be classified."""
+    js = np.asarray(js, dtype=float)
+    hs = np.asarray(hs, dtype=float)
+    if js.shape != hs.shape or js.ndim != 1:
+        raise ValueError("expected matching 1-D abscissa and ordinate arrays")
+    if not (np.all(np.isfinite(js)) and np.all(np.isfinite(hs))):
+        raise ValueError("curve must be finite")
+    if not np.all(np.diff(js) > 0):
+        raise ValueError("abscissa must be strictly increasing")
+    if np.any(hs <= 0.0):
+        raise ValueError("information curve must be positive")
+    return js, hs
+
+
+def _classify_fine_and_coarse(js: np.ndarray, hs: np.ndarray) -> Tuple[str, str]:
+    return _classify_once(js, hs), _classify_once(js[::2], hs[::2])
+
+
 def classify_curve(js: Sequence[float], hs: Sequence[float]) -> str:
     """Classify a sampled H(J) curve as monotone, bump, or peak.
 
     The verdict must survive halving the resolution, otherwise the curve
     is declared under-sampled.
     """
-    js = np.asarray(js, dtype=float)
-    hs = np.asarray(hs, dtype=float)
-    if js.shape != hs.shape or js.ndim != 1:
-        raise ValueError("expected matching 1-D abscissa and ordinate arrays")
+    js, hs = _checked_curve(js, hs)
     if len(js) < MIN_POINTS:
         raise ValueError("need at least %d points" % MIN_POINTS)
-    if not np.all(np.diff(js) > 0):
-        raise ValueError("abscissa must be strictly increasing")
-    if np.any(hs <= 0.0):
-        raise ValueError("information curve must be positive")
-    full = _classify_once(js, hs)
-    half = _classify_once(js[::2], hs[::2])
+    full, half = _classify_fine_and_coarse(js, hs)
     if full != half:
         raise InsufficientResolution(
             "classification unstable under refinement (%s vs %s)" % (full, half))
     return full
 
 
-def _classify_d(gamma: float, D: float, points: int, quad: QuadratureConfig,
-                sampler: Callable, strict: bool = True) -> str:
-    js, hs = sampler(gamma, D, points, quad)
-    base = _classify_once(js, hs)
-    js2, hs2 = sampler(gamma, D, 2 * points - 1, quad)
-    fine = _classify_once(js2, hs2)
+def _classify_d(fine: str, base: str, D: float, strict: bool = True) -> str:
+    """Class at D from the verdicts on the full curve and on its even points."""
     if base != fine:
         if strict:
             raise InsufficientResolution(
@@ -141,7 +153,8 @@ def _classify_d(gamma: float, D: float, points: int, quad: QuadratureConfig,
 _ORDER = {"monotone": 0, "bump": 1, "peak": 2}
 
 
-def _bisect_boundary(gamma, d_lo, d_hi, threshold, points, quad, sampler):
+def _bisect_boundary(classify: Callable[[float, bool], str], d_lo, d_hi,
+                     threshold):
     """Smallest D whose class reaches `threshold`, bracketed to 1e-3.
 
     Probing lands arbitrarily close to the transition, where the verdict
@@ -150,7 +163,7 @@ def _bisect_boundary(gamma, d_lo, d_hi, threshold, points, quad, sampler):
     lo, hi = d_lo, d_hi
     while hi - lo > BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
-        cls = _classify_d(gamma, mid, points, quad, sampler, strict=False)
+        cls = classify(mid, False)
         if _ORDER[cls] >= threshold:
             hi = mid
         else:
@@ -171,24 +184,36 @@ def detect_features(
     d_scan widens the search interval for the bump/peak onsets; when
     omitted the scan runs over [min(d_values), max(d_values)].  A
     threshold is reported only when the scan interval brackets it.
+
+    ``sampler(gamma, D, n, quad)`` returns ``(js, hs)``.  It is called once
+    per distinct D, with ``n = 2 * points - 1``; the curve must be 1-D,
+    increasing in J, finite and positive (ValueError otherwise).  Its even
+    points are the coarse curve that the class must agree with, so they
+    should be the ``points``-point sampling (as ``np.linspace`` gives).
     """
     if not d_values:
         raise ValueError("need at least one D value")
-    classifications = {
-        float(D): _classify_d(gamma, float(D), points, quad, sampler)
-        for D in d_values
-    }
     lo, hi = d_scan if d_scan is not None else (min(d_values), max(d_values))
-    c_lo = _classify_d(gamma, lo, points, quad, sampler)
-    c_hi = _classify_d(gamma, hi, points, quad, sampler)
+    if not lo <= hi:
+        raise ValueError("scan interval must have lo <= hi, got %r" % ((lo, hi),))
+    verdicts: Dict[float, Tuple[str, str]] = {}  # D -> (full, even points)
+
+    def classify(D: float, strict: bool = True) -> str:
+        D = float(D)
+        if D not in verdicts:
+            curve = _checked_curve(*sampler(gamma, D, 2 * points - 1, quad))
+            verdicts[D] = _classify_fine_and_coarse(*curve)
+        return _classify_d(*verdicts[D], D, strict)
+
+    classifications = {float(D): classify(D) for D in d_values}
+    c_lo = classify(lo)
+    c_hi = classify(hi)
 
     d_bump = bump_bracket = d_peak = peak_bracket = None
     if _ORDER[c_lo] < 1 <= _ORDER[c_hi]:
-        d_bump, bump_bracket = _bisect_boundary(
-            gamma, lo, hi, 1, points, quad, sampler)
+        d_bump, bump_bracket = _bisect_boundary(classify, lo, hi, 1)
     if _ORDER[c_lo] < 2 <= _ORDER[c_hi]:
-        d_peak, peak_bracket = _bisect_boundary(
-            gamma, lo, hi, 2, points, quad, sampler)
+        d_peak, peak_bracket = _bisect_boundary(classify, lo, hi, 2)
     return FeatureReport(
         gamma=gamma,
         classifications=classifications,
@@ -202,8 +227,7 @@ def detect_features(
 def _integrated_h(gamma: float, D: float, j_points: int,
                   quad: QuadratureConfig) -> float:
     js = np.linspace(1.2, 2.0, j_points)
-    hs = np.array([qfi_xstate(ChainParams(j, gamma, D), "J", quad) for j in js])
-    return float(np.trapezoid(hs, js))
+    return float(np.trapezoid(_h_curve(js, gamma, D, quad), js))
 
 
 def detect_d_loss(

@@ -19,6 +19,7 @@ import numpy as np
 from .chain import (
     ChainParams,
     ChainPoint,
+    ChainPoints,
     Correlators,
     TwoSpinXState,
     chain_point,
@@ -89,72 +90,109 @@ class BlochBlocks:
         return m
 
 
+def _bloch_vectors(corr: Correlators, weight: float) -> BlochBlocks:
+    """Four-vectors of both blocks; weight is 1 for a state, 0 for a derivative.
+
+    Correlator fields may be arrays over points, giving (4, n) vectors.
+    """
+    zero = corr.gzz - corr.gzz  # +0.0, shaped like the correlators
+    return BlochBlocks(
+        omega=np.array([
+            0.5 * (weight + corr.gzz),
+            0.5 * (corr.gxx - corr.gyy),
+            zero,
+            corr.mz,
+        ]),
+        omega_tilde=np.array([
+            0.5 * (weight - corr.gzz),
+            0.5 * (corr.gxx + corr.gyy),
+            zero,
+            zero,
+        ]),
+    )
+
+
 def bloch_blocks(state: TwoSpinXState, corr: Correlators) -> BlochBlocks:
-    omega = np.array([
-        0.5 * (1.0 + corr.gzz),
-        0.5 * (corr.gxx - corr.gyy),
-        0.0,
-        corr.mz,
-    ])
-    omega_tilde = np.array([
-        0.5 * (1.0 - corr.gzz),
-        0.5 * (corr.gxx + corr.gyy),
-        0.0,
-        0.0,
-    ])
+    blocks = _bloch_vectors(corr, 1.0)
+    omega, omega_tilde = blocks.omega, blocks.omega_tilde
     # The state elements are an exact reshuffling of the same correlators;
     # a mismatch means the caller paired unrelated objects.
     if abs(0.5 * (omega[0] + omega[3]) - state.a_plus) > 1e-9 or abs(
         0.5 * omega_tilde[0] - state.c
     ) > 1e-9:
         raise ValueError("state and correlators describe different points")
-    return BlochBlocks(omega=omega, omega_tilde=omega_tilde)
+    return blocks
 
 
 def bloch_blocks_derivative(dcorr: Correlators) -> BlochBlocks:
     """Same mapping applied to correlator derivatives (no weight checks)."""
-    domega = np.array([
-        0.5 * dcorr.gzz,
-        0.5 * (dcorr.gxx - dcorr.gyy),
-        0.0,
-        dcorr.mz,
-    ])
-    domega_tilde = np.array([
-        -0.5 * dcorr.gzz,
-        0.5 * (dcorr.gxx + dcorr.gyy),
-        0.0,
-        0.0,
-    ])
-    return BlochBlocks(omega=domega, omega_tilde=domega_tilde)
+    return _bloch_vectors(dcorr, 0.0)
+
+
+def _mixed_block(w0, dw0, vv, vd, dd):
+    """Minkowski form of a mixed block from the inner products of its vectors.
+
+        (1/w0) [ (g(w, dw))^2 / g(w, w) - g(dw, dw) ] + (dw0)^2 / w0 ,
+
+    with vv = v.v, vd = v.dv, dd = dv.dv of the space-like parts.
+    Scalars or arrays over points.
+    """
+    g_w_dw = w0 * dw0 - vd
+    g_dw_dw = dw0 ** 2 - dd
+    return (g_w_dw ** 2 / (w0 * w0 - vv) - g_dw_dw) / w0 + dw0 ** 2 / w0
+
+
+def _pure_block(w0, dw0, vd, dd):
+    """Limit of the Minkowski form for a block of vanishing Minkowski norm."""
+    radial = vd / w0
+    return dw0 ** 2 / w0 + (dd - radial * radial) / w0
+
+
+def _warn_weightless() -> None:
+    warnings.warn(
+        "weightless block with nonvanishing derivative; "
+        "its divergent contribution is dropped",
+        BlockDegenerateWarning,
+        stacklevel=4,
+    )
 
 
 def _block_qfi(w: np.ndarray, dw: np.ndarray) -> float:
     """Information carried by one subnormalized 2x2 block.
 
-    Mixed blocks use the Minkowski form
-        (1/w0) [ (g(w, dw))^2 / g(w, w) - g(dw, dw) ] + (dw0)^2 / w0 ;
-    a block with vanishing Minkowski norm is pure and gets the analytic
-    limit, and a weightless block contributes nothing.
+    Mixed blocks use the Minkowski form (:func:`_mixed_block`); a block with
+    vanishing Minkowski norm is pure and gets the analytic limit, and a
+    weightless block contributes nothing.
     """
     w0 = w[0]
     if w0 <= BLOCK_TOL:
         if float(np.max(np.abs(dw))) > DP_TOL:
-            warnings.warn(
-                "weightless block with nonvanishing derivative; "
-                "its divergent contribution is dropped",
-                BlockDegenerateWarning,
-                stacklevel=3,
-            )
+            _warn_weightless()
         return 0.0
     vec = w[1:]
     dvec = dw[1:]
-    norm = float(w0 * w0 - vec @ vec)
-    if norm <= BLOCK_TOL:
-        radial = float(vec @ dvec) / w0
-        return float(dw[0] ** 2 / w0 + (dvec @ dvec - radial * radial) / w0)
-    g_w_dw = float(w0 * dw[0] - vec @ dvec)
-    g_dw_dw = float(dw[0] ** 2 - dvec @ dvec)
-    return float((g_w_dw ** 2 / norm - g_dw_dw) / w0 + dw[0] ** 2 / w0)
+    vv, vd, dd = vec @ vec, vec @ dvec, dvec @ dvec
+    if float(w0 * w0 - vv) <= BLOCK_TOL:
+        return float(_pure_block(w0, dw[0], vd, dd))
+    return float(_mixed_block(w0, dw[0], vv, vd, dd))
+
+
+def _block_qfi_points(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """:func:`_block_qfi` for (4, n) stacks of block vectors, one per point."""
+    w0, dw0 = w[0], dw[0]
+    vec, dvec = w[1:], dw[1:]
+    vv = (vec * vec).sum(axis=0)
+    vd = (vec * dvec).sum(axis=0)
+    dd = (dvec * dvec).sum(axis=0)
+    weighted = w0 > BLOCK_TOL
+    if (~weighted & (np.abs(dw).max(axis=0) > DP_TOL)).any():
+        _warn_weightless()
+    pure = weighted & (w0 * w0 - vv <= BLOCK_TOL)
+    mixed = weighted & ~pure
+    h = np.zeros_like(w0)
+    h[pure] = _pure_block(w0[pure], dw0[pure], vd[pure], dd[pure])
+    h[mixed] = _mixed_block(w0[mixed], dw0[mixed], vv[mixed], vd[mixed], dd[mixed])
+    return h
 
 
 def _classical_fi(probs: np.ndarray, dprobs: np.ndarray) -> float:
@@ -199,6 +237,19 @@ def qfi_xstate(
     blocks = bloch_blocks(point.state, point.corr)
     dblocks = bloch_blocks_derivative(point.dcorr[wrt])
     return _block_qfi(blocks.omega, dblocks.omega) + _block_qfi(
+        blocks.omega_tilde, dblocks.omega_tilde
+    )
+
+
+def _qfi_points(points: ChainPoints, wrt: str) -> np.ndarray:
+    """:func:`qfi_xstate` at every point of a batched evaluation.
+
+    Calls no public function of this module, so per-point instrumentation
+    of those functions never sees arrays.
+    """
+    blocks = _bloch_vectors(points.corr, 1.0)
+    dblocks = _bloch_vectors(points.dcorr[wrt], 0.0)
+    return _block_qfi_points(blocks.omega, dblocks.omega) + _block_qfi_points(
         blocks.omega_tilde, dblocks.omega_tilde
     )
 

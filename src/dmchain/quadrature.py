@@ -6,6 +6,10 @@ whole stack of integrands on one adaptive grid instead of calling a scalar
 routine per integral.  Panels are bisected where the 7-point Gauss /
 15-point Kronrod discrepancy dominates, until every member of the stack
 meets its tolerance or the panel budget runs out.
+
+:func:`integrate_points` applies the same refinement to a family of
+parameter points at once: each point keeps its own panels, tolerance and
+budget, and the panels of all unconverged points share each rule call.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = [
     "DEFAULT_QUAD",
     "integrate",
     "integrate_many",
+    "integrate_points",
 ]
 
 
@@ -81,6 +86,10 @@ _WG_HALF = np.array(
         0.417959183673469,
     ]
 )
+
+# Nodes per rule call in integrate_points: bounds the (integrands x nodes)
+# temporaries of the integrand, and so the memory of a large family.
+_MAX_RULE_NODES = 1 << 11
 
 _XK = np.concatenate([-_XK_HALF[:-1], _XK_HALF[::-1]])
 _WK = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
@@ -161,6 +170,119 @@ def integrate_many(
         vals = np.concatenate([vals[:, ~split], new_vals], axis=1)
         errs = np.concatenate([errs[:, ~split], new_errs], axis=1)
         lo, hi = new_lo, new_hi
+
+
+def _family_rule(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    owner: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_panel_rule` over panels of several points, in capped chunks."""
+    per_call = _MAX_RULE_NODES // _XK.size
+    parts = []
+    # At least one call, so that even an empty family learns its stack size.
+    for s in range(0, max(lo.size, 1), per_call):
+        node_owner = np.repeat(owner[s:s + per_call], _XK.size)
+        parts.append(_panel_rule(lambda x: f(x, node_owner),
+                                 lo[s:s + per_call], hi[s:s + per_call]))
+    if len(parts) == 1:
+        return parts[0]
+    return (np.concatenate([p[0] for p in parts], axis=1),
+            np.concatenate([p[1] for p in parts], axis=1))
+
+
+def integrate_points(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    n: int,
+    a: float,
+    b: float,
+    config: QuadratureConfig = DEFAULT_QUAD,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Integrate the integrand stacks of n parameter points over [a, b].
+
+    ``f(x, owner)`` maps flat nodes x of shape (m,), and the index of the
+    point each node belongs to, to values of shape (k, m).  Every point is
+    refined as :func:`integrate_many` refines a single stack: it has its
+    own panels, its own test ``max(abs_tol, rel_tol * |integral|)`` and its
+    own budget of ``max_subdivisions`` panels, only unconverged points are
+    split, and a point leaves the family once it converges.  A point's
+    panels, sums and split choices involve no other point, so its values
+    do not depend on which points share its call.  Returns ``(values,
+    errors)``, both of shape (k, n).
+
+    Raises QuadratureFailure if some point still violates its tolerance
+    after ``max_subdivisions`` of its panels.
+    """
+    if not b > a:
+        raise ValueError("integration interval must have b > a")
+    edges = np.linspace(a, b, 9)
+    owner = np.repeat(np.arange(n), edges.size - 1)
+    lo = np.tile(edges[:-1], n)
+    hi = np.tile(edges[1:], n)
+    vals, errs = _family_rule(f, lo, hi, owner)
+    out_vals = np.empty((vals.shape[0], n))
+    out_errs = np.empty((vals.shape[0], n))
+
+    # Panels stay grouped by point, in the order integrate_many keeps them.
+    while owner.size:
+        starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        counts = np.diff(np.r_[starts, owner.size])
+        points = owner[starts]
+        totals = np.add.reduceat(vals, starts, axis=1)
+        total_err = np.add.reduceat(errs, starts, axis=1)
+        tol = np.maximum(config.abs_tol, config.rel_tol * np.abs(totals))
+        unconverged = (total_err > tol).any(axis=0)
+        done = ~unconverged
+        out_vals[:, points[done]] = totals[:, done]
+        out_errs[:, points[done]] = total_err[:, done]
+        if done.all():
+            break
+
+        budget = config.max_subdivisions - counts[unconverged]
+        if (budget <= 0).any():
+            worst = total_err / tol
+            stuck = np.flatnonzero(unconverged)[budget <= 0]
+            raise QuadratureFailure(
+                f"no convergence at point {points[stuck[0]]} with "
+                f"{counts[stuck[0]]} panels; worst error exceeds tolerance "
+                f"by factor {float(worst[:, stuck].max()):.3g}"
+            )
+        keep = np.repeat(unconverged, counts)
+        lo, hi, owner = lo[keep], hi[keep], owner[keep]
+        vals, errs = vals[:, keep], errs[:, keep]
+        seg = np.repeat(np.arange(budget.size), counts[unconverged])
+        starts = np.r_[0, np.cumsum(counts[unconverged])[:-1]]
+
+        # Split the panels carrying the bulk of each point's scaled error
+        # mass: sort each point's panels by badness, take the shortest
+        # prefix whose running sum reaches half of the point's total.
+        badness = (errs / tol[:, unconverged][:, seg]).max(axis=0)
+        order = np.lexsort((-badness, seg))
+        rank = np.arange(order.size) - starts[seg]
+        padded = np.zeros((budget.size, int(counts[unconverged].max())))
+        padded[seg, rank] = badness[order]
+        cum = np.cumsum(padded, axis=1)
+        n_split = (cum < 0.5 * cum[:, -1:]).sum(axis=1) + 1
+        n_split = np.minimum(n_split, budget)
+        split = np.empty(order.size, dtype=bool)
+        split[order] = rank < n_split[seg]
+
+        mid = 0.5 * (lo[split] + hi[split])
+        halves_lo = np.concatenate([lo[split], mid])
+        halves_hi = np.concatenate([mid, hi[split]])
+        halves_owner = np.concatenate([owner[split], owner[split]])
+        new_vals, new_errs = _family_rule(f, halves_lo, halves_hi, halves_owner)
+        # Stable regrouping keeps each point's unsplit panels, then its
+        # left halves, then its right halves.
+        regroup = np.argsort(np.concatenate([owner[~split], halves_owner]),
+                             kind="stable")
+        lo = np.concatenate([lo[~split], halves_lo])[regroup]
+        hi = np.concatenate([hi[~split], halves_hi])[regroup]
+        owner = np.concatenate([owner[~split], halves_owner])[regroup]
+        vals = np.concatenate([vals[:, ~split], new_vals], axis=1)[:, regroup]
+        errs = np.concatenate([errs[:, ~split], new_errs], axis=1)[:, regroup]
+    return out_vals, out_errs
 
 
 def integrate(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import dmchain.features as features_mod
 from dmchain.features import (BRACKET_WIDTH, DEFAULT_POINTS, MIN_POINTS,
                               WINDOW, FeatureReport, FlatProfile,
                               InsufficientResolution, classify_curve,
@@ -55,6 +56,17 @@ def test_classify_validation():
         classify_curve(js, hs - hs.min())  # zero entry
 
 
+def test_classify_rejects_non_finite_curve():
+    js = np.linspace(0.0, 1.0, 301)
+    hs = np.exp(js)
+    hs[150] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        classify_curve(js, hs)
+    hs[150] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        classify_curve(js, hs)
+
+
 def test_classify_undersampled_spike():
     # one-sample spike at an odd index: visible at full resolution,
     # gone after decimation, so the verdict cannot be trusted
@@ -94,6 +106,55 @@ def test_detect_features_no_transition_in_scan():
         detect_features(0.0, [])
 
 
+def test_sampler_called_once_per_d_at_double_resolution():
+    calls = []
+
+    def recording(gamma, D, points, quad):
+        calls.append((D, points))
+        return synthetic_sampler(gamma, D, points, quad)
+
+    rep = detect_features(0.0, [0.05, 0.15, 0.25, 0.3], d_scan=(0.0, 0.3),
+                          points=401, sampler=recording)
+    assert rep.classifications == {0.05: "monotone", 0.15: "bump",
+                                   0.25: "peak", 0.3: "peak"}
+    ds = [d for d, _ in calls]
+    assert len(ds) == len(set(ds))  # 0.3 is both requested and the scan end
+    assert {n for _, n in calls} == {801}
+
+
+def corrupting(defect):
+    def sampler(gamma, D, points, quad):
+        js, hs = synthetic_sampler(gamma, D, points, quad)
+        if D >= 0.25:  # only the curve at the top of the scan is broken
+            js, hs = defect(js.copy(), hs.copy())
+        return js, hs
+    return sampler
+
+
+def set_middle(value):
+    def defect(js, hs):
+        hs[hs.size // 2] = value
+        return js, hs
+    return defect
+
+
+@pytest.mark.parametrize("defect", [
+    set_middle(np.nan), set_middle(np.inf), set_middle(0.0),
+    lambda js, hs: (js[::-1], hs),
+    lambda js, hs: (js, hs[:-1]),
+], ids=["nan", "inf", "zero", "decreasing", "ragged"])
+def test_detect_features_rejects_bad_sampled_curve(defect):
+    with pytest.raises(ValueError):
+        detect_features(0.0, [0.05, 0.3], points=401,
+                        sampler=corrupting(defect))
+
+
+def test_detect_features_rejects_inverted_scan():
+    with pytest.raises(ValueError, match="scan"):
+        detect_features(0.0, [0.05, 0.15], d_scan=(0.3, 0.0), points=401,
+                        sampler=synthetic_sampler)
+
+
 # ------------------------------------------------------------- real curves
 
 def test_default_curve_shape():
@@ -111,6 +172,30 @@ def test_real_curve_classes_spot():
     assert classify_curve(js, hs) == "peak"
     js, hs = default_curve(0.7, 0.3)
     assert classify_curve(js, hs) == "bump"
+
+
+def test_detect_features_evaluates_each_point_once(monkeypatch):
+    # count the H evaluations through the batched evaluator features uses
+    batches = []
+    chain_points = features_mod.chain_points
+
+    def counting(J, gamma, D, *args, **kwargs):
+        batches.append((np.array(J, dtype=float), float(gamma), float(D)))
+        return chain_points(J, gamma, D, *args, **kwargs)
+
+    monkeypatch.setattr(features_mod, "chain_points", counting)
+    rep = detect_features(0.2, (0.1, 0.2, 0.3), d_scan=(0, 0.3))
+    assert len(batches) == 19
+    assert all(js.size == 561 for js, _, _ in batches)
+    pairs = [(j, D) for js, _, D in batches for j in js.tolist()]
+    assert len(pairs) == len(set(pairs)) == 19 * 561
+    assert rep.classifications == {0.1: "bump", 0.2: "peak", 0.3: "peak"}
+    assert rep.d_bump == 0.08115234375
+    assert rep.d_bump_bracket == pytest.approx((0.080859375, 0.0814453125),
+                                               rel=1e-12)
+    assert rep.d_peak == pytest.approx(0.1444336, abs=1e-7)
+    assert rep.d_peak_bracket == pytest.approx((0.144140625, 0.144726563),
+                                               abs=1e-9)
 
 
 # ----------------------------------------------------------------- d_loss
