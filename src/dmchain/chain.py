@@ -225,8 +225,11 @@ def _assemble_derivative(corr: Correlators, dmz: float, deven: float, dodd: floa
 
 
 def _state_from(corr: Correlators) -> TwoSpinXState:
-    a_plus = 0.25 * (1.0 + 2.0 * corr.mz + corr.gzz)
-    a_minus = 0.25 * (1.0 - 2.0 * corr.mz + corr.gzz)
+    # gzz = mz^2 - gxx gyy; written out, the small entries near J = 0
+    # (a_minus ~ J^2) keep their digits instead of cancelling against 1.
+    gxy = corr.gxx * corr.gyy
+    a_plus = 0.25 * ((1.0 + corr.mz) ** 2 - gxy)
+    a_minus = 0.25 * ((1.0 - corr.mz) ** 2 - gxy)
     c = 0.25 * (1.0 - corr.gzz)
     b_plus = 0.25 * (corr.gxx + corr.gyy)
     b_minus = 0.25 * (corr.gxx - corr.gyy)
@@ -309,8 +312,9 @@ def chain_point(
 class ChainPoints:
     """Correlators, X states and requested derivatives of a family of points.
 
-    Every field of ``corr``, ``state`` and each ``dcorr`` entry is an array
-    over the points, in the order of ``J``, ``gamma`` and ``D``.
+    Every field of ``corr``, ``state`` and each ``dcorr`` and ``dstate``
+    entry is an array over the points, in the order of ``J``, ``gamma``
+    and ``D``.
     """
 
     J: np.ndarray
@@ -319,6 +323,7 @@ class ChainPoints:
     corr: Correlators
     state: TwoSpinXState
     dcorr: Dict[str, Correlators]
+    dstate: Dict[str, XStateDerivative]
 
 
 def chain_points(
@@ -357,7 +362,8 @@ def chain_points(
     corr = _assemble(vals[0], vals[1], vals[2])
     dcorr = {tag: _assemble_derivative(corr, *vals[3 + 3 * i : 6 + 3 * i])
              for i, tag in enumerate(tags)}
-    return ChainPoints(J, gamma, D, corr, _state_from(corr), dcorr)
+    dstate = {tag: _dstate_from(d) for tag, d in dcorr.items()}
+    return ChainPoints(J, gamma, D, corr, _state_from(corr), dcorr, dstate)
 
 
 def magnetization(params: ChainParams, quad: QuadratureConfig = DEFAULT_QUAD) -> float:

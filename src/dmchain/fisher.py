@@ -1,10 +1,11 @@
 """Classical and quantum Fisher information of the two-spin probe.
 
-The X structure of the reduced state splits it into two 2x2 blocks that are
-most compact in a four-vector (Bloch-like) parametrization with Minkowski
+The X structure of the reduced state splits it into two real 2x2 blocks,
+also available in a four-vector (Bloch-like) parametrization with Minkowski
 signature (+,-,-,-).  The quantum Fisher information is the sum of the two
-block contributions; an independent eigendecomposition route over the full
-4x4 matrix is kept for cross-validation.
+block contributions, each summed over the block's eigenbasis with the same
+support cut as the independent eigendecomposition route over the full 4x4
+matrix, which is kept for cross-validation.
 """
 
 from __future__ import annotations
@@ -43,11 +44,15 @@ __all__ = [
 ]
 
 # Outcomes with probability below P_TOL and derivative below DP_TOL are
-# treated as absent from the support and contribute no information.
+# treated as absent from the support and contribute no information.  An
+# outcome p = a J^2 touching zero with curvature a <= 1/4 has |dp| below
+# 2 sqrt(a P_TOL) <= DP_TOL while p < P_TOL; a larger derivative means p
+# crosses zero there and its information diverges.
 P_TOL = 1e-12
-DP_TOL = 1e-8
-BLOCK_TOL = 1e-14
-_MINK = np.array([1.0, -1.0, -1.0, -1.0])
+DP_TOL = 1e-6
+# Eigenvalue pairs of the state summing to at most SUPPORT_TOL lie outside
+# its support; both QFI routes drop them.
+SUPPORT_TOL = 1e-12
 
 
 class DivergentInformationWarning(RuntimeWarning):
@@ -129,70 +134,60 @@ def bloch_blocks_derivative(dcorr: Correlators) -> BlochBlocks:
     return _bloch_vectors(dcorr, 0.0)
 
 
-def _mixed_block(w0, dw0, vv, vd, dd):
-    """Minkowski form of a mixed block from the inner products of its vectors.
+def _ratio(num, den, floor):
+    """num / den where den exceeds floor, else 0; scalars or arrays."""
+    if isinstance(den, np.ndarray):
+        return np.divide(num, den, out=np.zeros_like(den), where=den > floor)
+    return num / den if den > floor else 0.0
 
-        (1/w0) [ (g(w, dw))^2 / g(w, w) - g(dw, dw) ] + (dw0)^2 / w0 ,
 
-    with vv = v.v, vd = v.dv, dd = dv.dv of the space-like parts.
-    Scalars or arrays over points.
+def _block_info(p, q, b, dp, dq, db):
+    """Information of the real block [[p, b], [b, q]] of the state, whose
+    derivative is [[dp, db], [db, dq]].
+
+    Summed pair by pair in the block's eigenbasis as
+    2 |<i|d rho|j>|^2 / (lambda_i + lambda_j): a pair whose eigenvalues sum
+    to at most SUPPORT_TOL lies outside the support and is dropped, exactly
+    as in :func:`qfi_eigen`.  The smaller eigenvalue comes from the
+    determinant p q - b^2, which keeps its digits when the block is nearly
+    pure.  Scalars or arrays over points.
     """
-    g_w_dw = w0 * dw0 - vd
-    g_dw_dw = dw0 ** 2 - dd
-    return (g_w_dw ** 2 / (w0 * w0 - vv) - g_dw_dw) / w0 + dw0 ** 2 / w0
+    w0 = p + q
+    d = p - q
+    r = (d * d + 4.0 * b * b) ** 0.5                # lambda_+ - lambda_-
+    s_plus = w0 + r                                 # 2 lambda_+
+    s_minus = _ratio(4.0 * (p * q - b * b), s_plus, 0.0)
+    dw0 = dp + dq
+    # derivative of the Bloch vector along and across v = (2b, d)
+    radial = _ratio(d * (dp - dq) + 4.0 * b * db, r, 0.0)
+    across = _ratio(2.0 * (b * (dp - dq) - d * db), r, 0.0)
+    return (0.5 * _ratio((dw0 + radial) ** 2, s_plus, SUPPORT_TOL)
+            + 0.5 * _ratio((dw0 - radial) ** 2, s_minus, SUPPORT_TOL)
+            + _ratio(across * across, w0, SUPPORT_TOL))
 
 
-def _pure_block(w0, dw0, vd, dd):
-    """Limit of the Minkowski form for a block of vanishing Minkowski norm."""
-    radial = vd / w0
-    return dw0 ** 2 / w0 + (dd - radial * radial) / w0
+def _block_pair(state, dstate):
+    """Outer and inner block information; fields scalars or arrays.
 
-
-def _warn_weightless() -> None:
-    warnings.warn(
-        "weightless block with nonvanishing derivative; "
-        "its divergent contribution is dropped",
-        BlockDegenerateWarning,
-        stacklevel=4,
-    )
-
-
-def _block_qfi(w: np.ndarray, dw: np.ndarray) -> float:
-    """Information carried by one subnormalized 2x2 block.
-
-    Mixed blocks use the Minkowski form (:func:`_mixed_block`); a block with
-    vanishing Minkowski norm is pure and gets the analytic limit, and a
-    weightless block contributes nothing.
+    A block outside the support whose derivative does not vanish warns.
     """
-    w0 = w[0]
-    if w0 <= BLOCK_TOL:
-        if float(np.max(np.abs(dw))) > DP_TOL:
-            _warn_weightless()
-        return 0.0
-    vec = w[1:]
-    dvec = dw[1:]
-    vv, vd, dd = vec @ vec, vec @ dvec, dvec @ dvec
-    if float(w0 * w0 - vv) <= BLOCK_TOL:
-        return float(_pure_block(w0, dw[0], vd, dd))
-    return float(_mixed_block(w0, dw[0], vv, vd, dd))
-
-
-def _block_qfi_points(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """:func:`_block_qfi` for (4, n) stacks of block vectors, one per point."""
-    w0, dw0 = w[0], dw[0]
-    vec, dvec = w[1:], dw[1:]
-    vv = (vec * vec).sum(axis=0)
-    vd = (vec * dvec).sum(axis=0)
-    dd = (dvec * dvec).sum(axis=0)
-    weighted = w0 > BLOCK_TOL
-    if (~weighted & (np.abs(dw).max(axis=0) > DP_TOL)).any():
-        _warn_weightless()
-    pure = weighted & (w0 * w0 - vv <= BLOCK_TOL)
-    mixed = weighted & ~pure
-    h = np.zeros_like(w0)
-    h[pure] = _pure_block(w0[pure], dw0[pure], vd[pure], dd[pure])
-    h[mixed] = _mixed_block(w0[mixed], dw0[mixed], vv[mixed], vd[mixed], dd[mixed])
-    return h
+    out = []
+    for p, q, b, dp, dq, db in (
+        (state.a_plus, state.a_minus, state.b_minus,
+         dstate.a_plus, dstate.a_minus, dstate.b_minus),
+        (state.c, state.c, state.b_plus, dstate.c, dstate.c, dstate.b_plus),
+    ):
+        light = p + q <= SUPPORT_TOL
+        if np.any(light) and np.any(light & (
+                (abs(dp) > DP_TOL) | (abs(dq) > DP_TOL) | (abs(db) > DP_TOL))):
+            warnings.warn(
+                "weightless block with nonvanishing derivative; "
+                "its divergent contribution is dropped",
+                BlockDegenerateWarning,
+                stacklevel=3,
+            )
+        out.append(_block_info(p, q, b, dp, dq, db))
+    return out
 
 
 def _classical_fi(probs: np.ndarray, dprobs: np.ndarray) -> float:
@@ -231,14 +226,11 @@ def qfi_xstate(
     quad: QuadratureConfig = DEFAULT_QUAD,
     point: Optional[ChainPoint] = None,
 ) -> float:
-    """Quantum Fisher information via the two-block Minkowski form."""
+    """Quantum Fisher information as the sum of the two block contributions."""
     if point is None:
         point = chain_point(params, (wrt,), quad)
-    blocks = bloch_blocks(point.state, point.corr)
-    dblocks = bloch_blocks_derivative(point.dcorr[wrt])
-    return _block_qfi(blocks.omega, dblocks.omega) + _block_qfi(
-        blocks.omega_tilde, dblocks.omega_tilde
-    )
+    outer, inner = _block_pair(point.state, point.dstate[wrt])
+    return float(outer + inner)
 
 
 def _qfi_points(points: ChainPoints, wrt: str) -> np.ndarray:
@@ -247,14 +239,11 @@ def _qfi_points(points: ChainPoints, wrt: str) -> np.ndarray:
     Calls no public function of this module, so per-point instrumentation
     of those functions never sees arrays.
     """
-    blocks = _bloch_vectors(points.corr, 1.0)
-    dblocks = _bloch_vectors(points.dcorr[wrt], 0.0)
-    return _block_qfi_points(blocks.omega, dblocks.omega) + _block_qfi_points(
-        blocks.omega_tilde, dblocks.omega_tilde
-    )
+    outer, inner = _block_pair(points.state, points.dstate[wrt])
+    return outer + inner
 
 
-def sld(rho: np.ndarray, drho: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def sld(rho: np.ndarray, drho: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
     """Symmetric logarithmic derivative solving drho = (L rho + rho L)/2.
 
     Built in the eigenbasis of rho; matrix elements whose eigenvalue sum
@@ -270,7 +259,7 @@ def sld(rho: np.ndarray, drho: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return v @ core @ v.T.conj()
 
 
-def qfi_eigen(rho: np.ndarray, drho: np.ndarray, tol: float = 1e-12) -> float:
+def qfi_eigen(rho: np.ndarray, drho: np.ndarray, tol: float = SUPPORT_TOL) -> float:
     """Quantum Fisher information from the eigendecomposition of rho."""
     w, v = np.linalg.eigh(rho)
     w = np.clip(w, 0.0, None)
@@ -302,10 +291,7 @@ def fisher_point(
     """F, H with its block split, and their ratio, from one quadrature pass."""
     if point is None:
         point = chain_point(params, (wrt,), quad)
-    blocks = bloch_blocks(point.state, point.corr)
-    dblocks = bloch_blocks_derivative(point.dcorr[wrt])
-    h1 = _block_qfi(blocks.omega, dblocks.omega)
-    h2 = _block_qfi(blocks.omega_tilde, dblocks.omega_tilde)
+    h1, h2 = (float(h) for h in _block_pair(point.state, point.dstate[wrt]))
     h = h1 + h2
     f = _classical_fi(point.state.probabilities(), point.dstate[wrt].probabilities())
     s = f / h if h > P_TOL else math.nan

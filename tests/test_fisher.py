@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmchain.chain import ChainParams, chain_point, x_state
@@ -110,6 +110,10 @@ fisher_J = st.floats(-2.0, 2.0).filter(lambda j: abs(abs(j) - 1.0) > 0.05)
 @settings(max_examples=20, deadline=None)
 @given(fisher_J, st.floats(0.1, 1.0), st.floats(-0.4, 0.4),
        st.sampled_from(["J", "gamma", "D"]))
+# near J = 0 the populations nearly saturate H; a_minus ~ J^2 and the
+# inner weight c ~ J^2 fall below the support cut
+@example(J=-1e-4, gamma=0.95, D=0.0, wrt="J")
+@example(J=1e-6, gamma=1.0, D=0.0, wrt="J")
 def test_classical_never_exceeds_quantum(J, gamma, D, wrt):
     pt = chain_point(ChainParams(J, gamma, D), (wrt,))
     F = magnetization_fi(ChainParams(J, gamma, D), wrt, point=pt)
@@ -120,6 +124,11 @@ def test_classical_never_exceeds_quantum(J, gamma, D, wrt):
 
 @settings(max_examples=20, deadline=None)
 @given(fisher_J, st.floats(0.1, 1.0), st.floats(-0.4, 0.4))
+# a small inner block of weight 3e-8, one of weight 1.3e-13 (outside the
+# support), and a nearly pure outer block with 2 lambda_- = 3e-13
+@example(J=0.001953125, gamma=0.25, D=0.0)
+@example(J=1e-6, gamma=1.0, D=0.0)
+@example(J=0.01, gamma=0.25, D=0.0)
 def test_block_route_equals_eigen_route(J, gamma, D):
     pt = chain_point(ChainParams(J, gamma, D), ("J",))
     block = qfi_xstate(ChainParams(J, gamma, D), "J", point=pt)
