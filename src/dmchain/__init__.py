@@ -24,16 +24,10 @@ from .chain import (
     x_state,
 )
 from .fisher import (
-    BlochBlocks,
     FisherPoint,
-    bloch_blocks,
-    bloch_blocks_derivative,
     fisher_point,
     magnetization_fi,
-    qfi_eigen,
     qfi_xstate,
-    saturation,
-    sld,
 )
 from .quadrature import (
     DEFAULT_QUAD,

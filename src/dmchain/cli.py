@@ -224,7 +224,7 @@ def _cmd_qfim(args) -> int:
     params = ChainParams(args.J, args.gamma, args.D)
     quad = _quad(args)
     qm = qfi_matrix(params, quad)
-    um = uhlmann_matrix(params, quad)
+    um = uhlmann_matrix(params)
     rep = qfim_det(params, quad)
     payload = {
         "J": params.J, "gamma": params.gamma, "D": params.D,

@@ -1,11 +1,13 @@
 """Classical and quantum Fisher information of the two-spin probe.
 
-The X structure of the reduced state splits it into two real 2x2 blocks,
-also available in a four-vector (Bloch-like) parametrization with Minkowski
-signature (+,-,-,-).  The quantum Fisher information is the sum of the two
-block contributions, each summed over the block's eigenbasis with the same
-support cut as the independent eigendecomposition route over the full 4x4
-matrix, which is kept for cross-validation.
+The X structure of the reduced state splits it into two real 2x2 blocks.
+Each block's information is summed pair by pair over its eigenbasis in
+closed form: three rank-one terms over the stacked parameter derivatives,
+which give the quantum Fisher information matrix over any set of
+couplings and, on its diagonal, the single-parameter QFI.  An eigenvalue
+pair of the state summing to at most ``SUPPORT_TOL`` lies outside the
+support and is dropped.  Every function takes scalars or arrays over
+points, so batched evaluations share the same algebra.
 """
 
 from __future__ import annotations
@@ -13,34 +15,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import (
-    ChainParams,
-    ChainPoint,
-    ChainPoints,
-    Correlators,
-    TwoSpinXState,
-    chain_point,
-)
+from .chain import ChainParams, ChainPoint, ChainPoints, chain_point
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
 __all__ = [
-    "BlochBlocks",
     "FisherPoint",
     "DivergentInformationWarning",
     "BlockDegenerateWarning",
-    "UndefinedSaturationWarning",
-    "bloch_blocks",
-    "bloch_blocks_derivative",
     "magnetization_fi",
     "qfi_xstate",
-    "sld",
-    "qfi_eigen",
     "fisher_point",
-    "saturation",
 ]
 
 # Outcomes with probability below P_TOL and derivative below DP_TOL are
@@ -51,7 +39,7 @@ __all__ = [
 P_TOL = 1e-12
 DP_TOL = 1e-6
 # Eigenvalue pairs of the state summing to at most SUPPORT_TOL lie outside
-# its support; both QFI routes drop them.
+# its support and carry no information.
 SUPPORT_TOL = 1e-12
 
 
@@ -63,94 +51,29 @@ class BlockDegenerateWarning(RuntimeWarning):
     """A block carries no weight but its derivative does."""
 
 
-class UndefinedSaturationWarning(RuntimeWarning):
-    """Both informations vanish and the ratio has no stable limit."""
-
-
-@dataclass(frozen=True)
-class BlochBlocks:
-    """Four-vector parametrization of the two X-state blocks.
-
-    omega describes the outer block (aligned pair sector), omega_tilde the
-    inner one; the time-like component is the block weight.
-    """
-
-    omega: np.ndarray
-    omega_tilde: np.ndarray
-
-    def block_matrices(self) -> Tuple[np.ndarray, np.ndarray]:
-        w, wt = self.omega, self.omega_tilde
-        outer = 0.5 * np.array([[w[0] + w[3], w[1] - 1j * w[2]],
-                                [w[1] + 1j * w[2], w[0] - w[3]]])
-        inner = 0.5 * np.array([[wt[0] + wt[3], wt[1] - 1j * wt[2]],
-                                [wt[1] + 1j * wt[2], wt[0] - wt[3]]])
-        return outer, inner
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the 4x4 X matrix (real part; the family is real)."""
-        outer, inner = self.block_matrices()
-        m = np.zeros((4, 4))
-        m[np.ix_([0, 3], [0, 3])] = outer.real
-        m[np.ix_([1, 2], [1, 2])] = inner.real
-        return m
-
-
-def _bloch_vectors(corr: Correlators, weight: float) -> BlochBlocks:
-    """Four-vectors of both blocks; weight is 1 for a state, 0 for a derivative.
-
-    Correlator fields may be arrays over points, giving (4, n) vectors.
-    """
-    zero = corr.gzz - corr.gzz  # +0.0, shaped like the correlators
-    return BlochBlocks(
-        omega=np.array([
-            0.5 * (weight + corr.gzz),
-            0.5 * (corr.gxx - corr.gyy),
-            zero,
-            corr.mz,
-        ]),
-        omega_tilde=np.array([
-            0.5 * (weight - corr.gzz),
-            0.5 * (corr.gxx + corr.gyy),
-            zero,
-            zero,
-        ]),
-    )
-
-
-def bloch_blocks(state: TwoSpinXState, corr: Correlators) -> BlochBlocks:
-    blocks = _bloch_vectors(corr, 1.0)
-    omega, omega_tilde = blocks.omega, blocks.omega_tilde
-    # The state elements are an exact reshuffling of the same correlators;
-    # a mismatch means the caller paired unrelated objects.
-    if abs(0.5 * (omega[0] + omega[3]) - state.a_plus) > 1e-9 or abs(
-        0.5 * omega_tilde[0] - state.c
-    ) > 1e-9:
-        raise ValueError("state and correlators describe different points")
-    return blocks
-
-
-def bloch_blocks_derivative(dcorr: Correlators) -> BlochBlocks:
-    """Same mapping applied to correlator derivatives (no weight checks)."""
-    return _bloch_vectors(dcorr, 0.0)
-
-
 def _ratio(num, den, floor):
-    """num / den where den exceeds floor, else 0; scalars or arrays."""
-    if isinstance(den, np.ndarray):
-        return np.divide(num, den, out=np.zeros_like(den), where=den > floor)
-    return num / den if den > floor else 0.0
+    """num / den where den exceeds floor, else 0; den broadcasts against num."""
+    if np.ndim(den) == 0:
+        return num / den if den > floor else np.zeros(np.shape(num))
+    num, den = np.broadcast_arrays(num, den)
+    return np.divide(num, den, out=np.zeros(num.shape), where=den > floor)
+
+
+def _outer(v):
+    """Outer product over the leading (parameter) axis of v."""
+    return v[:, None] * v[None, :]
 
 
 def _block_info(p, q, b, dp, dq, db):
-    """Information of the real block [[p, b], [b, q]] of the state, whose
-    derivative is [[dp, db], [db, dq]].
+    """Information matrix of the real block [[p, b], [b, q]] of the state.
 
-    Summed pair by pair in the block's eigenbasis as
-    2 |<i|d rho|j>|^2 / (lambda_i + lambda_j): a pair whose eigenvalues sum
-    to at most SUPPORT_TOL lies outside the support and is dropped, exactly
-    as in :func:`qfi_eigen`.  The smaller eigenvalue comes from the
-    determinant p q - b^2, which keeps its digits when the block is nearly
-    pure.  Scalars or arrays over points.
+    dp, dq and db stack the block's derivatives over the parameters on
+    their first axis.  Summed pair by pair in the block's eigenbasis as
+    2 Re <i|d_mu rho|j><j|d_nu rho|i> / (lambda_i + lambda_j): a pair whose
+    eigenvalues sum to at most SUPPORT_TOL lies outside the support and
+    is dropped.  The smaller eigenvalue comes from the determinant
+    p q - b^2, which keeps its digits when the block is nearly pure.
+    Scalars or arrays over points.
     """
     w0 = p + q
     d = p - q
@@ -161,25 +84,31 @@ def _block_info(p, q, b, dp, dq, db):
     # derivative of the Bloch vector along and across v = (2b, d)
     radial = _ratio(d * (dp - dq) + 4.0 * b * db, r, 0.0)
     across = _ratio(2.0 * (b * (dp - dq) - d * db), r, 0.0)
-    return (0.5 * _ratio((dw0 + radial) ** 2, s_plus, SUPPORT_TOL)
-            + 0.5 * _ratio((dw0 - radial) ** 2, s_minus, SUPPORT_TOL)
-            + _ratio(across * across, w0, SUPPORT_TOL))
+    return (0.5 * _ratio(_outer(dw0 + radial), s_plus, SUPPORT_TOL)
+            + 0.5 * _ratio(_outer(dw0 - radial), s_minus, SUPPORT_TOL)
+            + _ratio(_outer(across), w0, SUPPORT_TOL))
 
 
-def _block_pair(state, dstate):
-    """Outer and inner block information; fields scalars or arrays.
+def _block_pair(state, dstate, tags: Sequence[str]):
+    """Outer and inner block information matrices over tags.
 
-    A block outside the support whose derivative does not vanish warns.
+    ``dstate`` maps each tag to its X-state derivative; fields are scalars
+    or arrays over points, giving (k, k) or (k, k, n) matrices.  A block
+    outside the support whose derivative does not vanish warns.
     """
+    def stacked(name):
+        return np.array([getattr(dstate[t], name) for t in tags])
+
     out = []
     for p, q, b, dp, dq, db in (
         (state.a_plus, state.a_minus, state.b_minus,
-         dstate.a_plus, dstate.a_minus, dstate.b_minus),
-        (state.c, state.c, state.b_plus, dstate.c, dstate.c, dstate.b_plus),
+         stacked("a_plus"), stacked("a_minus"), stacked("b_minus")),
+        (state.c, state.c, state.b_plus,
+         stacked("c"), stacked("c"), stacked("b_plus")),
     ):
         light = p + q <= SUPPORT_TOL
-        if np.any(light) and np.any(light & (
-                (abs(dp) > DP_TOL) | (abs(dq) > DP_TOL) | (abs(db) > DP_TOL))):
+        if (light & ((abs(dp) > DP_TOL) | (abs(dq) > DP_TOL)
+                     | (abs(db) > DP_TOL))).any():
             warnings.warn(
                 "weightless block with nonvanishing derivative; "
                 "its divergent contribution is dropped",
@@ -190,22 +119,31 @@ def _block_pair(state, dstate):
     return out
 
 
-def _classical_fi(probs: np.ndarray, dprobs: np.ndarray) -> float:
-    p = np.clip(probs, 0.0, None)
-    fi = 0.0
-    for pi, dpi in zip(p, dprobs):
-        if pi >= P_TOL:
-            fi += dpi * dpi / pi
-        elif abs(dpi) >= DP_TOL:
-            warnings.warn(
-                f"outcome probability {pi:.3e} vanished with derivative {dpi:.3e}; "
-                "classical information diverges",
-                DivergentInformationWarning,
-                stacklevel=3,
-            )
-            return math.inf
-        # else: outcome absent from the support, no contribution
-    return float(fi)
+def _classical_fi(probs, dprobs):
+    """Fisher information of the outcomes on the first axis; arrays over points.
+
+    A point where an outcome vanishes with a nonvanishing derivative
+    warns and gets infinite information.
+    """
+    p = np.maximum(probs, 0.0)
+    inside = p >= P_TOL
+    fi = np.divide(dprobs * dprobs, p, out=np.zeros(p.shape),
+                   where=inside).sum(axis=0)
+    divergent = (~inside & (abs(dprobs) >= DP_TOL)).any(axis=0)
+    if divergent.any():
+        warnings.warn(
+            "an outcome probability vanished with nonvanishing derivative; "
+            "classical information diverges",
+            DivergentInformationWarning,
+            stacklevel=3,
+        )
+    return np.where(divergent, math.inf, fi)
+
+
+def _saturation(f, h):
+    """F/H where H carries information, else NaN; scalars or arrays."""
+    return np.divide(f, h, out=np.full(np.shape(h), math.nan),
+                     where=np.asarray(h) > P_TOL)
 
 
 def magnetization_fi(
@@ -217,7 +155,8 @@ def magnetization_fi(
     """Fisher information of the two-spin magnetization measurement."""
     if point is None:
         point = chain_point(params, (wrt,), quad)
-    return _classical_fi(point.state.probabilities(), point.dstate[wrt].probabilities())
+    return float(_classical_fi(point.state.probabilities(),
+                               point.dstate[wrt].probabilities()))
 
 
 def qfi_xstate(
@@ -229,8 +168,8 @@ def qfi_xstate(
     """Quantum Fisher information as the sum of the two block contributions."""
     if point is None:
         point = chain_point(params, (wrt,), quad)
-    outer, inner = _block_pair(point.state, point.dstate[wrt])
-    return float(outer + inner)
+    outer, inner = _block_pair(point.state, point.dstate, (wrt,))
+    return float(outer[0, 0] + inner[0, 0])
 
 
 def _qfi_points(points: ChainPoints, wrt: str) -> np.ndarray:
@@ -239,34 +178,8 @@ def _qfi_points(points: ChainPoints, wrt: str) -> np.ndarray:
     Calls no public function of this module, so per-point instrumentation
     of those functions never sees arrays.
     """
-    outer, inner = _block_pair(points.state, points.dstate[wrt])
-    return outer + inner
-
-
-def sld(rho: np.ndarray, drho: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
-    """Symmetric logarithmic derivative solving drho = (L rho + rho L)/2.
-
-    Built in the eigenbasis of rho; matrix elements whose eigenvalue sum
-    falls below tol are outside the support and are set to zero.
-    """
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    num = 2.0 * (v.T.conj() @ drho @ v)
-    denom = w[:, None] + w[None, :]
-    mask = denom > tol
-    core = np.zeros_like(num)
-    core[mask] = num[mask] / denom[mask]
-    return v @ core @ v.T.conj()
-
-
-def qfi_eigen(rho: np.ndarray, drho: np.ndarray, tol: float = SUPPORT_TOL) -> float:
-    """Quantum Fisher information from the eigendecomposition of rho."""
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    m = v.T.conj() @ drho @ v
-    denom = w[:, None] + w[None, :]
-    mask = denom > tol
-    return float((2.0 * np.abs(m[mask]) ** 2 / denom[mask]).sum())
+    outer, inner = _block_pair(points.state, points.dstate, (wrt,))
+    return outer[0, 0] + inner[0, 0]
 
 
 @dataclass(frozen=True)
@@ -291,40 +204,10 @@ def fisher_point(
     """F, H with its block split, and their ratio, from one quadrature pass."""
     if point is None:
         point = chain_point(params, (wrt,), quad)
-    h1, h2 = (float(h) for h in _block_pair(point.state, point.dstate[wrt]))
+    outer, inner = _block_pair(point.state, point.dstate, (wrt,))
+    h1, h2 = float(outer[0, 0]), float(inner[0, 0])
     h = h1 + h2
-    f = _classical_fi(point.state.probabilities(), point.dstate[wrt].probabilities())
-    s = f / h if h > P_TOL else math.nan
-    return FisherPoint(params=params, wrt=wrt, F=f, H=h, H1=h1, H2=h2, S=s)
-
-
-def saturation(
-    params: ChainParams,
-    wrt: str,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-    point: Optional[ChainPoint] = None,
-) -> float:
-    """Ratio F/H, with a symmetric-perturbation limit where H vanishes.
-
-    When H <= 1e-12 the ratio is evaluated at the parameter shifted by
-    +/-1e-4 along wrt; if the two values agree to 1e-3 their mean is
-    returned, otherwise the ratio is undefined (NaN, with a warning).
-    """
-    fp = fisher_point(params, wrt, quad, point)
-    if fp.H > P_TOL:
-        return fp.F / fp.H
-    step = 1e-4
-    ratios = []
-    for sgn in (1.0, -1.0):
-        shifted = params.replace(**{wrt: getattr(params, wrt) + sgn * step})
-        side = fisher_point(shifted, wrt, quad)
-        ratios.append(side.F / side.H if side.H > P_TOL else math.nan)
-    if all(math.isfinite(r) for r in ratios) and abs(ratios[0] - ratios[1]) <= 1e-3:
-        return 0.5 * (ratios[0] + ratios[1])
-    warnings.warn(
-        f"saturation undefined at {params!r} wrt {wrt}: F and H vanish and the "
-        f"perturbed ratios {ratios} do not agree",
-        UndefinedSaturationWarning,
-        stacklevel=2,
-    )
-    return math.nan
+    f = float(_classical_fi(point.state.probabilities(),
+                            point.dstate[wrt].probabilities()))
+    return FisherPoint(params=params, wrt=wrt, F=f, H=h, H1=h1, H2=h2,
+                       S=float(_saturation(f, h)))

@@ -1,21 +1,21 @@
 """Joint-estimation layer: QFI matrix, Uhlmann compatibility, sloppiness.
 
-All three symmetric logarithmic derivatives come from one shared
-eigendecomposition of the state; the matrix elements are the symmetrized
-and antisymmetrized traces against the state.  For this family the state
-and its derivatives are real symmetric, so the Uhlmann matrix vanishes
-identically and any nonzero entry is pure roundoff.
+The QFI matrix over (J, gamma, D) comes from one quadrature pass and the
+closed block algebra of :mod:`dmchain.fisher`, the same algebra that gives
+the single-parameter QFI on its diagonal.  For this family the state and
+its derivatives are real symmetric, so the SLDs are real and the Uhlmann
+matrix vanishes identically; it is returned as exact zeros.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
-from .chain import PARAM_TAGS, ChainParams, chain_point
-from .fisher import sld
+from .chain import PARAM_TAGS, ChainParams, _derivative_guard, chain_point
+from .fisher import _block_pair
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
 __all__ = [
@@ -95,56 +95,46 @@ class SloppinessReport:
         object.__setattr__(self, "eigenvalues", ev)
 
 
-def _sld_set(params: ChainParams, quad: QuadratureConfig, tol: float):
-    point = chain_point(params, PARAM_TAGS, quad)
-    rho = point.state.matrix()
-    slds = [sld(rho, point.dstate[t].matrix(), tol=tol) for t in PARAM_TAGS]
-    return rho, slds
-
-
 def qfi_matrix(
     params: ChainParams,
     quad: QuadratureConfig = DEFAULT_QUAD,
-    tol: float = 1e-12,
 ) -> QfiMatrix:
-    """H_{mu nu} = Tr[rho (L_mu L_nu + L_nu L_mu) / 2]."""
-    rho, slds = _sld_set(params, quad, tol)
-    h = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            anti = slds[i] @ slds[j] + slds[j] @ slds[i]
-            h[i, j] = h[j, i] = 0.5 * np.trace(rho @ anti).real
-    return QfiMatrix(matrix=h)
+    """H_{mu nu} = Tr[rho (L_mu L_nu + L_nu L_mu) / 2], in closed block form."""
+    point = chain_point(params, PARAM_TAGS, quad)
+    outer, inner = _block_pair(point.state, point.dstate, PARAM_TAGS)
+    return QfiMatrix(matrix=outer + inner)
 
 
-def uhlmann_matrix(
-    params: ChainParams,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-    tol: float = 1e-12,
-) -> UhlmannMatrix:
-    """U_{mu nu} = Tr[rho (L_mu L_nu - L_nu L_mu) / 2]."""
-    rho, slds = _sld_set(params, quad, tol)
-    u = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            comm = slds[i] @ slds[j] - slds[j] @ slds[i]
-            u[i, j] = 0.5 * np.trace(rho @ comm).real
-            u[j, i] = -u[i, j]
-    return UhlmannMatrix(matrix=u)
+def uhlmann_matrix(params: ChainParams) -> UhlmannMatrix:
+    """U_{mu nu} = Tr[rho (L_mu L_nu - L_nu L_mu) / 2].
+
+    The state and its derivatives are real symmetric for every point of
+    the family, so the SLDs are real and each U_{mu nu} is the imaginary
+    part of a real trace: the matrix is exactly zero wherever the QFI
+    matrix is defined.  Raises CriticalPoint where :func:`qfi_matrix` does.
+    """
+    _derivative_guard(params)
+    return UhlmannMatrix(matrix=np.zeros((3, 3)))
+
+
+def _spectrum(matrices: np.ndarray):
+    """Ascending eigenvalues, determinant and smallest / largest eigenvalue
+    ratio of symmetric 3x3 matrices stacked on the leading axes."""
+    ev = np.linalg.eigvalsh(matrices)
+    top = ev[..., -1]
+    ratio = np.divide(ev[..., 0], top, out=np.zeros(top.shape), where=top > 0.0)
+    return ev, np.prod(ev, axis=-1), ratio
 
 
 def qfim_det(
     params: ChainParams,
     quad: QuadratureConfig = DEFAULT_QUAD,
 ) -> SloppinessReport:
-    qfim = qfi_matrix(params, quad)
-    ev = np.linalg.eigvalsh(qfim.matrix)
-    top = float(ev.max())
-    ratio = float(ev.min() / top) if top > 0.0 else 0.0
+    ev, det, ratio = _spectrum(qfi_matrix(params, quad).matrix)
     return SloppinessReport(
-        det=float(np.prod(ev)),
+        det=float(det),
         eigenvalues=ev[::-1].copy(),
-        condition_ratio=ratio,
+        condition_ratio=float(ratio),
     )
 
 

@@ -1,9 +1,10 @@
 """Parameter sweeps and figure-data regeneration.
 
 A sweep walks one parameter axis, evaluates the requested information
-quantities at every point, and never aborts: per-point failures become
-NaN entries plus a message in the error column.  Figure bundles rebuild
-the data behind the six reference plots as CSV with a JSON manifest.
+quantities at all its points in one batched quadrature, and never
+aborts: per-point failures become NaN entries plus a message in the
+error column.  Figure bundles rebuild the data behind the six reference
+plots as CSV with a JSON manifest.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .chain import PARAM_TAGS, ChainParams
-from .fisher import fisher_point
-from .multiparam import qfi_matrix, qfim_det, uhlmann_matrix
-from .quadrature import DEFAULT_QUAD, QuadratureConfig
+from .chain import (PARAM_TAGS, ChainParams, ChainPoints, PositivityViolation,
+                    _derivative_guard, chain_points)
+from .fisher import _block_pair, _classical_fi, _saturation
+from .multiparam import _spectrum
+from .quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
 
 __all__ = [
     "SWEEP_QUANTITIES",
@@ -138,73 +140,76 @@ class SweepTable:
         return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-def _evaluate_point(params: ChainParams, quantities, wrt,
-                    quad: QuadratureConfig) -> Tuple[Dict[str, float], str]:
-    out: Dict[str, float] = {}
-    messages: List[str] = []
+def _columns(points: ChainPoints, spec: SweepSpec,
+             tags: Tuple[str, ...]) -> Dict[str, np.ndarray]:
+    """The requested columns at every point of a batched evaluation."""
+    outer, inner = _block_pair(points.state, points.dstate, tags)
+    h = outer + inner
+    cols: Dict[str, np.ndarray] = {}
+    if any(q in spec.quantities for q in ("F", "H", "S")):
+        k = tags.index(spec.wrt)
+        F = _classical_fi(points.state.probabilities(),
+                          points.dstate[spec.wrt].probabilities())
+        cols.update(F=F, H=h[k, k], S=_saturation(F, h[k, k]))
+    if "QFIM" in spec.quantities:
+        cols.update(zip(_QFIM_COLS, h[np.triu_indices(3)]))
+    if "U" in spec.quantities:
+        # exactly zero for this real family, as uhlmann_matrix returns
+        cols.update((name, np.zeros(h.shape[-1])) for name in _U_COLS)
+    if "det" in spec.quantities:
+        _, cols["det"], cols["condition_ratio"] = _spectrum(np.moveaxis(h, -1, 0))
+    return cols
 
-    want_fhs = [q for q in ("F", "H", "S") if q in quantities]
-    if want_fhs:
-        try:
-            fp = fisher_point(params, wrt, quad)
-            values = {"F": fp.F, "H": fp.H, "S": fp.S}
-            for q in want_fhs:
-                out[q] = float(values[q])
-        except Exception as exc:  # per-point failures must not abort
-            for q in want_fhs:
-                out[q] = np.nan
-            messages.append("%s: %s" % (type(exc).__name__, exc))
 
-    if "QFIM" in quantities or "U" in quantities or "det" in quantities:
-        try:
-            qm = qfi_matrix(params, quad)
-            if "QFIM" in quantities:
-                k = 0
-                for i in range(3):
-                    for j in range(i, 3):
-                        out[_QFIM_COLS[k]] = float(qm.matrix[i, j])
-                        k += 1
-            if "U" in quantities:
-                um = uhlmann_matrix(params, quad)
-                out["U_J_gamma"] = float(um.matrix[0, 1])
-                out["U_J_D"] = float(um.matrix[0, 2])
-                out["U_gamma_D"] = float(um.matrix[1, 2])
-            if "det" in quantities:
-                rep = qfim_det(params, quad)
-                out["det"] = float(rep.det)
-                out["condition_ratio"] = float(rep.condition_ratio)
-        except Exception as exc:
-            for q in ("QFIM", "U", "det"):
-                if q in quantities:
-                    for col in _COLUMNS[q]:
-                        out[col] = np.nan
-            messages.append("%s: %s" % (type(exc).__name__, exc))
-
-    return out, "; ".join(messages)
+def _message(exc: Exception) -> str:
+    return "%s: %s" % (type(exc).__name__, exc)
 
 
 def sweep(spec: SweepSpec, quad: QuadratureConfig = DEFAULT_QUAD) -> SweepTable:
-    """Evaluate the requested quantities along the axis; never aborts."""
-    values = spec.axis_values()
-    col_names: List[str] = []
-    for q in spec.quantities:
-        col_names.extend(_COLUMNS[q])
-    columns = {name: np.full(len(values), np.nan) for name in col_names}
-    errors: List[str] = []
+    """Evaluate the requested quantities along the axis; never aborts.
 
+    Rows with invalid couplings or on a divergence of the derivatives get
+    their error first; the other rows are evaluated as one batched
+    quadrature.  If that batch fails, each of its rows is evaluated alone,
+    so only the failing rows become NaN.
+    """
+    values = spec.axis_values()
+    tags = PARAM_TAGS if any(q in spec.quantities for q in ("QFIM", "U", "det")) \
+        else (spec.wrt,)
+    columns = {name: np.full(len(values), np.nan)
+               for q in spec.quantities for name in _COLUMNS[q]}
+    errors = [""] * len(values)
+
+    rows, coords = [], []
     for i, v in enumerate(values):
         kwargs = dict(spec.fixed)
         kwargs[spec.axis] = float(v)
         try:
             params = ChainParams(J=kwargs["J"], gamma=kwargs["gamma"],
                                  D=kwargs["D"])
-        except Exception as exc:
-            errors.append("%s: %s" % (type(exc).__name__, exc))
+            _derivative_guard(params)
+        except ValueError as exc:  # invalid couplings or CriticalPoint
+            errors[i] = _message(exc)
             continue
-        point, message = _evaluate_point(params, spec.quantities, spec.wrt, quad)
-        for name, value in point.items():
-            columns[name][i] = value
-        errors.append(message)
+        rows.append(i)
+        coords.append((params.J, params.gamma, params.D))
+    rows = np.array(rows, dtype=int)
+    coords = np.array(coords).reshape(-1, 3).T
+
+    def evaluate(k) -> None:
+        cols = _columns(chain_points(*coords[:, k], tags, quad), spec, tags)
+        for name, column in columns.items():
+            column[rows[k]] = cols[name]
+
+    if rows.size:
+        try:
+            evaluate(slice(None))
+        except (QuadratureFailure, PositivityViolation):
+            for k in range(rows.size):
+                try:
+                    evaluate([k])
+                except (QuadratureFailure, PositivityViolation) as exc:
+                    errors[rows[k]] = _message(exc)
 
     return SweepTable(spec=spec, axis_values=values, columns=columns,
                       errors=tuple(errors))
@@ -222,8 +227,11 @@ _J_NEAR_CRITICAL = 0.999
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 
 
-def _merge(tables: Sequence[Tuple[str, SweepTable]], axis_name: str):
-    """Join sweeps sharing an axis into suffixed columns."""
+def _merge(tables: Sequence[Tuple[str, SweepTable]]) -> SweepTable:
+    """Join sweeps sharing an axis into suffixed columns.
+
+    The joined table carries the first sweep's spec, whose axis all share.
+    """
     axis = tables[0][1].axis_values
     columns: Dict[str, np.ndarray] = {}
     errors = ["" for _ in axis]
@@ -236,7 +244,8 @@ def _merge(tables: Sequence[Tuple[str, SweepTable]], axis_name: str):
             if msg:
                 tagged = "%s: %s" % (suffix, msg)
                 errors[i] = (errors[i] + "; " + tagged) if errors[i] else tagged
-    return axis, columns, errors
+    return SweepTable(spec=tables[0][1].spec, axis_values=axis,
+                      columns=columns, errors=tuple(errors))
 
 
 def _figure_tables(name: str, quad: QuadratureConfig):
@@ -276,21 +285,13 @@ def figure_bundle(name: str, out_dir: str,
     specs, tables = _figure_tables(name, quad)
     if len(tables) == 1 and specs[0][0] == "":
         table = tables[0][1]
-        axis_name = table.spec.axis
-        axis, columns, errors = table.axis_values, table.columns, table.errors
     else:
-        axis_name = tables[0][1].spec.axis
-        axis, columns, errors = _merge(tables, axis_name)
+        table = _merge(tables)
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "%s.csv" % name)
-    lines = [",".join([axis_name] + list(columns) + ["error"])]
-    for i, v in enumerate(axis):
-        cells = ["%.17g" % v] + ["%.17g" % columns[c][i] for c in columns]
-        cells.append(errors[i])
-        lines.append(",".join(cells))
     with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(table.to_csv())
 
     manifest = {
         "figure": name,
@@ -300,8 +301,8 @@ def figure_bundle(name: str, out_dir: str,
         "sweeps": [
             {"suffix": suffix, "spec": s.to_dict()} for suffix, s in specs
         ],
-        "columns": [axis_name] + list(columns) + ["error"],
-        "rows": len(axis),
+        "columns": table.header(),
+        "rows": len(table.axis_values),
     }
     json_path = os.path.join(out_dir, "%s.json" % name)
     with open(json_path, "w") as fh:

@@ -5,11 +5,17 @@ definitions, sharing no code with the package: fixed-node composite
 Simpson quadrature instead of adaptive panels, finite differences
 instead of analytic derivatives, and the textbook eigendecomposition
 QFI. Slow and dumb on purpose.
+
+``sld`` and ``qfi_eigen`` are the eigendecomposition route over the full
+4x4 matrix, the independent check on the library's closed block algebra.
 """
 
 import numpy as np
 
 SIMPSON_NODES = 1_000_001  # odd
+# Eigenvalue pairs summing to at most this lie outside the support; the
+# same cut as the library's dmchain.fisher.SUPPORT_TOL.
+SUPPORT_TOL = 1e-12
 
 
 def simpson(f, a, b, nodes=SIMPSON_NODES):
@@ -102,3 +108,29 @@ def classical_fi_direct(p, dp, tol=1e-12):
         if pi > tol:
             out += di * di / pi
     return out
+
+
+def sld(rho: np.ndarray, drho: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
+    """Symmetric logarithmic derivative solving drho = (L rho + rho L)/2.
+
+    Built in the eigenbasis of rho; matrix elements whose eigenvalue sum
+    falls below tol are outside the support and are set to zero.
+    """
+    w, v = np.linalg.eigh(rho)
+    w = np.clip(w, 0.0, None)
+    num = 2.0 * (v.T.conj() @ drho @ v)
+    denom = w[:, None] + w[None, :]
+    mask = denom > tol
+    core = np.zeros_like(num)
+    core[mask] = num[mask] / denom[mask]
+    return v @ core @ v.T.conj()
+
+
+def qfi_eigen(rho: np.ndarray, drho: np.ndarray, tol: float = SUPPORT_TOL) -> float:
+    """Quantum Fisher information from the eigendecomposition of rho."""
+    w, v = np.linalg.eigh(rho)
+    w = np.clip(w, 0.0, None)
+    m = v.T.conj() @ drho @ v
+    denom = w[:, None] + w[None, :]
+    mask = denom > tol
+    return float((2.0 * np.abs(m[mask]) ** 2 / denom[mask]).sum())

@@ -18,11 +18,12 @@ import pytest
 from dmchain.chain import (PARAM_TAGS, ChainParams, chain_point, correlators,
                            d_correlators)
 from dmchain.features import classify_curve, default_curve
-from dmchain.fisher import (fisher_point, magnetization_fi, qfi_eigen,
-                            qfi_xstate)
+from dmchain.fisher import fisher_point, magnetization_fi, qfi_xstate
 from dmchain.multiparam import qfi_matrix, qfim_det, uhlmann_matrix
 from dmchain.protocol import ProtocolConfig, adaptive_run
 from dmchain.sweep import FIGURES, figure_bundle
+
+from _oracles import qfi_eigen
 
 GAMMAS = (0.2, 0.5, 0.7, 1.0)
 DS = (0.0, 0.02, 0.1, 0.2, 0.3)

@@ -9,15 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmchain.chain import ChainParams, chain_point, x_state
-from dmchain.fisher import (BlochBlocks, DivergentInformationWarning,
-                            UndefinedSaturationWarning, bloch_blocks,
-                            bloch_blocks_derivative, fisher_point,
-                            magnetization_fi, qfi_eigen, qfi_xstate,
-                            saturation, sld)
+from dmchain.fisher import (DivergentInformationWarning, fisher_point,
+                            magnetization_fi, qfi_xstate)
 
 sys.path.insert(0, "tests")
-from _oracles import (classical_fi_direct, drho_fd, qfi_eigen_direct,
-                      rho_direct)
+from _oracles import (classical_fi_direct, drho_fd, qfi_eigen,
+                      qfi_eigen_direct, rho_direct, sld)
 
 # Eigendecomposition QFI on the Simpson state with Richardson derivatives
 # (tests/_oracles.py); nodes 4e5 / 2e5, h = 1e-4.
@@ -82,24 +79,17 @@ def test_fisher_point_fields_consistent():
 
 
 def test_block_weights_sum_to_one():
+    # the outer block holds the aligned pairs, weight (1 + gzz)/2
     pt = chain_point(ChainParams(0.9, 0.5, -0.2), ())
-    blocks = bloch_blocks(pt.state, pt.corr)
-    assert blocks.omega[0] == pytest.approx(0.5 * (1.0 + pt.corr.gzz), abs=1e-14)
-    assert blocks.omega[0] + blocks.omega_tilde[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(blocks.reconstruct(), pt.state.matrix(), atol=1e-12)
-
-
-def test_block_pairing_mismatch_rejected():
-    a = chain_point(ChainParams(0.9, 0.5, -0.2), ())
-    b = chain_point(ChainParams(0.3, 0.5, -0.2), ())
-    with pytest.raises(ValueError):
-        bloch_blocks(a.state, b.corr)
+    outer = pt.state.a_plus + pt.state.a_minus
+    assert outer == pytest.approx(0.5 * (1.0 + pt.corr.gzz), abs=1e-14)
+    assert outer + 2.0 * pt.state.c == pytest.approx(1.0, abs=1e-12)
 
 
 def test_block_derivative_weights_trade():
     pt = chain_point(ChainParams(0.9, 0.5, -0.2), ("J",))
-    dblocks = bloch_blocks_derivative(pt.dcorr["J"])
-    assert dblocks.omega[0] + dblocks.omega_tilde[0] == pytest.approx(0.0, abs=1e-14)
+    d = pt.dstate["J"]
+    assert d.a_plus + d.a_minus + 2.0 * d.c == pytest.approx(0.0, abs=1e-14)
 
 
 # ----------------------------------------------------------------- bounds
@@ -136,21 +126,7 @@ def test_block_route_equals_eigen_route(J, gamma, D):
     assert block == pytest.approx(eig, rel=1e-6, abs=1e-10)
 
 
-# ------------------------------------------------------------- saturation
-
-def test_saturation_plain_ratio():
-    params = ChainParams(0.5, 0.7, 0.1)
-    assert saturation(params, "J") == pytest.approx(
-        fisher_point(params, "J").S, rel=1e-12)
-
-
-def test_saturation_limit_at_vanishing_information():
-    # wrt D at D = 0, gamma = 1: both F and H vanish by symmetry, the
-    # two-sided perturbed ratio stays defined
-    val = saturation(ChainParams(0.5, 1.0, 0.0), "D")
-    assert math.isfinite(val)
-    assert 0.0 <= val <= 1.0 + 1e-9
-
+# ------------------------------------------------------------ support
 
 def test_decoupled_point_carries_no_classical_information():
     # p = (1,0,0,0) with dp/dJ = 0 identically: the dead outcomes are

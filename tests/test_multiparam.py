@@ -5,14 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from dmchain.chain import ChainParams, chain_point
-from dmchain.fisher import qfi_xstate, sld
+from dmchain.chain import PARAM_TAGS, ChainParams, CriticalPoint, chain_point
+from dmchain.fisher import qfi_xstate
 from dmchain.multiparam import (CONDITION_FLOOR, QfiMatrix, SingularInformation,
                                 SloppinessReport, UhlmannMatrix, matrix_crb,
                                 qfi_matrix, qfim_det, uhlmann_matrix)
 
 sys.path.insert(0, "tests")
-from _oracles import drho_fd, rho_direct
+from _oracles import drho_fd, rho_direct, sld
 
 REF = ChainParams(0.5, 0.7, 0.1)
 
@@ -38,6 +38,34 @@ def test_qfim_against_fd_oracle():
     got = qfi_matrix(REF).matrix
     want = qfim_fd_oracle(0.5, 0.7, 0.1)
     assert np.allclose(got, want, rtol=1e-6, atol=1e-9)
+
+
+def sld_route(pt):
+    """QFI and Uhlmann matrices from oracle SLDs of one chain_point."""
+    rho = pt.state.matrix()
+    ls = [sld(rho, pt.dstate[t].matrix()) for t in PARAM_TAGS]
+    h = np.array([[0.5 * np.trace(rho @ (a @ b + b @ a)) for b in ls] for a in ls])
+    u = np.array([[0.5 * np.trace(rho @ (a @ b - b @ a)) for b in ls] for a in ls])
+    return h, u
+
+
+# fig4: D sweep at J = 0.999, gamma = 0.2; fig6: J sweep at gamma = 1
+FIG4_LINE = [ChainParams(0.999, 0.2, float(d)) for d in np.linspace(-0.4, 0.4, 41)]
+FIG6_LINE = [ChainParams(float(j), 1.0, d) for d in (0.01, 0.3)
+             for j in np.linspace(-2.0, 2.0, 40)]
+
+
+def test_closed_form_matches_sld_route():
+    # identical integrals: the block algebra against SLDs from a 4x4
+    # eigendecomposition, at 121 points on the fig4 and fig6 lines
+    points = FIG4_LINE + FIG6_LINE
+    assert len(points) >= 100
+    worst = 0.0
+    for params in points:
+        want, _ = sld_route(chain_point(params, PARAM_TAGS))
+        got = qfi_matrix(params).matrix
+        worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+    assert worst <= 1e-12
 
 
 def test_diagonal_matches_scalar_qfi():
@@ -77,6 +105,23 @@ def test_uhlmann_vanishes_for_real_family():
     u = uhlmann_matrix(REF).magnitudes()
     assert u.max() <= 1e-10 * scale
     assert np.all(np.diag(u) == 0.0)
+
+
+def test_uhlmann_from_oracle_slds_vanishes():
+    # an independent check of compatibility: 0.5 Tr rho [L_mu, L_nu] from
+    # oracle SLDs, on samples of the fig4 and fig6 lines
+    for params in FIG4_LINE[::5] + FIG6_LINE[::8]:
+        h, u = sld_route(chain_point(params, PARAM_TAGS))
+        assert np.abs(u).max() <= 1e-10 * np.abs(h).max()
+
+
+def test_uhlmann_guards_divergences_like_qfi_matrix():
+    assert np.all(uhlmann_matrix(REF).matrix == 0.0)
+    for params in (ChainParams(1.0, 0.5, 0.1), ChainParams(1.5, 0.0, 0.0)):
+        with pytest.raises(CriticalPoint):
+            qfi_matrix(params)
+        with pytest.raises(CriticalPoint):
+            uhlmann_matrix(params)
 
 
 def test_uhlmann_antisymmetric_storage():

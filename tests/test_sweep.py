@@ -1,5 +1,6 @@
 """Parameter sweeps and reproducible figure bundles."""
 
+import importlib
 import json
 import math
 import os
@@ -7,8 +8,15 @@ import os
 import numpy as np
 import pytest
 
+from dmchain.chain import ChainParams
+from dmchain.fisher import fisher_point
+from dmchain.multiparam import qfi_matrix, qfim_det
+from dmchain.quadrature import QuadratureConfig
 from dmchain.sweep import (FIGURES, CriticalNudgeWarning, SweepSpec,
                            SweepTable, figure_bundle, sweep)
+
+# the package exports a function named sweep over the module's name
+sweep_mod = importlib.import_module("dmchain.sweep")
 
 
 def spec_fhs(rng=(0.2, 0.8, 7), gamma=0.5, D=0.1):
@@ -93,6 +101,71 @@ def test_sweep_matrix_quantities():
     assert table.columns["det"][2] > 0.0
     # Uhlmann entries are roundoff for this real family
     assert np.abs(table.columns["U_J_D"]).max() < 1e-8
+
+
+def test_failing_batch_rows_fail_alone():
+    # a tight budget: rows 0-4 converge, rows 5-6 (J near 1) do not
+    spec = SweepSpec("J", (0.1, 0.99, 7), {"gamma": 0.5, "D": 0.1})
+    table = sweep(spec, QuadratureConfig(1e-10, 1e-10, 8))
+    for i in (5, 6):
+        assert table.errors[i].startswith("QuadratureFailure: ")
+        assert all(math.isnan(table.columns[c][i]) for c in ("F", "H", "S"))
+    for i in range(5):
+        assert table.errors[i] == ""
+        assert all(math.isfinite(table.columns[c][i]) for c in ("F", "H", "S"))
+
+
+def test_one_batch_per_spec(monkeypatch):
+    calls = []
+    real = sweep_mod.chain_points
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "chain_points", counting)
+    sweep(spec_fhs())
+    sweep(SweepSpec("D", (-0.2, 0.2, 5), {"J": 0.5, "gamma": 0.7},
+                    quantities=("QFIM", "U", "det")))
+    assert [len(c[0]) for c in calls] == [7, 5]
+    # rows rejected before the batch stay out of it
+    with pytest.warns(CriticalNudgeWarning):
+        sweep(SweepSpec("J", (0.5, 1.5, 3), {"gamma": 0.0, "D": 0.0}))
+    assert len(calls) == 3 and len(calls[2][0]) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    SweepSpec("J", (-2.0, 2.0, 40), {"gamma": 0.2, "D": 0.0}),
+    SweepSpec("J", (-2.0, 2.0, 16), {"gamma": 1.0, "D": 0.1},
+              quantities=("QFIM", "U", "det")),
+    SweepSpec("J", (-0.9, 0.9, 7), {"gamma": 0.5, "D": 0.2},
+              quantities=("S", "QFIM"), wrt="D"),
+])
+def test_batched_columns_match_per_point(spec):
+    # a fig1 line, a fig6 line and a mixed request against the per-point
+    # library calls
+    table = sweep(spec)
+    assert all(msg == "" for msg in table.errors)
+    for i, v in enumerate(table.axis_values):
+        params = ChainParams(**dict(spec.fixed, **{spec.axis: float(v)}))
+        row = {name: col[i] for name, col in table.columns.items()}
+        fp = fisher_point(params, spec.wrt)
+        for name in ("F", "H", "S"):
+            if name in row:
+                assert row[name] == pytest.approx(
+                    getattr(fp, name), rel=1e-8, abs=0.0, nan_ok=True)
+        m = qfi_matrix(params).matrix
+        if "QFIM" in spec.quantities:
+            got = [row[c] for c in sweep_mod._QFIM_COLS]
+            assert got == pytest.approx(list(m[np.triu_indices(3)]), rel=1e-8, abs=0.0)
+        if "det" in spec.quantities:
+            rep = qfim_det(params)
+            scale = np.abs(m).max()
+            assert row["det"] == pytest.approx(rep.det, rel=1e-8, abs=1e-8 * scale ** 3)
+            assert row["condition_ratio"] == pytest.approx(
+                rep.condition_ratio, rel=1e-8, abs=1e-12)
+        if "U" in spec.quantities:
+            assert all(row[c] == 0.0 for c in sweep_mod._U_COLS)
 
 
 # ----------------------------------------------------------- serialization
