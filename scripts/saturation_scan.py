@@ -11,22 +11,21 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
-from dmchain.chain import ChainParams
-from dmchain.fisher import fisher_point
+from dmchain.sweep import SweepSpec, sweep
 
 
 def scan(gamma, d_values, j_lo, j_hi, points):
-    js = np.linspace(j_lo, j_hi, points)
     rows = []
     for D in d_values:
-        for j in js:
-            try:
-                fp = fisher_point(ChainParams(float(j), gamma, float(D)), "J")
-                rows.append((D, j, fp.F, fp.H, fp.S))
-            except Exception as exc:  # critical line, keep scanning
-                print("skip J=%g D=%g: %s" % (j, D, exc), file=sys.stderr)
+        table = sweep(SweepSpec("J", (j_lo, j_hi, points),
+                                {"gamma": gamma, "D": float(D)}))
+        for i, j in enumerate(table.axis_values):
+            if table.errors[i]:  # failed point, keep scanning
+                print("skip J=%g D=%g: %s" % (j, D, table.errors[i]),
+                      file=sys.stderr)
+                continue
+            rows.append((D, j, table.columns["F"][i], table.columns["H"][i],
+                         table.columns["S"][i]))
     return rows
 
 

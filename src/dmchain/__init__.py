@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .chain import (
     ChainParams,
-    ChainPoint,
     ChainPoints,
     Correlators,
     CriticalPoint,
@@ -15,11 +14,7 @@ from .chain import (
     XStateDerivative,
     chain_point,
     chain_points,
-    correlators,
-    d_correlators,
     delta,
-    g_correlator,
-    magnetization,
     x_matrix,
     x_state,
 )
@@ -33,7 +28,6 @@ from .quadrature import (
     DEFAULT_QUAD,
     QuadratureConfig,
     QuadratureFailure,
-    integrate,
     integrate_many,
     integrate_points,
 )

@@ -16,8 +16,8 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .quadrature import (DEFAULT_QUAD, QuadratureConfig, integrate_many,
-                         integrate_points)
+from .quadrature import (DEFAULT_QUAD, QuadratureConfig, QuadratureFailure,
+                         integrate_many, integrate_points)
 
 __all__ = [
     "PARAM_TAGS",
@@ -26,15 +26,10 @@ __all__ = [
     "Correlators",
     "TwoSpinXState",
     "XStateDerivative",
-    "ChainPoint",
     "ChainPoints",
     "CriticalPoint",
     "PositivityViolation",
     "delta",
-    "magnetization",
-    "g_correlator",
-    "correlators",
-    "d_correlators",
     "x_state",
     "x_matrix",
     "chain_point",
@@ -274,47 +269,13 @@ def _check_positivity(state: TwoSpinXState) -> None:
 
 
 @dataclass(frozen=True)
-class ChainPoint:
-    """Correlators, X state and their requested derivatives at one point.
-
-    Everything is produced by a single quadrature pass so downstream
-    information measures reuse the same underlying integrals.
-    """
-
-    params: ChainParams
-    corr: Correlators
-    state: TwoSpinXState
-    dcorr: Dict[str, Correlators]
-    dstate: Dict[str, XStateDerivative]
-
-
-def chain_point(
-    params: ChainParams,
-    tags: Sequence[str] = (),
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> ChainPoint:
-    """Evaluate correlators, the X state and derivatives in one pass."""
-    tags = _validate_tags(tags)
-    if tags:
-        _derivative_guard(params)
-    vals, _ = integrate_many(_integrand_stack(params, tags), 0.0, _PI, quad)
-    corr = _assemble(vals[0], vals[1], vals[2])
-    dcorr: Dict[str, Correlators] = {}
-    dstate: Dict[str, XStateDerivative] = {}
-    for i, tag in enumerate(tags):
-        d = _assemble_derivative(corr, *vals[3 + 3 * i : 6 + 3 * i])
-        dcorr[tag] = d
-        dstate[tag] = _dstate_from(d)
-    return ChainPoint(params, corr, _state_from(corr), dcorr, dstate)
-
-
-@dataclass(frozen=True)
 class ChainPoints:
     """Correlators, X states and requested derivatives of a family of points.
 
-    Every field of ``corr``, ``state`` and each ``dcorr`` and ``dstate``
-    entry is an array over the points, in the order of ``J``, ``gamma``
-    and ``D``.
+    From :func:`chain_points`, every field of ``corr``, ``state`` and each
+    ``dcorr`` and ``dstate`` entry is an array over the points, in the
+    order of ``J``, ``gamma`` and ``D``; from :func:`chain_point`, all of
+    them are floats.
     """
 
     J: np.ndarray
@@ -324,6 +285,32 @@ class ChainPoints:
     state: TwoSpinXState
     dcorr: Dict[str, Correlators]
     dstate: Dict[str, XStateDerivative]
+
+
+def _evaluated(J, gamma, D, tags: Tuple[str, ...], vals) -> ChainPoints:
+    """Correlators, state and derivatives from the integrals of the stack."""
+    corr = _assemble(vals[0], vals[1], vals[2])
+    dcorr = {tag: _assemble_derivative(corr, *vals[3 + 3 * i : 6 + 3 * i])
+             for i, tag in enumerate(tags)}
+    dstate = {tag: _dstate_from(d) for tag, d in dcorr.items()}
+    return ChainPoints(J, gamma, D, corr, _state_from(corr), dcorr, dstate)
+
+
+def chain_point(
+    params: ChainParams,
+    tags: Sequence[str] = (),
+    quad: QuadratureConfig = DEFAULT_QUAD,
+) -> ChainPoints:
+    """Evaluate correlators, the X state and derivatives in one pass.
+
+    Derivative integrands are differentiated analytically under the
+    integral; a tag at a divergence of its integral raises CriticalPoint.
+    """
+    tags = _validate_tags(tags)
+    if tags:
+        _derivative_guard(params)
+    vals, _ = integrate_many(_integrand_stack(params, tags), 0.0, _PI, quad)
+    return _evaluated(params.J, params.gamma, params.D, tags, vals)
 
 
 def chain_points(
@@ -339,7 +326,8 @@ def chain_points(
     point is refined on its own panels to the same tolerance as in
     :func:`chain_point`, so the values agree with it to well within that
     tolerance and do not depend on the rest of the family.  Raises what
-    :func:`chain_point` raises at the first offending point.
+    :func:`chain_point` raises at the first offending point; a
+    QuadratureFailure names the couplings of the point that failed.
     """
     tags = _validate_tags(tags)
     J, gamma, D = (np.array(a, dtype=float).ravel()
@@ -358,45 +346,16 @@ def chain_points(
     def f(phi: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return _integrand_rows(J[owner], gamma[owner], D[owner], tags, phi)
 
-    vals, _ = integrate_points(f, J.size, 0.0, _PI, quad)
-    corr = _assemble(vals[0], vals[1], vals[2])
-    dcorr = {tag: _assemble_derivative(corr, *vals[3 + 3 * i : 6 + 3 * i])
-             for i, tag in enumerate(tags)}
-    dstate = {tag: _dstate_from(d) for tag, d in dcorr.items()}
-    return ChainPoints(J, gamma, D, corr, _state_from(corr), dcorr, dstate)
-
-
-def magnetization(params: ChainParams, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """Transverse magnetization <sigma^z> per site."""
-    vals, _ = integrate_many(_integrand_stack(params, ()), 0.0, _PI, quad)
-    return float(vals[0])
-
-
-def g_correlator(params: ChainParams, sign: int, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """Pair correlator G at offset +1 or -1; sign selects the offset."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    vals, _ = integrate_many(_integrand_stack(params, ()), 0.0, _PI, quad)
-    return float(vals[1] + sign * vals[2])
-
-
-def correlators(params: ChainParams, quad: QuadratureConfig = DEFAULT_QUAD) -> Correlators:
-    vals, _ = integrate_many(_integrand_stack(params, ()), 0.0, _PI, quad)
-    return _assemble(vals[0], vals[1], vals[2])
-
-
-def d_correlators(
-    params: ChainParams, wrt: str, quad: QuadratureConfig = DEFAULT_QUAD
-) -> Correlators:
-    """Derivatives of all correlators with respect to one coupling.
-
-    The integrands are differentiated analytically under the integral; this
-    is exact away from criticality, where the guard raises CriticalPoint.
-    """
-    point = chain_point(params, (wrt,), quad)
-    return point.dcorr[wrt]
+    try:
+        vals, _ = integrate_points(f, J.size, 0.0, _PI, quad)
+    except QuadratureFailure as exc:
+        i = exc.point
+        raise QuadratureFailure(
+            f"{exc} (J = {J[i]:g}, gamma = {gamma[i]:g}, D = {D[i]:g})", i
+        ) from None
+    return _evaluated(J, gamma, D, tags, vals)
 
 
 def x_state(params: ChainParams, quad: QuadratureConfig = DEFAULT_QUAD) -> TwoSpinXState:
     """Reduced two-spin state; raises PositivityViolation if invalid."""
-    return _state_from(correlators(params, quad))
+    return chain_point(params, (), quad).state

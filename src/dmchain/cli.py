@@ -20,12 +20,12 @@ import numpy as np
 
 from . import __version__
 from .chain import (ChainParams, CriticalPoint, PositivityViolation,
-                    chain_point, x_state)
+                    chain_point)
 from .features import (FlatProfile, InsufficientResolution, detect_d_loss,
                        detect_features)
 from .fisher import fisher_point
-from .multiparam import SingularInformation, matrix_crb, qfi_matrix, qfim_det, \
-    uhlmann_matrix
+from .multiparam import (SingularInformation, _sloppiness, matrix_crb,
+                         qfi_matrix, uhlmann_matrix)
 from .protocol import ProtocolConfig, adaptive_run
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
 from .sweep import FIGURES, SweepSpec, figure_bundle, sweep
@@ -225,7 +225,7 @@ def _cmd_qfim(args) -> int:
     quad = _quad(args)
     qm = qfi_matrix(params, quad)
     um = uhlmann_matrix(params)
-    rep = qfim_det(params, quad)
+    rep = _sloppiness(qm)
     payload = {
         "J": params.J, "gamma": params.gamma, "D": params.D,
         "qfim": [[float(x) for x in row] for row in qm.matrix],

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import ChainParams, ChainPoint, ChainPoints, chain_point
+from .chain import ChainParams, ChainPoints, chain_point
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
 __all__ = [
@@ -150,7 +150,7 @@ def magnetization_fi(
     params: ChainParams,
     wrt: str,
     quad: QuadratureConfig = DEFAULT_QUAD,
-    point: Optional[ChainPoint] = None,
+    point: Optional[ChainPoints] = None,
 ) -> float:
     """Fisher information of the two-spin magnetization measurement."""
     if point is None:
@@ -163,7 +163,7 @@ def qfi_xstate(
     params: ChainParams,
     wrt: str,
     quad: QuadratureConfig = DEFAULT_QUAD,
-    point: Optional[ChainPoint] = None,
+    point: Optional[ChainPoints] = None,
 ) -> float:
     """Quantum Fisher information as the sum of the two block contributions."""
     if point is None:
@@ -199,7 +199,7 @@ def fisher_point(
     params: ChainParams,
     wrt: str,
     quad: QuadratureConfig = DEFAULT_QUAD,
-    point: Optional[ChainPoint] = None,
+    point: Optional[ChainPoints] = None,
 ) -> FisherPoint:
     """F, H with its block split, and their ratio, from one quadrature pass."""
     if point is None:

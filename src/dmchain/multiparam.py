@@ -119,23 +119,32 @@ def uhlmann_matrix(params: ChainParams) -> UhlmannMatrix:
 
 def _spectrum(matrices: np.ndarray):
     """Ascending eigenvalues, determinant and smallest / largest eigenvalue
-    ratio of symmetric 3x3 matrices stacked on the leading axes."""
-    ev = np.linalg.eigvalsh(matrices)
+    ratio of symmetric 3x3 matrices stacked on the leading axes.
+
+    The matrices are positive semidefinite, sums of outer products with
+    nonnegative weights, so an eigenvalue below 0 is roundoff and is
+    clipped to 0; the determinant and ratio are then never negative.
+    """
+    ev = np.maximum(np.linalg.eigvalsh(matrices), 0.0)
     top = ev[..., -1]
     ratio = np.divide(ev[..., 0], top, out=np.zeros(top.shape), where=top > 0.0)
     return ev, np.prod(ev, axis=-1), ratio
+
+
+def _sloppiness(qfim: QfiMatrix) -> SloppinessReport:
+    ev, det, ratio = _spectrum(qfim.matrix)
+    return SloppinessReport(
+        det=float(det),
+        eigenvalues=ev[::-1].copy(),
+        condition_ratio=float(ratio),
+    )
 
 
 def qfim_det(
     params: ChainParams,
     quad: QuadratureConfig = DEFAULT_QUAD,
 ) -> SloppinessReport:
-    ev, det, ratio = _spectrum(qfi_matrix(params, quad).matrix)
-    return SloppinessReport(
-        det=float(det),
-        eigenvalues=ev[::-1].copy(),
-        condition_ratio=float(ratio),
-    )
+    return _sloppiness(qfi_matrix(params, quad))
 
 
 def matrix_crb(qfim: QfiMatrix, shots: int = 1) -> np.ndarray:

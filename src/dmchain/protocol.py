@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .chain import ChainParams, chain_point, x_state
+from .chain import ChainParams, chain_points, x_state
 from .fisher import magnetization_fi
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
@@ -146,10 +146,17 @@ def outcome_probabilities(
     quad: QuadratureConfig = DEFAULT_QUAD,
 ) -> np.ndarray:
     """Magnetization outcome distribution (uu, ud, du, dd) at j = J/B."""
-    p = x_state(effective, quad).probabilities()
-    s = p.sum()
-    if not (0.999999 < s < 1.000001):
-        raise RuntimeError("probabilities lost normalization: sum=%r" % s)
+    return _normalized(x_state(effective, quad).probabilities())
+
+
+def _normalized(p: np.ndarray) -> np.ndarray:
+    """Probabilities over the outcomes on the first axis, divided by their
+    sum; raises if any sum drifted from 1 beyond roundoff."""
+    s = p.sum(axis=0)
+    lost = ~((0.999999 < s) & (s < 1.000001))
+    if lost.any():
+        raise RuntimeError("probabilities lost normalization: sum=%r"
+                           % float(np.extract(lost, s)[0]))
     return p / s
 
 
@@ -163,17 +170,16 @@ def sample_outcomes(probs: np.ndarray, shots: int, seed) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _probability_curve(gamma: float, D: float, grid: Tuple[float, float, int],
-                       quad_key: Tuple[float, float, int]):
+                       quad: QuadratureConfig):
     """Outcome probabilities tabulated over the whole estimator grid.
 
-    Pure in its arguments, so ensembles and rounds share one table.
+    One batched quadrature; pure in its arguments, so ensembles and
+    rounds share one table.
     """
-    quad = QuadratureConfig(*quad_key)
     lo, hi, points = grid
     js = np.linspace(lo, hi, points)
-    table = np.empty((points, 4))
-    for i, j in enumerate(js):
-        table[i] = outcome_probabilities(ChainParams(j, gamma, D), quad)
+    states = chain_points(js, gamma, D, (), quad).state
+    table = np.ascontiguousarray(_normalized(states.probabilities()).T)
     with np.errstate(divide="ignore"):
         log_table = np.where(table > 0.0, np.log(np.maximum(table, 1e-300)), -np.inf)
     return js, table, log_table
@@ -205,10 +211,8 @@ def mle_estimate(
     shots = int(counts.sum())
     if shots < 1:
         raise ValueError("counts must contain at least one shot")
-    js, _, log_table = _probability_curve(
-        float(gamma), float(D), tuple(grid),
-        (quad.abs_tol, quad.rel_tol, quad.max_subdivisions),
-    )
+    js, _, log_table = _probability_curve(float(gamma), float(D),
+                                          tuple(grid), quad)
     occupied = counts > 0
     ll = log_table[:, occupied] @ counts[occupied]
     k = int(np.argmax(ll))

@@ -15,7 +15,7 @@ budget, and the panels of all unconverged points share each rule call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -23,14 +23,21 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureFailure",
     "DEFAULT_QUAD",
-    "integrate",
     "integrate_many",
     "integrate_points",
 ]
 
 
 class QuadratureFailure(RuntimeError):
-    """Requested tolerance not reached within the subdivision budget."""
+    """Requested tolerance not reached within the subdivision budget.
+
+    ``point`` is the index of the failing point in an
+    :func:`integrate_points` family, else None.
+    """
+
+    def __init__(self, message: str, point: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.point = point
 
 
 @dataclass(frozen=True)
@@ -243,10 +250,11 @@ def integrate_points(
         if (budget <= 0).any():
             worst = total_err / tol
             stuck = np.flatnonzero(unconverged)[budget <= 0]
+            point = int(points[stuck[0]])
             raise QuadratureFailure(
-                f"no convergence at point {points[stuck[0]]} with "
+                f"no convergence at point {point} with "
                 f"{counts[stuck[0]]} panels; worst error exceeds tolerance "
-                f"by factor {float(worst[:, stuck].max()):.3g}"
+                f"by factor {float(worst[:, stuck].max()):.3g}", point
             )
         keep = np.repeat(unconverged, counts)
         lo, hi, owner = lo[keep], hi[keep], owner[keep]
@@ -284,13 +292,3 @@ def integrate_points(
         errs = np.concatenate([errs[:, ~split], new_errs], axis=1)[:, regroup]
     return out_vals, out_errs
 
-
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    config: QuadratureConfig = DEFAULT_QUAD,
-) -> Tuple[float, float]:
-    """Scalar convenience wrapper around :func:`integrate_many`."""
-    vals, errs = integrate_many(lambda x: np.asarray(f(x))[None, :], a, b, config)
-    return float(vals[0]), float(errs[0])

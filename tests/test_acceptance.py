@@ -15,8 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dmchain.chain import (PARAM_TAGS, ChainParams, chain_point, correlators,
-                           d_correlators)
+from dmchain.chain import PARAM_TAGS, ChainParams, chain_point
 from dmchain.features import classify_curve, default_curve
 from dmchain.fisher import fisher_point, magnetization_fi, qfi_xstate
 from dmchain.multiparam import qfi_matrix, qfim_det, uhlmann_matrix
@@ -130,11 +129,11 @@ def test_02_derivatives_vs_finite_differences():
         n += 1
         params = ChainParams(J, g, D)
         for tag in PARAM_TAGS:
-            ana = d_correlators(params, tag)
+            ana = chain_point(params, (tag,)).dcorr[tag]
             x0 = getattr(params, tag)
 
             def f(x):
-                c = correlators(params.replace(**{tag: x}))
+                c = chain_point(params.replace(**{tag: x})).corr
                 return np.array([c.mz, c.gxx, c.gyy, c.gzz])
 
             fd = (f(x0 - 2 * h) - 8 * f(x0 - h)

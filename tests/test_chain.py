@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from dmchain.chain import (ChainParams, Correlators, CriticalPoint,
                            PositivityViolation, TwoSpinXState, chain_point,
-                           correlators, d_correlators, delta, g_correlator,
-                           magnetization, x_matrix, x_state)
+                           delta, x_matrix, x_state)
 
 # Composite Simpson at 10^6 nodes on the frozen integral convention
 # (tests/_oracles.py); digits beyond ~1e-12 are quadrature noise.
@@ -55,7 +54,7 @@ def test_params_frozen():
 # ------------------------------------------------------- decoupled limit J=0
 
 def test_decoupled_chain_fully_polarized():
-    c = correlators(ChainParams(0.0, 0.7, 0.3))
+    c = chain_point(ChainParams(0.0, 0.7, 0.3)).corr
     assert abs(c.mz - 1.0) < 1e-12
     assert abs(c.gxx) < 1e-12
     assert abs(c.gyy) < 1e-12
@@ -82,20 +81,20 @@ def test_delta_positive_off_critical():
 
 def test_derivative_guard_at_criticality():
     with pytest.raises(CriticalPoint):
-        d_correlators(ChainParams(1.0, 0.7, 0.0), "J")
+        chain_point(ChainParams(1.0, 0.7, 0.0), ("J",))
     with pytest.raises(CriticalPoint):
         chain_point(ChainParams(-1.0, 0.4, 0.2), ("J",))
     # gamma = 0 with |J| sqrt(1 + 4 D^2) >= 1: gapless line
     with pytest.raises(CriticalPoint):
-        d_correlators(ChainParams(1.2, 0.0, 0.0), "J")
+        chain_point(ChainParams(1.2, 0.0, 0.0), ("J",))
     # but correlators themselves stay integrable there
-    c = correlators(ChainParams(1.0, 0.7, 0.0))
+    c = chain_point(ChainParams(1.0, 0.7, 0.0)).corr
     assert math.isfinite(c.mz)
 
 
 def test_gamma_zero_weak_coupling_is_fine():
     # gapped even at gamma = 0 while |J| sqrt(1 + 4 D^2) < 1
-    d = d_correlators(ChainParams(0.5, 0.0, 0.1), "J")
+    d = chain_point(ChainParams(0.5, 0.0, 0.1), ("J",)).dcorr["J"]
     assert math.isfinite(d.mz)
 
 
@@ -103,28 +102,14 @@ def test_gamma_zero_weak_coupling_is_fine():
 
 @pytest.mark.parametrize("point,expected", sorted(ORACLE_CORR.items()))
 def test_correlators_match_simpson_oracle(point, expected):
-    c = correlators(ChainParams(*point))
+    c = chain_point(ChainParams(*point)).corr
     assert np.allclose(corr_tuple(c), expected, rtol=0.0, atol=2e-11)
 
 
 @pytest.mark.parametrize("wrt", ["J", "gamma", "D"])
 def test_derivatives_match_finite_differences(wrt):
-    d = d_correlators(ChainParams(0.5, 0.7, 0.1), wrt)
+    d = chain_point(ChainParams(0.5, 0.7, 0.1), (wrt,)).dcorr[wrt]
     assert np.allclose(corr_tuple(d), ORACLE_DCORR[wrt], rtol=1e-6, atol=1e-9)
-
-
-def test_magnetization_agrees_with_correlators():
-    p = ChainParams(1.5, 1.0, 0.0)
-    assert magnetization(p) == pytest.approx(correlators(p).mz, abs=1e-14)
-
-
-def test_g_correlator_signs():
-    p = ChainParams(0.9, 0.5, -0.2)
-    c = correlators(p)
-    assert g_correlator(p, -1) == pytest.approx(c.gxx, abs=1e-14)
-    assert g_correlator(p, +1) == pytest.approx(c.gyy, abs=1e-14)
-    with pytest.raises(ValueError):
-        g_correlator(p, 0)
 
 
 # ------------------------------------------------------------------- X state
@@ -187,8 +172,8 @@ dms = st.floats(-0.5, 0.5)
 @given(off_critical_J, gammas, dms)
 def test_mirror_symmetry(J, gamma, D):
     # flipping both J and D reflects the kernel about phi = pi/2
-    a = correlators(ChainParams(J, gamma, D))
-    b = correlators(ChainParams(-J, gamma, -D))
+    a = chain_point(ChainParams(J, gamma, D)).corr
+    b = chain_point(ChainParams(-J, gamma, -D)).corr
     assert b.mz == pytest.approx(a.mz, abs=1e-9)
     assert b.gxx == pytest.approx(-a.gxx, abs=1e-9)
     assert b.gyy == pytest.approx(-a.gyy, abs=1e-9)
@@ -198,8 +183,8 @@ def test_mirror_symmetry(J, gamma, D):
 @settings(max_examples=25, deadline=None)
 @given(off_critical_J, gammas, dms)
 def test_anisotropy_sign_swaps_planar_correlators(J, gamma, D):
-    a = correlators(ChainParams(J, gamma, D))
-    b = correlators(ChainParams(J, -gamma, D))
+    a = chain_point(ChainParams(J, gamma, D)).corr
+    b = chain_point(ChainParams(J, -gamma, D)).corr
     assert b.mz == pytest.approx(a.mz, abs=1e-9)
     assert b.gxx == pytest.approx(a.gyy, abs=1e-9)
     assert b.gyy == pytest.approx(a.gxx, abs=1e-9)

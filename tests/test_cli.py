@@ -135,6 +135,23 @@ def test_qfim_csv_columns(capsys):
     assert len(header) == 11
 
 
+def test_qfim_evaluates_its_point_once(capsys, monkeypatch):
+    import dmchain.multiparam as multiparam
+
+    calls = []
+    real = multiparam.chain_point
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(multiparam, "chain_point", counting)
+    code, _, _ = run_cli(capsys, "qfim", "--J", "0.5", "--gamma", "0.7",
+                         "--D", "0.1", "--shots", "1000")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_qfim_singular_exit(capsys):
     # the D = 0 information matrix has an exactly flat direction, so the
     # requested covariance bound does not exist

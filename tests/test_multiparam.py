@@ -10,6 +10,7 @@ from dmchain.fisher import qfi_xstate
 from dmchain.multiparam import (CONDITION_FLOOR, QfiMatrix, SingularInformation,
                                 SloppinessReport, UhlmannMatrix, matrix_crb,
                                 qfi_matrix, qfim_det, uhlmann_matrix)
+from dmchain.sweep import SweepSpec, sweep
 
 sys.path.insert(0, "tests")
 from _oracles import drho_fd, rho_direct, sld
@@ -159,6 +160,25 @@ def test_dm_sign_breaks_near_critical_degeneracy():
     plus = qfim_det(ChainParams(0.999, 0.2, 0.3))
     assert minus.det > 0.0
     assert minus.det / plus.det > 1e3 or plus.det / minus.det > 1e3
+
+
+def test_sloppiness_never_negative_on_fig5_grid():
+    # the QFIM is positive semidefinite; at D = 0 it is exactly singular,
+    # and roundoff must not show up as a negative det or ratio
+    ds = np.linspace(-0.4, 0.4, 81)
+    for gamma in (0.2, 0.5, 0.7, 1.0):
+        table = sweep(SweepSpec("D", (-0.4, 0.4, 81),
+                                {"J": 0.999, "gamma": gamma},
+                                quantities=("det",)))
+        assert np.all(table.columns["det"] >= 0.0)
+        assert np.all(table.columns["condition_ratio"] >= 0.0)
+        for D in ds:
+            rep = qfim_det(ChainParams(0.999, gamma, float(D)))
+            assert rep.det >= 0.0 and rep.condition_ratio >= 0.0
+            assert np.all(rep.eigenvalues >= 0.0)
+    rep = qfim_det(ChainParams(0.999, 0.2, 0.0))
+    assert rep.det >= 0.0 and rep.condition_ratio >= 0.0
+    assert np.all(rep.eigenvalues >= 0.0)
 
 
 def test_extremal_anisotropy_is_sloppy():

@@ -12,8 +12,10 @@ from dmchain.protocol import (EDGE_CLAMP, FISHER_FLOOR, STABLE_SIGMA,
                               CrbReport, DegenerateLikelihoodWarning,
                               MleResult, NonConvergenceWarning,
                               ProtocolConfig, ProtocolTrace, RoundRecord,
-                              adaptive_run, crb_report, mle_estimate,
-                              outcome_probabilities, sample_outcomes)
+                              _probability_curve, adaptive_run, crb_report,
+                              mle_estimate, outcome_probabilities,
+                              sample_outcomes)
+from dmchain.quadrature import DEFAULT_QUAD
 
 GRID = (-2.5, 2.5, 801)
 
@@ -37,6 +39,25 @@ def test_probabilities_from_state():
 def test_probabilities_decoupled():
     p = outcome_probabilities(ChainParams(0.0, 1.0, 0.0))
     assert np.allclose(p, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_probability_table_matches_per_point_probabilities():
+    # the batched table against the per-point route it replaced; the two
+    # quadratures differ only in summation order
+    js, table, log_table = _probability_curve(0.7, 0.1, GRID, DEFAULT_QUAD)
+    assert js.shape == (801,) and table.shape == (801, 4)
+    for i in range(0, 801, 40):
+        ref = outcome_probabilities(ChainParams(float(js[i]), 0.7, 0.1))
+        assert np.allclose(table[i], ref, rtol=0.0, atol=1e-13)
+    assert np.array_equal(log_table[table > 0.0], np.log(table[table > 0.0]))
+
+
+@pytest.mark.parametrize("gamma", [0.2, 0.7, 1.0])
+def test_probabilities_even_in_coupling_without_dm(gamma):
+    # at D = 0 the outcome distribution cannot tell j from -j, so the grid
+    # argmax picks between mirror maxima by roundoff alone
+    js, table, _ = _probability_curve(gamma, 0.0, GRID, DEFAULT_QUAD)
+    assert np.abs(table - table[::-1]).max() <= 1e-14
 
 
 # ----------------------------------------------------------------- sampling

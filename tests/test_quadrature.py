@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from dmchain.quadrature import (DEFAULT_QUAD, QuadratureConfig,
-                                QuadratureFailure, integrate, integrate_many)
+                                QuadratureFailure, integrate_many)
+
+
+def integrate(f, a, b, config=DEFAULT_QUAD):
+    """One integrand as a one-row integrate_many stack."""
+    vals, errs = integrate_many(lambda x: f(x)[None, :], a, b, config)
+    return vals[0], errs[0]
 
 
 def test_polynomial_exact():

@@ -110,6 +110,9 @@ def test_failing_batch_rows_fail_alone():
     for i in (5, 6):
         assert table.errors[i].startswith("QuadratureFailure: ")
         assert all(math.isnan(table.columns[c][i]) for c in ("F", "H", "S"))
+    # the message names the row's couplings, not its index in the re-run
+    assert "J = 0.841667, gamma = 0.5, D = 0.1" in table.errors[5]
+    assert "J = 0.99, gamma = 0.5, D = 0.1" in table.errors[6]
     for i in range(5):
         assert table.errors[i] == ""
         assert all(math.isfinite(table.columns[c][i]) for c in ("F", "H", "S"))
