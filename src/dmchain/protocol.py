@@ -3,9 +3,11 @@
 The chain is probed at a tunable field B; outcome statistics depend only on
 the effective coupling j = J/B (the model is written in field units), so a
 round of M magnetization shots is a multinomial draw from the X-state
-probabilities at j.  Each round estimates j by maximum likelihood on a grid
-(with a golden-section refinement), converts back to J units, and the field
-is retuned to the running inverse-variance average of the round estimates.
+probabilities at j.  Each round estimates j by maximum likelihood: the grid
+maximizer is refined by Fisher scoring on the analytic score inside its grid
+cell, the Fisher information of the last scoring pass gives the variance
+proxy, and the estimate is converted back to J units.  The field is retuned
+to the running inverse-variance average of the round estimates.
 Variance bookkeeping therefore improves round over round, which is what the
 adaptive narrative needs even when the starting guess is already optimal.
 """
@@ -20,9 +22,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .chain import ChainParams, chain_points, x_state
+from .chain import ChainParams, ChainPoints, chain_point, chain_points, x_state
 from .fisher import magnetization_fi
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
@@ -44,6 +45,10 @@ __all__ = [
 # Refined maximizers are kept this far from the critical points, where the
 # Fisher information diverges and the variance proxy would be zero.
 EDGE_CLAMP = 1e-6
+# Fisher scoring in the grid cell stops once a step is below this fraction
+# of max(1, |j|), or after SCORING_MAX_ITER passes.
+SCORING_TOL = 1e-9
+SCORING_MAX_ITER = 40
 # A round estimate is "stable" when it sits within this many standard
 # deviations of the running average.
 STABLE_SIGMA = 3.0
@@ -203,9 +208,10 @@ def mle_estimate(
     """Maximum-likelihood coupling from one round of counts.
 
     Maximizes the multinomial log-likelihood over the effective coupling j
-    on the grid, refines the interior maximizer by golden section, and
-    returns the estimate in J units with the local Cramer-Rao variance
-    proxy B^2 / (M F(j_hat)).
+    on the grid, then refines an interior maximizer by Fisher scoring on
+    the analytic score inside its grid cell.  Returns the estimate in J
+    units with the local Cramer-Rao variance proxy B^2 / (M F(j_hat)),
+    where F comes from the last scoring pass.
     """
     counts = np.asarray(counts)
     shots = int(counts.sum())
@@ -229,34 +235,67 @@ def mle_estimate(
                 DegenerateLikelihoodWarning,
             )
             j_hat = 0.5 * (js[plateau[0]] + js[plateau[-1]])
-            at_edge = plateau[0] == 0 or plateau[-1] == len(js) - 1
+            at_edge = bool(plateau[0] == 0 or plateau[-1] == len(js) - 1)
             return _finish(j_hat, B, gamma, D, shots, at_edge, quad)
 
     if at_edge:
         return _finish(float(js[k]), B, gamma, D, shots, True, quad)
 
-    def neg_ll(j: float) -> float:
-        p = outcome_probabilities(ChainParams(float(j), gamma, D), quad)
-        with np.errstate(divide="ignore"):
-            lp = np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), -np.inf)
-        val = float(lp[occupied] @ counts[occupied])
-        return -val if np.isfinite(val) else np.inf
-
-    res = minimize_scalar(
-        neg_ll,
-        bracket=(float(js[k - 1]), float(js[k]), float(js[k + 1])),
-        method="golden",
-        options={"xtol": 1e-6},
-    )
-    j_hat = float(res.x) if np.isfinite(res.x) else float(js[k])
-    if not (js[k - 1] <= j_hat <= js[k + 1]):  # golden wandered; keep the cell
-        j_hat = float(js[k])
-    return _finish(j_hat, B, gamma, D, shots, False, quad)
+    j_hat, point = _score_refine(counts, gamma, D, js[k - 1:k + 2],
+                                 ll[k - 1:k + 2], quad)
+    return _finish(j_hat, B, gamma, D, shots, False, quad, point)
 
 
-def _finish(j_hat, B, gamma, D, shots, at_edge, quad) -> MleResult:
+def _score_refine(counts, gamma, D, cell, ll, quad):
+    """Likelihood maximizer in the grid cell [cell[0], cell[2]] around the
+    grid maximizer cell[1], by Fisher scoring on the analytic score.
+
+    Starts at the vertex of the parabola through the log-likelihoods ``ll``
+    at the three grid points.  Each iterate costs one derivative pass,
+    which gives the score sum n_i p_i'/p_i and F; the bracket shrinks on
+    the sign of the score, and a step that leaves it, or an information
+    M F that is not finite and positive, is replaced by bisection.
+    Returns the last evaluated iterate and its pass.
+    """
+    occupied = counts > 0
+    shots = int(counts.sum())
+    lo, j, hi = (float(x) for x in cell)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = float(j + 0.25 * (hi - lo) * (ll[0] - ll[2])
+                       / (ll[0] - 2.0 * ll[1] + ll[2]))
+    if lo < vertex < hi:                 # false for nan from flat or -inf ll
+        j = vertex
+    j = _clamp_critical(j)
+    for _ in range(SCORING_MAX_ITER):
+        params = ChainParams(j, gamma, D)
+        point = chain_point(params, ("J",), quad)
+        p = _normalized(point.state.probabilities())
+        dp = point.dstate["J"].probabilities()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = float(counts[occupied] @ (dp[occupied] / p[occupied]))
+        info = shots * magnetization_fi(params, "J", quad, point=point)
+        if score > 0.0:
+            lo = j
+        elif score < 0.0:
+            hi = j
+        nxt = j + score / info if 0.0 < info < math.inf else math.nan
+        if not lo < nxt < hi:            # also catches a nan step
+            nxt = 0.5 * (lo + hi)
+        nxt = _clamp_critical(nxt)
+        # a clamp onto an end of the bracket leaves no progress to make:
+        # the maximizer lies in the band excluded around |j| = 1
+        if not lo < nxt < hi or abs(nxt - j) <= SCORING_TOL * max(1.0, abs(j)):
+            break
+        j = nxt
+    return j, point
+
+
+def _finish(j_hat, B, gamma, D, shots, at_edge, quad,
+            point: Optional[ChainPoints] = None) -> MleResult:
+    """Round result at j_hat; F comes from ``point``, a derivative pass at
+    j_hat, or from a new pass."""
     j_hat = _clamp_critical(j_hat)
-    fisher = magnetization_fi(ChainParams(j_hat, gamma, D), "J", quad)
+    fisher = magnetization_fi(ChainParams(j_hat, gamma, D), "J", quad, point)
     # below the floor the round is uninformative; the B^2 factor would
     # otherwise fake arbitrarily small variances as the field collapses
     if fisher > FISHER_FLOOR and np.isfinite(fisher):

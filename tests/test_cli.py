@@ -207,6 +207,18 @@ def test_protocol_deterministic(capsys, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_protocol_flat_likelihood_round(capsys):
+    # all-up counts on a gamma = 0 chain: the likelihood is flat over
+    # [-1, 1], and the round's at_edge flag must still serialize
+    code, out, _ = run_cli(capsys, "protocol", "--J", "0.5", "--gamma", "0",
+                           "--J-guess", "1", "--seed", "0", "--shots", "100",
+                           "--rounds", "2", "--grid=-1.5:1.5:61")
+    assert code == 0
+    rec = json.loads(out.strip().split("\n")[0])
+    assert rec["at_edge"] is False
+    assert rec["counts"] == [100, 0, 0, 0]
+
+
 # ----------------------------------------------------------------- features
 
 def test_features_json(capsys):

@@ -6,7 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+from dmchain import fisher, protocol
 from dmchain.chain import ChainParams, x_state
 from dmchain.protocol import (EDGE_CLAMP, FISHER_FLOOR, STABLE_SIGMA,
                               CrbReport, DegenerateLikelihoodWarning,
@@ -166,6 +168,122 @@ def test_mle_flat_likelihood_midpoint():
     assert res.estimate == pytest.approx(0.0, abs=1e-12)
     assert not res.at_edge
     assert math.isinf(res.variance_est)
+
+
+def test_flat_likelihood_run_writes_json_lines():
+    cfg = ProtocolConfig(J_true=0.5, gamma=0.0, D=0.0, J_guess=1.0,
+                         shots=100, rounds=2, grid=(-1.5, 1.5, 61))
+    tr = quiet_run(cfg)
+    assert type(tr.rounds[0].at_edge) is bool
+    for line in tr.jsonl().strip().split("\n"):
+        assert json.loads(line)["at_edge"] is False
+
+
+def _grid_cell(counts, gamma, D, grid):
+    """Grid points around the likelihood's grid maximizer, as mle_estimate
+    finds it."""
+    js, _, log_table = _probability_curve(gamma, D, grid, DEFAULT_QUAD)
+    occupied = counts > 0
+    k = int(np.argmax(log_table[:, occupied] @ counts[occupied]))
+    return js, k
+
+
+# (gamma, D, j, grid) of the rounds the estimator is checked on; each has
+# F >= 1 per shot, where the bounded oracle below resolves j to about
+# sqrt(eps / F) ~ 1.5e-8 (on flatter likelihoods it stalls near 1e-7)
+ORACLE_ROUNDS = [
+    (0.2, 0.0, -0.7, GRID), (0.2, 0.1, 0.995, GRID), (0.2, 0.3, -1.005, GRID),
+    (0.7, 0.0, 0.9, GRID), (0.7, 0.1, -0.7, GRID), (0.7, 0.1, 1.008, GRID),
+    (0.7, 0.3, -0.995, GRID), (1.0, 0.0, -1.005, GRID), (1.0, 0.1, 0.9, GRID),
+    (1.0, 0.3, 1.6, GRID), (1.0, 0.1, 0.993, GRID), (0.7, 0.0, 1.6, GRID),
+    (0.2, 0.0, 0.9, (0.02, 2.5, 801)), (0.2, 0.1, 1.008, (0.02, 2.5, 801)),
+    (0.7, 0.0, 0.995, (0.02, 2.5, 801)), (0.7, 0.3, 0.9, (0.02, 2.5, 801)),
+    (1.0, 0.0, 0.9, (0.02, 2.5, 801)), (1.0, 0.0, 0.995, (0.02, 2.5, 801)),
+    (1.0, 0.1, 1.008, (0.02, 2.5, 801)), (1.0, 0.3, 1.6, (0.02, 2.5, 801)),
+    (0.7, 0.1, 1.6, (0.02, 2.5, 801)), (0.2, 0.3, 0.995, (0.02, 2.5, 801)),
+]
+
+
+def test_mle_matches_bounded_likelihood_oracle():
+    B = 1.25
+    for seed, (gamma, D, j, grid) in enumerate(ORACLE_ROUNDS):
+        p = outcome_probabilities(ChainParams(j, gamma, D))
+        counts = sample_outcomes(p, 10_000, seed)
+        js, k = _grid_cell(counts, gamma, D, grid)
+        assert 0 < k < len(js) - 1
+        occupied = counts > 0
+
+        def neg_ll(x):
+            q = outcome_probabilities(ChainParams(float(x), gamma, D))
+            return -float(np.log(q[occupied]) @ counts[occupied])
+
+        ref = minimize_scalar(neg_ll, bounds=(js[k - 1], js[k + 1]),
+                              method="bounded", options={"xatol": 1e-10})
+        res = mle_estimate(counts, B, gamma, D, grid)
+        assert abs(res.estimate / B - ref.x) <= 1e-7, (gamma, D, j, grid)
+
+
+def _record_passes(monkeypatch):
+    """Record the (J, tags) of every protocol.chain_point pass, and make
+    any other quadrature route of mle_estimate fail."""
+    passes = []
+    real = protocol.chain_point
+
+    def recording(params, tags=(), quad=DEFAULT_QUAD):
+        passes.append((params.J, tuple(tags)))
+        return real(params, tags, quad)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("unexpected quadrature pass")
+
+    monkeypatch.setattr(protocol, "chain_point", recording)
+    for module, name in ((protocol, "x_state"),
+                         (protocol, "outcome_probabilities"),
+                         (fisher, "chain_point")):
+        monkeypatch.setattr(module, name, forbidden)
+    return passes
+
+
+def test_interior_round_pass_budget(monkeypatch):
+    counts = sample_outcomes(outcome_probabilities(ChainParams(0.7, 0.7, 0.1)),
+                             10_000, seed=0)
+    _probability_curve(0.7, 0.1, GRID, DEFAULT_QUAD)
+    passes = _record_passes(monkeypatch)
+    res = mle_estimate(counts, 1.0, 0.7, 0.1, GRID)
+    assert 1 <= len(passes) <= 8
+    assert all(tags == ("J",) for _, tags in passes)
+    # the variance proxy reuses the last pass, at the returned estimate
+    assert passes[-1][0] == res.estimate
+    assert math.isfinite(res.variance_est)
+
+
+@pytest.mark.parametrize("gamma,D", [(0.7, 0.1), (1.0, 0.0)])
+def test_round_with_grid_maximizer_on_critical_point(monkeypatch, gamma, D):
+    counts = sample_outcomes(outcome_probabilities(ChainParams(1.0, gamma, D)),
+                             10_000, seed=0)
+    js, k = _grid_cell(counts, gamma, D, GRID)
+    assert abs(js[k]) == 1.0
+    passes = _record_passes(monkeypatch)
+    res = mle_estimate(counts, 1.0, gamma, D, GRID)
+    assert all(abs(abs(j) - 1.0) >= 0.999 * EDGE_CLAMP for j, _ in passes)
+    assert js[k - 1] <= res.estimate <= js[k + 1]
+    assert math.isfinite(res.variance_est)
+
+
+@pytest.mark.parametrize("gamma,D,j0", [(0.7, 0.1, 1.0), (0.7, 0.1, -1.0),
+                                        (0.2, 0.3, -1.0)])
+def test_maximizer_inside_the_critical_band_stops(monkeypatch, gamma, D, j0):
+    # counts planted at |j| = 1 put the maximizer inside the band that
+    # iterates are clamped out of; the refinement stops on the band's edge
+    counts = np.round(
+        outcome_probabilities(ChainParams(j0, gamma, D)) * 1e7).astype(int)
+    _probability_curve(gamma, D, GRID, DEFAULT_QUAD)
+    passes = _record_passes(monkeypatch)
+    res = mle_estimate(counts, 1.0, gamma, D, GRID)
+    assert len(passes) <= 8
+    assert res.estimate == pytest.approx(j0, abs=1.001 * EDGE_CLAMP)
+    assert abs(abs(res.estimate) - 1.0) >= 0.999 * EDGE_CLAMP
+    assert math.isfinite(res.variance_est)
 
 
 def test_mle_uninformative_point_gets_infinite_variance():
