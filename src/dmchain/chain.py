@@ -166,34 +166,62 @@ def _derivative_guard(params: ChainParams) -> None:
 
 
 def _integrand_rows(J, g, D, tags: Tuple[str, ...], phi: np.ndarray) -> np.ndarray:
-    """Integrand stack at nodes phi; J, g, D are scalars or per-node arrays."""
+    """Integrand stack at nodes phi; J, g, D are scalars or per-node arrays.
+
+    The rows are written in place into one output array, and the node
+    arrays are reused, so a call allocates a few node-sized temporaries
+    instead of one per operation; every value is the same product, in the
+    same order, as the plain expression in its comment.
+    """
+    out = np.empty((3 + 3 * len(tags), phi.size))
     s = np.sin(phi)
     cp = np.cos(phi)
-    k = cp - 2.0 * D * s
-    u = J * k - 1.0
-    dl = np.sqrt(u * u + (J * g * s) ** 2)
-    inv = 1.0 / dl
-    inv3 = inv * inv * inv
+    u = 2.0 * D * s                        # u = J (cp - 2 D s) - 1
+    np.subtract(cp, u, out=u)
+    u *= J
+    u -= 1.0
+    inv = J * g * s                        # 1 / Delta
+    np.square(inv, out=inv)
+    inv += u * u
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    inv3 = inv * inv
+    inv3 *= inv
     s2 = s * s
-    rows = [
-        (-1.0 / _PI) * u * inv,        # magnetization
-        (-1.0 / _PI) * cp * u * inv,   # even part of the pair correlator
-        (g / _PI) * J * s2 * inv,      # odd (anisotropy) part
-    ]
-    for tag in tags:
+    # magnetization, even part of the pair correlator, odd (anisotropy) part
+    np.multiply(-1.0 / _PI, u, out=out[0])
+    out[0] *= inv
+    np.multiply(-1.0 / _PI, cp, out=out[1])
+    out[1] *= u
+    out[1] *= inv
+    np.multiply((g / _PI) * J, s2, out=out[2])
+    out[2] *= inv
+    for i, tag in enumerate(tags):
+        # du = d(u/Delta)/dtag and dq = d(gamma J/Delta)/dtag
+        du, row, dq = out[3 + 3 * i:6 + 3 * i]
         if tag == "J":
-            du = J * g * g * s2 * inv3            # d(u/Delta)/dJ
-            dq = -g * u * inv3                    # d(gamma J/Delta)/dJ
+            np.multiply(J * g * g, s2, out=du)            # J g^2 s2 inv3
+            np.multiply(-g, u, out=dq)                    # -g u inv3
         elif tag == "gamma":
-            du = -u * J * J * g * s2 * inv3
-            dq = J * u * u * inv3
+            np.negative(u, out=du)                        # -u J J g s2 inv3
+            du *= J
+            du *= J
+            du *= g
+            du *= s2
+            np.multiply(J, u, out=dq)                     # J u u inv3
+            dq *= u
         else:
-            du = -2.0 * J ** 3 * g * g * s2 * s * inv3
-            dq = 2.0 * J * J * g * s * u * inv3
-        rows.append((-1.0 / _PI) * du)
-        rows.append((-1.0 / _PI) * cp * du)
-        rows.append((1.0 / _PI) * s2 * dq)
-    return np.stack(rows)
+            np.multiply(-2.0 * J ** 3 * g * g, s2, out=du)  # ... s2 s inv3
+            du *= s
+            np.multiply(2.0 * J * J * g, s, out=dq)       # ... s u inv3
+            dq *= u
+        du *= inv3
+        dq *= inv3
+        np.multiply(-1.0 / _PI, cp, out=row)
+        row *= du
+        du *= -1.0 / _PI
+        dq *= (1.0 / _PI) * s2
+    return out
 
 
 def _integrand_stack(params: ChainParams, tags: Tuple[str, ...]) -> Callable[[np.ndarray], np.ndarray]:

@@ -35,15 +35,22 @@ NUMERICAL_ERRORS = (QuadratureFailure, CriticalPoint, PositivityViolation,
                     FloatingPointError)
 
 
-def _range_triple(text: str):
+def _colon_tuple(text: str, types, form: str):
     parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected lo:hi:n, got %r" % text)
+    if len(parts) != len(types):
+        raise argparse.ArgumentTypeError("expected %s, got %r" % (form, text))
     try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        return tuple(t(part) for t, part in zip(types, parts))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    return (lo, hi, n)
+
+
+def _range_triple(text: str):
+    return _colon_tuple(text, (float, float, int), "lo:hi:n")
+
+
+def _range_pair(text: str):
+    return _colon_tuple(text, (float, float), "lo:hi")
 
 
 def _float_list(text: str):
@@ -145,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat.add_argument("--gamma", type=float, required=True)
     p_feat.add_argument("--D", type=_float_list, required=True,
                         metavar="d1,d2,...")
-    p_feat.add_argument("--scan", type=lambda s: tuple(map(float, s.split(":"))),
-                        default=None, metavar="lo:hi",
+    p_feat.add_argument("--scan", type=_range_pair, default=None,
+                        metavar="lo:hi",
                         help="interval for threshold bisection")
     p_feat.add_argument("--d-loss", action="store_true",
                         help="also locate the integrated-information maximum")

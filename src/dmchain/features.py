@@ -8,12 +8,11 @@ threshold finders bisect the classification boundary in D.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.signal import find_peaks
 
 from .chain import chain_points
 from .fisher import _qfi_points
@@ -84,12 +83,42 @@ def default_curve(
     return js, _h_curve(js, gamma, D, quad)
 
 
+def _has_peak(x: np.ndarray, prominence: float) -> bool:
+    """Whether x has a peak whose prominence is at least `prominence`.
+
+    A peak is a sample, or a flat run of equal samples, that the curve
+    enters by a strict rise and leaves by a strict fall; so the first and
+    last samples are never peaks.  On each side of a peak, its base is the
+    lowest sample between the peak and the nearest sample strictly higher
+    than the peak, or the end of the curve if there is none.  The
+    prominence is the peak's height above the higher of its two bases.
+    These are the usual topographic definitions of signal-processing peak
+    finders; the tests check this function against one.
+    """
+    # Collapse flat runs: a peak is then a run above both neighbouring runs.
+    starts = np.ones(x.size, dtype=bool)
+    starts[1:] = x[1:] != x[:-1]
+    runs = x[starts]
+    inner = runs[1:-1]
+    tops = np.flatnonzero((inner > runs[:-2]) & (inner > runs[2:])) + 1
+    for k in tops:
+        top = runs[k]
+        higher = np.flatnonzero(runs > top)
+        left = higher[higher < k]
+        right = higher[higher > k]
+        lo = left[-1] + 1 if left.size else 0
+        hi = right[0] if right.size else runs.size
+        base = max(runs[lo:k].min(), runs[k + 1:hi].min())
+        if top - base >= prominence:
+            return True
+    return False
+
+
 def _classify_once(js: np.ndarray, hs: np.ndarray) -> str:
     scale = float(np.abs(hs).max())
     if scale == 0.0:
         return "monotone"
-    peaks, _ = find_peaks(hs, prominence=PEAK_PROMINENCE * scale)
-    if peaks.size > 0:
+    if _has_peak(hs, PEAK_PROMINENCE * scale):
         return "peak"
     # shoulder: the log-slope has an interior extremum.  The samples are
     # quadrature-clean, so raw centered differences need no smoothing
@@ -100,9 +129,8 @@ def _classify_once(js: np.ndarray, hs: np.ndarray) -> str:
     # relative prominence gate must not be allowed to chase it
     if span <= 1e-9 * max(1.0, float(np.abs(d1).max())):
         return "monotone"
-    up, _ = find_peaks(d1, prominence=SLOPE_PROMINENCE * span)
-    dn, _ = find_peaks(-d1, prominence=SLOPE_PROMINENCE * span)
-    return "bump" if (up.size + dn.size) > 0 else "monotone"
+    bar = SLOPE_PROMINENCE * span
+    return "bump" if _has_peak(d1, bar) or _has_peak(-d1, bar) else "monotone"
 
 
 def _checked_curve(js, hs) -> Tuple[np.ndarray, np.ndarray]:
@@ -127,8 +155,12 @@ def _classify_fine_and_coarse(js: np.ndarray, hs: np.ndarray) -> Tuple[str, str]
 def classify_curve(js: Sequence[float], hs: Sequence[float]) -> str:
     """Classify a sampled H(J) curve as monotone, bump, or peak.
 
-    The verdict must survive halving the resolution, otherwise the curve
-    is declared under-sampled.
+    It is a peak if H has a peak (see :func:`_has_peak`) of prominence at
+    least ``PEAK_PROMINENCE`` times max H.  Otherwise it is a bump if the
+    log-slope d log H / dJ has a peak or a trough of prominence at least
+    ``SLOPE_PROMINENCE`` times the slope's range, and else monotone.  The
+    verdict must survive halving the resolution, otherwise the curve is
+    declared under-sampled.
     """
     js, hs = _checked_curve(js, hs)
     if len(js) < MIN_POINTS:
@@ -224,10 +256,83 @@ def detect_features(
     )
 
 
-def _integrated_h(gamma: float, D: float, j_points: int,
-                  quad: QuadratureConfig) -> float:
+def _integrated_h(gamma: float, ds: np.ndarray, j_points: int,
+                  quad: QuadratureConfig) -> np.ndarray:
+    """Trapezoid integral of H over J in [1.2, 2] at each D of ds.
+
+    All the (D, J) points are evaluated as one batched quadrature.
+    """
+    ds = np.asarray(ds, dtype=float)
     js = np.linspace(1.2, 2.0, j_points)
-    return float(np.trapezoid(_h_curve(js, gamma, D, quad), js))
+    hs = _h_curve(np.tile(js, ds.size), gamma, np.repeat(ds, j_points), quad)
+    return np.trapezoid(hs.reshape(ds.size, j_points), js, axis=1)
+
+
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _bounded_max(f: Callable[[float], float], lo: float, hi: float,
+                 xatol: float) -> float:
+    """Maximizer of f on [lo, hi] by Brent's method, to about xatol.
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 5.
+    The search starts at the golden-section point.  Each step is the
+    vertex of the parabola through the three best points so far, unless
+    that vertex leaves the bracket or the step is not under half the step
+    before last; then it is a golden-section step into the larger side.
+    No step is shorter than ``tol1 = sqrt(eps) |x| + xatol / 3``, and the
+    search stops once both ends of the bracket lie within ``2 tol1`` of
+    the best point x.  The tests check it against a reference bounded
+    minimizer, evaluation for evaluation.
+    """
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN * (b - a)      # best, second best, previous w
+    fx = fw = fv = -f(x)
+    step = last = 0.0                      # this step and the one before
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x
+        parabolic = False
+        if abs(last) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            before, last = last, step
+            if (abs(p) < abs(0.5 * q * before)
+                    and q * (a - x) < p < q * (b - x)):
+                parabolic = True
+                step = p / q
+                if x + step - a < tol2 or b - (x + step) < tol2:
+                    step = tol1 if m >= x else -tol1
+        if not parabolic:
+            last = (a - x) if x >= m else (b - x)
+            step = _GOLDEN * last
+        u = x + (step if abs(step) >= tol1 else
+                 (tol1 if step >= 0.0 else -tol1))
+        fu = -f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def detect_d_loss(
@@ -240,11 +345,24 @@ def detect_d_loss(
     """D that maximizes the integrated information on the far side.
 
     Beyond this value raising D stops paying for itself: the curves sink
-    over the whole interval.  Returns (d_loss, bracket, (d_grid, profile))
-    so the operational definition stays auditable.
+    over the whole interval.  The profile is the trapezoid integral of H
+    over ``j_points`` couplings in [1.2, 2] at ``d_points`` values of D
+    spanning ``d_range``; an interior grid maximizer is refined by
+    :func:`_bounded_max` between its neighbours to 1e-4 in D.  Returns
+    (d_loss, bracket, (d_grid, profile)) so the operational definition
+    stays auditable.  Raises ValueError unless ``d_range`` is finite with
+    lo < hi, ``d_points >= 3`` and ``j_points >= 2``.
     """
-    ds = np.linspace(d_range[0], d_range[1], d_points)
-    profile = np.array([_integrated_h(gamma, D, j_points, quad) for D in ds])
+    lo, hi = (float(d) for d in d_range)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError("d_range must be finite with lo < hi, got %r"
+                         % ((lo, hi),))
+    if d_points < 3:
+        raise ValueError("need d_points >= 3, got %r" % d_points)
+    if j_points < 2:
+        raise ValueError("need j_points >= 2, got %r" % j_points)
+    ds = np.linspace(lo, hi, d_points)
+    profile = _integrated_h(gamma, ds, j_points, quad)
     top = float(profile.max())
     if top <= 0.0 or (top - profile.min()) < 0.01 * top:
         raise FlatProfile("integrated information varies by less than 1%")
@@ -254,11 +372,8 @@ def detect_d_loss(
         lo = ds[max(k - 1, 0)]
         hi = ds[min(k + 1, d_points - 1)]
         return float(ds[k]), (float(lo), float(hi)), (ds, profile)
-    res = minimize_scalar(
-        lambda d: -_integrated_h(gamma, float(d), j_points, quad),
-        bounds=(float(ds[k - 1]), float(ds[k + 1])),
-        method="bounded",
-        options={"xatol": 1e-4},
-    )
-    d_loss = float(res.x)
-    return d_loss, (float(ds[k - 1]), float(ds[k + 1])), (ds, profile)
+    bracket = (float(ds[k - 1]), float(ds[k + 1]))
+    d_loss = _bounded_max(
+        lambda d: float(_integrated_h(gamma, [d], j_points, quad)[0]),
+        *bracket, xatol=1e-4)
+    return d_loss, bracket, (ds, profile)

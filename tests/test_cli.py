@@ -230,6 +230,23 @@ def test_features_json(capsys):
     assert payload["d_bump"] is None  # no transition inside the scan
 
 
+def test_features_zero_width_d_loss_range_is_invalid_spec(capsys):
+    # --D 0.1 with no --scan leaves detect_d_loss the range (0.1, 0.1)
+    code, _, err = run_cli(capsys, "features", "--gamma", "0.7", "--D", "0.1",
+                           "--d-loss")
+    assert code == 2
+    assert "invalid spec" in err and "lo < hi" in err
+
+
+def test_features_scan_needs_two_values(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["features", "--gamma", "0.2", "--D", "0.1",
+              "--scan", "0:0.3:4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--scan" in err and "lo:hi" in err
+
+
 # ------------------------------------------------------------------ figures
 
 def test_figure_command(capsys, tmp_path):
@@ -306,3 +323,22 @@ def test_installed_entry_point(tmp_path):
                                 text=True, cwd=str(tmp_path))
         assert script.returncode == 0, script.stderr
         assert script.stdout == proc.stdout
+
+
+def test_cli_imports_no_scipy(tmp_path):
+    # every dmchain start pays for what the CLI imports; scipy alone would
+    # add over a second, so no command may need it
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(dmchain.__file__)))
+    code = "\n".join([
+        "import sys",
+        "import dmchain.cli",
+        "assert dmchain.cli.main(['state', '--J', '0.3', '--gamma', '0.5']) == 0",
+        "assert dmchain.cli.main(['features', '--gamma', '0.7', '--D', "
+        "'0.1,0.3', '--d-loss']) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -1,13 +1,22 @@
 """Curve classification and D-threshold detection."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
+from scipy.signal import find_peaks
 
 import dmchain.features as features_mod
 from dmchain.features import (BRACKET_WIDTH, DEFAULT_POINTS, MIN_POINTS,
-                              WINDOW, FeatureReport, FlatProfile,
-                              InsufficientResolution, classify_curve,
+                              PEAK_PROMINENCE, SLOPE_PROMINENCE, WINDOW,
+                              FeatureReport, FlatProfile,
+                              InsufficientResolution, _bounded_max, _h_curve,
+                              _has_peak, _integrated_h, classify_curve,
                               default_curve, detect_d_loss, detect_features)
+from dmchain.quadrature import DEFAULT_QUAD
 
 
 def synthetic_sampler(gamma, D, points, quad):
@@ -222,3 +231,152 @@ def test_d_loss_flat_profile():
     # a sliver around the optimum varies quadratically: below the 1% gate
     with pytest.raises(FlatProfile):
         detect_d_loss(0.2, d_range=(0.105, 0.109), d_points=3, j_points=21)
+
+
+def test_d_loss_benchmark_call_makes_one_profile_batch_and_six_refinements(
+        monkeypatch):
+    calls = []
+    integrated_h = features_mod._integrated_h
+
+    def counting(gamma, ds, *args):
+        calls.append(np.asarray(ds, dtype=float).size)
+        return integrated_h(gamma, ds, *args)
+
+    monkeypatch.setattr(features_mod, "_integrated_h", counting)
+    d_loss, bracket, _ = detect_d_loss(0.7, (0.0, 0.3))
+    assert calls == [17] + [1] * 6
+    assert bracket == (0.20625, 0.24375)
+    assert abs(d_loss - 0.2343344485066047) <= 1e-4
+
+
+def test_d_loss_profile_batch_matches_per_d_curves():
+    ds = np.array([0.0, 0.13, 0.3])
+    js = np.linspace(1.2, 2.0, 21)
+    per_d = [np.trapezoid(_h_curve(js, 0.7, D, DEFAULT_QUAD), js) for D in ds]
+    batch = _integrated_h(0.7, ds, 21, DEFAULT_QUAD)
+    assert batch.tolist() == per_d  # bit for bit
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(d_range=(0.3, 0.0)),
+    dict(d_range=(0.1, 0.1)),
+    dict(d_range=(0.0, math.nan)),
+    dict(d_range=(-math.inf, 0.3)),
+    dict(d_points=2),
+    dict(j_points=1),
+], ids=["inverted", "zero-width", "nan", "infinite", "d_points", "j_points"])
+def test_d_loss_rejects_bad_grid(kwargs):
+    with pytest.raises(ValueError):
+        detect_d_loss(0.2, **kwargs)
+
+
+# ------------------------------------------ replacements against scipy
+
+def scipy_has_peak(x, prominence):
+    return bool(find_peaks(x, prominence=prominence)[0].size)
+
+
+@pytest.fixture(scope="module")
+def benchmark_curves():
+    """The 19 detection-window curves of the benchmark's features call."""
+    curves = []
+
+    def recording(gamma, D, points, quad):
+        js, hs = default_curve(gamma, D, points, quad)
+        curves.append((js, hs))
+        return js, hs
+
+    detect_features(0.2, (0.1, 0.2, 0.3), d_scan=(0.0, 0.3),
+                    sampler=recording)
+    assert len(curves) == 19
+    return curves
+
+
+def test_has_peak_matches_find_peaks_on_detection_curves(benchmark_curves):
+    tested = 0
+    for js, hs in benchmark_curves:
+        for step in (1, 2):  # full curve and its even points
+            j, h = js[::step], hs[::step]
+            d1 = np.gradient(np.log(h), j)
+            span = float(d1.max() - d1.min())
+            for x, bar in ((h, PEAK_PROMINENCE * float(h.max())),
+                           (d1, SLOPE_PROMINENCE * span),
+                           (-d1, SLOPE_PROMINENCE * span)):
+                assert _has_peak(x, bar) == scipy_has_peak(x, bar)
+                # and exactly at, and just above, each peak's prominence
+                for p in find_peaks(x, prominence=0.0)[1]["prominences"]:
+                    for q in (p, np.nextafter(p, np.inf)):
+                        assert _has_peak(x, q) == scipy_has_peak(x, q)
+                        tested += 1
+    assert tested > 0
+
+
+# Small integer levels make plateaus, ties between peaks, peaks against
+# the ends and constant curves common.
+levels = st.lists(st.integers(0, 4), min_size=0, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(levels, st.floats(0.0, 5.0), st.floats(1e-3, 1e3))
+@example([2, 2, 2, 2], 0.0, 1.0)
+@example([0, 3, 3, 1, 3, 3, 0], 3.0, 1.0)
+@example([3, 1, 2, 1, 3], 1.0, 1.0)
+@example([1, 3, 3], 0.0, 1.0)
+@example([3, 3, 1], 0.0, 1.0)
+def test_has_peak_matches_find_peaks_on_random_curves(xs, prominence, scale):
+    x = scale * np.array(xs, dtype=float)
+    p = scale * prominence
+    assert _has_peak(x, p) == scipy_has_peak(x, p)
+    for q in find_peaks(x, prominence=0.0)[1]["prominences"]:
+        assert _has_peak(x, q) == scipy_has_peak(x, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=0, max_size=40),
+       st.floats(0.0, 1e3))
+def test_has_peak_matches_find_peaks_on_random_floats(xs, prominence):
+    x = np.array(xs, dtype=float)
+    assert _has_peak(x, prominence) == scipy_has_peak(x, prominence)
+
+
+def scipy_bounded_max(f, lo, hi):
+    res = minimize_scalar(lambda d: -f(d), bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-4})
+    return res.x, res.nfev
+
+
+def counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g, calls
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: -(x - 0.3) ** 2, 0.0, 1.0),
+    (math.sin, 0.0, math.pi),
+    (lambda x: x * math.exp(-x), 0.0, 3.0),
+    (lambda x: -(x - 0.1) ** 4 + 0.01 * x, -1.0, 2.0),
+    (lambda x: x, 0.0, 1.0),             # maximizer on the upper bound
+    (lambda x: -math.cosh(x - 1.7), 1.7, 2.7),   # ... on the lower bound
+], ids=["quadratic", "sine", "xexp", "quartic", "rising", "at-lower-bound"])
+def test_bounded_max_matches_scipy(f, lo, hi):
+    g, calls = counted(f)
+    x = _bounded_max(g, lo, hi, xatol=1e-4)
+    ref, nfev = scipy_bounded_max(f, lo, hi)
+    assert abs(x - ref) <= 1e-4
+    assert lo <= x <= hi
+    assert len(calls) == nfev
+
+
+def test_bounded_max_matches_scipy_on_d_loss_profile():
+    def f(d):
+        return float(_integrated_h(0.7, [d], 81, DEFAULT_QUAD)[0])
+
+    g, calls = counted(f)
+    x = _bounded_max(g, 0.20625, 0.24375, xatol=1e-4)
+    ref, nfev = scipy_bounded_max(f, 0.20625, 0.24375)
+    assert abs(x - ref) <= 1e-4
+    assert len(calls) == nfev == 6
