@@ -5,7 +5,9 @@ Couplings are measured in units of the transverse field, so the chain is
 critical at J = +/-1.  Nearest-neighbour correlators are closed-form
 momentum integrals over [0, pi]; both the correlators and their derivatives
 with respect to the couplings are obtained by integrating analytic
-integrands with the adaptive Gauss-Kronrod engine.
+integrands with the adaptive Gauss-Kronrod engine.  Every pass starts on
+a mesh graded toward the endpoint where the integrands peak near
+criticality (see :func:`chain_point`).
 """
 
 from __future__ import annotations
@@ -41,6 +43,40 @@ PARAM_TAGS = ("J", "gamma", "D")
 POSITIVITY_TOL = 1e-9
 _CRIT_EPS = 1e-9
 _PI = math.pi
+
+# Start mesh of every quadrature pass: _UNIFORM_PANELS panels on [0, pi],
+# the first of them cut by a geometric ladder of rungs (pi/8) 2^-k.  The
+# deepest rung is the last one above _LADDER_FLOOR: the Kronrod nodes of
+# the panel below it keep cos(phi) < 1 in double precision (the smallest
+# is 5e-8), so u = J cos(phi) - 1 stays nonzero at J = 1.
+_UNIFORM_PANELS = 8
+_LADDER_FLOOR = 1e-5
+_MAX_RUNGS = int(math.log2(_PI / _UNIFORM_PANELS / _LADDER_FLOOR))
+
+
+def _ladder_tables():
+    """Start panels of every ladder depth k, padded to a common width.
+
+    Returns ``lo`` and ``hi`` of shape (2, _MAX_RUNGS + 1, panels), for
+    the ladder toward phi = 0 (index 0) and its mirror toward pi (index
+    1), and the (_MAX_RUNGS + 1, panels) mask of the panels depth k uses:
+    those from index _MAX_RUNGS - k on, the first widened down to 0.
+    """
+    edges = np.concatenate([
+        [0.0],
+        (_PI / _UNIFORM_PANELS) * 2.0 ** -np.arange(_MAX_RUNGS, 0, -1),
+        np.linspace(0.0, _PI, _UNIFORM_PANELS + 1)[1:],
+    ])
+    depths = np.arange(_MAX_RUNGS + 1)
+    first = _MAX_RUNGS - depths
+    keep = np.arange(edges.size - 1) >= first[:, None]
+    lo = np.tile(edges[:-1], (depths.size, 1))
+    lo[depths, first] = 0.0
+    hi = np.tile(edges[1:], (depths.size, 1))
+    return np.stack([lo, _PI - hi]), np.stack([hi, _PI - lo]), keep
+
+
+_LADDER_LO, _LADDER_HI, _LADDER_KEEP = _ladder_tables()
 
 
 class CriticalPoint(ValueError):
@@ -224,6 +260,27 @@ def _integrand_rows(J, g, D, tags: Tuple[str, ...], phi: np.ndarray) -> np.ndarr
     return out
 
 
+def _start_mesh(J: np.ndarray, max_subdivisions: int):
+    """Start panels ``(lo, hi, counts)`` of the points with couplings J.
+
+    Near |J| = 1 the integrands peak within about ||J| - 1| of phi = 0
+    (J > 0) or phi = pi (J < 0), where Delta vanishes at criticality.
+    Each point gets the uniform panels plus the rungs of the ladder toward
+    that endpoint down to the rung nearest max(||J| - 1|, _LADDER_FLOOR),
+    at most ``max_subdivisions - _UNIFORM_PANELS`` of them, since the
+    start panels count against the budget.  Panels are grouped by point,
+    the innermost first.
+    """
+    near = np.maximum(np.abs(np.abs(J) - 1.0), _LADDER_FLOOR)
+    depth = np.rint(np.log2((_PI / _UNIFORM_PANELS) / near))
+    cap = min(_MAX_RUNGS, max_subdivisions - _UNIFORM_PANELS)
+    rungs = np.minimum(np.maximum(depth, 0), cap).astype(np.intp)
+    end = (J < 0.0).astype(np.intp)
+    keep = _LADDER_KEEP[rungs]
+    return (_LADDER_LO[end, rungs][keep], _LADDER_HI[end, rungs][keep],
+            rungs + _UNIFORM_PANELS)
+
+
 def _integrand_stack(params: ChainParams, tags: Tuple[str, ...]) -> Callable[[np.ndarray], np.ndarray]:
     J, g, D = params.J, params.gamma, params.D
 
@@ -333,11 +390,19 @@ def chain_point(
 
     Derivative integrands are differentiated analytically under the
     integral; a tag at a divergence of its integral raises CriticalPoint.
+
+    The pass starts on 8 uniform panels on [0, pi] plus a geometric ladder
+    of rungs (pi/8) 2^-k toward phi = 0 for J > 0, or phi = pi for J < 0,
+    where the integrands peak near criticality.  The ladder reaches down
+    to the rung nearest ||J| - 1|, but not below about 1e-5, and its rungs
+    count against ``quad.max_subdivisions``: with a budget of 8 panels
+    the start is the uniform mesh alone.
     """
     tags = _validate_tags(tags)
     if tags:
         _derivative_guard(params)
-    vals, _ = integrate_many(_integrand_stack(params, tags), 0.0, _PI, quad)
+    lo, hi, _ = _start_mesh(np.array([params.J]), quad.max_subdivisions)
+    vals, _ = integrate_many(_integrand_stack(params, tags), lo, hi, quad)
     return _evaluated(params.J, params.gamma, params.D, tags, vals)
 
 
@@ -351,11 +416,12 @@ def chain_points(
     """:func:`chain_point` for a family of points in one batched quadrature.
 
     J, gamma and D broadcast against each other to a 1-D family.  Each
-    point is refined on its own panels to the same tolerance as in
-    :func:`chain_point`, so the values agree with it to well within that
-    tolerance and do not depend on the rest of the family.  Raises what
-    :func:`chain_point` raises at the first offending point; a
-    QuadratureFailure names the couplings of the point that failed.
+    point starts on the same graded mesh as in :func:`chain_point` and is
+    refined on its own panels to the same tolerance, so the values agree
+    with it to well within that tolerance and do not depend on the rest
+    of the family.  Raises what :func:`chain_point` raises at the first
+    offending point; a QuadratureFailure names the couplings of the point
+    that failed.
     """
     tags = _validate_tags(tags)
     J, gamma, D = (np.array(a, dtype=float).ravel()
@@ -375,7 +441,8 @@ def chain_points(
         return _integrand_rows(J[owner], gamma[owner], D[owner], tags, phi)
 
     try:
-        vals, _ = integrate_points(f, J.size, 0.0, _PI, quad)
+        vals, _ = integrate_points(f, *_start_mesh(J, quad.max_subdivisions),
+                                   quad)
     except QuadratureFailure as exc:
         i = exc.point
         raise QuadratureFailure(

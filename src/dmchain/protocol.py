@@ -190,6 +190,19 @@ def _probability_curve(gamma: float, D: float, grid: Tuple[float, float, int],
     return js, table, log_table
 
 
+@lru_cache(maxsize=32)
+def _nature_probabilities(j: float, gamma: float, D: float,
+                          quad: QuadratureConfig) -> np.ndarray:
+    """Read-only :func:`outcome_probabilities` at the effective coupling j.
+
+    Pure in its arguments: every seed of an ensemble measures round 1 at
+    the same j = J_true / J_guess, so they share one pass.
+    """
+    probs = outcome_probabilities(ChainParams(j, gamma, D), quad)
+    probs.flags.writeable = False
+    return probs
+
+
 def _clamp_critical(j: float) -> float:
     d = abs(j) - 1.0
     if abs(d) < EDGE_CLAMP:
@@ -331,8 +344,8 @@ def adaptive_run(config: ProtocolConfig,
 
     for _ in range(config.rounds):
         # nature answers at the true coupling whatever the estimator grid
-        j_true = config.J_true / B
-        probs = outcome_probabilities(ChainParams(j_true, config.gamma, config.D), quad)
+        probs = _nature_probabilities(config.J_true / B, config.gamma,
+                                      config.D, quad)
         counts = sample_outcomes(probs, config.shots, rng)
         est, var, at_edge = mle_estimate(
             counts, B, config.gamma, config.D, config.grid, quad)

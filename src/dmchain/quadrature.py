@@ -10,6 +10,11 @@ meets its tolerance or the panel budget runs out.
 :func:`integrate_points` applies the same refinement to a family of
 parameter points at once: each point keeps its own panels, tolerance and
 budget, and the panels of all unconverged points share each rule call.
+
+Neither engine chooses where a pass starts: the caller passes the start
+panels, which count against ``max_subdivisions`` like any later panel.
+The chain layer starts each pass on a mesh graded toward the endpoint
+where its integrands peak (see :func:`dmchain.chain.chain_point`).
 """
 
 from __future__ import annotations
@@ -101,6 +106,7 @@ _MAX_RULE_NODES = 1 << 11
 _XK = np.concatenate([-_XK_HALF[:-1], _XK_HALF[::-1]])
 _WK = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
 _WG = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
+_W = np.stack([_WK, _WG], axis=1)   # (15, 2): Kronrod, Gauss
 
 
 def _panel_rule(
@@ -114,8 +120,10 @@ def _panel_rule(
     if y.ndim == 1:
         y = y[None, :]
     y = y.reshape(y.shape[0], lo.size, _XK.size)
-    kron = (y * _WK).sum(axis=-1) * half
-    gauss = (y * _WG).sum(axis=-1) * half
+    # One product with the stacked weights: no full-size weighted copy of y.
+    sums = (y.reshape(-1, _XK.size) @ _W).reshape(y.shape[0], lo.size, 2)
+    kron = sums[..., 0] * half
+    gauss = sums[..., 1] * half
     diff = np.abs(kron - gauss)
     # QUADPACK-style sharpening: trust the (200 d)^1.5 estimate only where it
     # is smaller than the raw discrepancy.
@@ -123,28 +131,33 @@ def _panel_rule(
     return kron, err
 
 
+def _checked_panels(lo, hi) -> Tuple[np.ndarray, np.ndarray]:
+    lo = np.asarray(lo, dtype=float).ravel()
+    hi = np.asarray(hi, dtype=float).ravel()
+    if lo.shape != hi.shape or not (hi > lo).all():
+        raise ValueError("start panels need matching lo, hi with hi > lo")
+    return lo, hi
+
+
 def integrate_many(
     f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
     config: QuadratureConfig = DEFAULT_QUAD,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Integrate a stacked family of integrands over [a, b].
+    """Integrate a stacked family of integrands over the panels [lo, hi].
 
     ``f`` maps a flat point array of shape (n,) to values of shape (k, n);
-    the k integrands are evaluated on a shared adaptive grid.  Nodes are
-    strictly interior, so integrable endpoint singularities never get
+    the k integrands are evaluated on a shared adaptive grid that starts
+    from the given panels (normally a partition of the interval).  Nodes
+    are strictly interior, so integrable endpoint singularities never get
     evaluated.  Returns ``(values, errors)``, both of shape (k,).
 
     Raises QuadratureFailure if some integrand still violates
-    ``max(abs_tol, rel_tol * |integral|)`` after ``max_subdivisions`` panels.
+    ``max(abs_tol, rel_tol * |integral|)`` after ``max_subdivisions``
+    panels, the start panels included.
     """
-    if not b > a:
-        raise ValueError("integration interval must have b > a")
-    # Warm start with several uniform panels: the chain integrands develop a
-    # sharp peak near phi = 0 close to criticality.
-    edges = np.linspace(a, b, 9)
-    lo, hi = edges[:-1].copy(), edges[1:].copy()
+    lo, hi = _checked_panels(lo, hi)
     vals, errs = _panel_rule(f, lo, hi)
 
     while True:
@@ -201,32 +214,35 @@ def _family_rule(
 
 def integrate_points(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    n: int,
-    a: float,
-    b: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    counts: np.ndarray,
     config: QuadratureConfig = DEFAULT_QUAD,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Integrate the integrand stacks of n parameter points over [a, b].
+    """Integrate the integrand stacks of n = len(counts) parameter points.
 
-    ``f(x, owner)`` maps flat nodes x of shape (m,), and the index of the
-    point each node belongs to, to values of shape (k, m).  Every point is
-    refined as :func:`integrate_many` refines a single stack: it has its
-    own panels, its own test ``max(abs_tol, rel_tol * |integral|)`` and its
-    own budget of ``max_subdivisions`` panels, only unconverged points are
-    split, and a point leaves the family once it converges.  A point's
-    panels, sums and split choices involve no other point, so its values
-    do not depend on which points share its call.  Returns ``(values,
-    errors)``, both of shape (k, n).
+    Point i starts from its ``counts[i]`` (at least one) panels [lo, hi],
+    which follow those of point i - 1.  ``f(x, owner)`` maps flat nodes x
+    of shape (m,), and the index of the point each node belongs to, to
+    values of shape (k, m).  Every point is refined as
+    :func:`integrate_many` refines a single stack from the same start: it
+    has its own panels, its own test ``max(abs_tol, rel_tol * |integral|)``
+    and its own budget of ``max_subdivisions`` panels, only unconverged
+    points are split, and a point leaves the family once it converges.  A
+    point's panels, sums and split choices involve no other point, so its
+    values do not depend on which points share its call.  Returns
+    ``(values, errors)``, both of shape (k, n).
 
     Raises QuadratureFailure if some point still violates its tolerance
-    after ``max_subdivisions`` of its panels.
+    after ``max_subdivisions`` of its panels, its start panels included.
     """
-    if not b > a:
-        raise ValueError("integration interval must have b > a")
-    edges = np.linspace(a, b, 9)
-    owner = np.repeat(np.arange(n), edges.size - 1)
-    lo = np.tile(edges[:-1], n)
-    hi = np.tile(edges[1:], n)
+    lo, hi = _checked_panels(lo, hi)
+    counts = np.asarray(counts, dtype=np.int64).ravel()
+    n = counts.size
+    if (counts < 1).any() or counts.sum() != lo.size:
+        raise ValueError("every point needs at least one start panel, "
+                         "and counts must sum to the number of panels")
+    owner = np.repeat(np.arange(n), counts)
     vals, errs = _family_rule(f, lo, hi, owner)
     out_vals = np.empty((vals.shape[0], n))
     out_errs = np.empty((vals.shape[0], n))

@@ -8,7 +8,16 @@ QFI. Slow and dumb on purpose.
 
 ``sld`` and ``qfi_eigen`` are the eigendecomposition route over the full
 4x4 matrix, the independent check on the library's closed block algebra.
+
+``critical_integrals`` is the high-precision check near |J| = 1: mpmath
+quadrature on a mesh graded by hand, with the J derivatives taken by a
+complex step instead of differentiated integrands.  Its values on the
+grid of ``tests/critical_oracle.json`` (about 20 s) are regenerated by
+``python tests/_oracles.py tests/critical_oracle.json > new.json``.
 """
+
+import json
+import sys
 
 import numpy as np
 
@@ -134,3 +143,49 @@ def qfi_eigen(rho: np.ndarray, drho: np.ndarray, tol: float = SUPPORT_TOL) -> fl
     denom = w[:, None] + w[None, :]
     mask = denom > tol
     return float((2.0 * np.abs(m[mask]) ** 2 / denom[mask]).sum())
+
+
+def critical_integrals(J, gamma, D, dps=30):
+    """The integrals (mz, even, odd) with gxx = even - odd, gyy = even + odd,
+    followed by their J derivatives, by ``mpmath.quad`` at ``dps`` digits.
+
+    The breakpoints grade geometrically, by factors of 8, from ||J| - 1| / 8
+    up to pi/8 at the end where Delta nearly vanishes (phi = 0 for J > 0,
+    pi for J < 0).  The derivative is the imaginary part of the same
+    integrals at J + ih, over h = 1e-40: a complex step, exact to the
+    working precision with no difference quotient.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        h = mp.mpf("1e-40")
+        j = mp.mpf(J) + 1j * h
+        g, d = mp.mpf(gamma), mp.mpf(D)
+        pts, x = [mp.mpf(0)], abs(abs(mp.mpf(J)) - 1) / 8
+        while x < mp.pi / 8:
+            pts.append(x)
+            x *= 8
+        pts += [mp.pi / 8, mp.pi / 4, mp.pi / 2, mp.pi]
+        if J < 0:
+            pts = sorted(mp.pi - p for p in pts)
+        cache = {}
+
+        def terms(p):
+            # the three integrands share u and Delta at each node
+            if p not in cache:
+                s, c = mp.sin(p), mp.cos(p)
+                u = j * (c - 2 * d * s) - 1
+                w = 1 / (mp.pi * mp.sqrt(u * u + (j * g * s) ** 2))
+                cache[p] = (-u * w, -c * u * w, g * j * s * s * w)
+            return cache[p]
+
+        out = [mp.quad(lambda p: terms(p)[i], pts) for i in range(3)]
+        return ([float(v.real) for v in out]
+                + [float(v.imag / h) for v in out])
+
+
+if __name__ == "__main__":
+    with open(sys.argv[1]) as fh:
+        grid = json.load(fh)["points"]
+    rows = (json.dumps(row[:3] + critical_integrals(*row[:3])) for row in grid)
+    print('{"dps": 30, "points": [\n' + ",\n".join(rows) + "\n]}")

@@ -25,6 +25,12 @@ def scalar_h(js, gamma, D):
 
 # ------------------------------------------------------------ quadrature
 
+def start(n, a, b):
+    """Start panels (lo, hi, counts) of n points, 8 uniform ones on [a, b]."""
+    edges = np.linspace(a, b, 9)
+    return np.tile(edges[:-1], n), np.tile(edges[1:], n), np.full(n, 8)
+
+
 def lorentzians(widths):
     """Peaks at 0.3 whose sharpness and size both vary by point."""
     widths = np.asarray(widths)
@@ -43,7 +49,7 @@ def test_points_meet_their_own_tolerance():
     widths = np.geomspace(1e-4, 1.0, 13)
     f, exact = lorentzians(widths)
     config = QuadratureConfig(1e-12, 1e-10, 4096)
-    vals, errs = integrate_points(f, widths.size, 0.0, 2.0, config)
+    vals, errs = integrate_points(f, *start(widths.size, 0.0, 2.0), config)
     assert vals.shape == errs.shape == (2, widths.size)
     assert np.all(errs <= np.maximum(config.abs_tol, config.rel_tol * np.abs(vals)))
     assert np.allclose(vals[0], exact(widths), rtol=1e-9, atol=0.0)
@@ -55,10 +61,10 @@ def test_point_values_do_not_depend_on_the_family():
     widths = np.geomspace(1e-4, 1.0, 13)
     f, _ = lorentzians(widths)
     relative = QuadratureConfig(1e-300, 1e-10, 4096)  # no absolute floor
-    vals, errs = integrate_points(f, widths.size, 0.0, 2.0, relative)
+    vals, errs = integrate_points(f, *start(widths.size, 0.0, 2.0), relative)
     for subset in ([0], [5], [12], [2, 3, 4], [11, 0, 7]):
         g, _ = lorentzians(widths[subset])
-        v, e = integrate_points(g, len(subset), 0.0, 2.0, relative)
+        v, e = integrate_points(g, *start(len(subset), 0.0, 2.0), relative)
         assert np.array_equal(v, vals[:, subset])
         assert np.array_equal(e, errs[:, subset])
 
@@ -66,9 +72,10 @@ def test_point_values_do_not_depend_on_the_family():
 def test_points_agree_with_single_stack_engine():
     widths = np.geomspace(1e-4, 1.0, 7)
     f, _ = lorentzians(widths)
-    vals, _ = integrate_points(f, widths.size, 0.0, 2.0)
+    vals, _ = integrate_points(f, *start(widths.size, 0.0, 2.0))
     for i in range(widths.size):
-        ref, _ = integrate_many(lambda x: f(x, np.full(x.size, i)), 0.0, 2.0)
+        ref, _ = integrate_many(lambda x: f(x, np.full(x.size, i)),
+                                *start(1, 0.0, 2.0)[:2])
         assert np.allclose(vals[:, i], ref, rtol=1e-12, atol=1e-14)
 
 
@@ -77,18 +84,18 @@ def test_exhausted_point_fails_the_family():
     f, _ = lorentzians(widths)
     config = QuadratureConfig(1e-10, 1e-10, 16)
     with pytest.raises(QuadratureFailure, match="point 1"):
-        integrate_points(f, widths.size, 0.0, 2.0, config)
+        integrate_points(f, *start(widths.size, 0.0, 2.0), config)
     # the easy points alone fit in the same budget
     g, _ = lorentzians(widths[[0, 2]])
-    integrate_points(g, 2, 0.0, 2.0, config)
+    integrate_points(g, *start(2, 0.0, 2.0), config)
 
 
 def test_empty_family():
     f, _ = lorentzians([])
-    vals, errs = integrate_points(f, 0, 0.0, 2.0)
+    vals, errs = integrate_points(f, *start(0, 0.0, 2.0))
     assert vals.shape == errs.shape == (2, 0)
     with pytest.raises(ValueError):
-        integrate_points(f, 0, 2.0, 0.0)
+        integrate_points(f, *start(1, 2.0, 0.0))
 
 
 def test_chain_points_meet_their_own_tolerance():
@@ -98,7 +105,8 @@ def test_chain_points_meet_their_own_tolerance():
     def f(phi, owner):
         return chain_mod._integrand_rows(js[owner], 0.2, 0.3, ("J",), phi)
 
-    vals, errs = integrate_points(f, js.size, 0.0, np.pi)
+    vals, errs = integrate_points(
+        f, *chain_mod._start_mesh(js, DEFAULT_QUAD.max_subdivisions))
     assert np.all(errs <= np.maximum(DEFAULT_QUAD.abs_tol,
                                      DEFAULT_QUAD.rel_tol * np.abs(vals)))
 

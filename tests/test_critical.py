@@ -1,0 +1,141 @@
+"""Quadrature near the critical couplings |J| = 1: the graded start mesh,
+its work counts, an mpmath oracle and the degenerate edges."""
+
+import json
+import math
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dmchain.quadrature as quad_mod
+from dmchain.chain import (ChainParams, _LADDER_FLOOR, _start_mesh,
+                           chain_point, chain_points)
+from dmchain.quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
+
+# mpmath.quad at 30 digits (tests/_oracles.py critical_integrals) at
+# ||J| - 1| in {1e-2, 1e-4, 1e-6} on both sides of both critical points,
+# gamma in {0.2, 0.7, 1} and D in {0, 0.3}.  Each row: J, gamma, D, then
+# mz, even, odd and their J derivatives.
+ORACLE = json.loads((Path(__file__).parent / "critical_oracle.json").read_text())
+
+
+def integrals(pts):
+    """The integrals of the oracle's rows, from a ChainPoints with ("J",)."""
+    c, d = pts.corr, pts.dcorr["J"]
+    return np.array([c.mz, 0.5 * (c.gxx + c.gyy), 0.5 * (c.gyy - c.gxx),
+                     d.mz, 0.5 * (d.gxx + d.gyy), 0.5 * (d.gyy - d.gxx)])
+
+
+def within_tolerance(got, ref, quad=DEFAULT_QUAD):
+    tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(ref))
+    return np.abs(got - ref) <= tol
+
+
+# ----------------------------------------------------------- start mesh
+
+@pytest.mark.parametrize("J", [0.0, 0.5, -0.9, 0.99, -0.9999, 1.0, -1.0,
+                               1.0 + 1e-3, -3.0, 1.0 - 1e-12])
+def test_start_mesh_partitions_the_interval(J):
+    lo, hi, counts = _start_mesh(np.array([J]), DEFAULT_QUAD.max_subdivisions)
+    assert counts[0] == lo.size == hi.size
+    order = np.argsort(lo)
+    assert lo[order][0] == 0.0 and hi[order][-1] == math.pi
+    assert np.array_equal(lo[order][1:], hi[order][:-1])
+
+
+def test_ladder_reaches_the_rung_nearest_the_distance_to_criticality():
+    eps = np.array([1e-1, 1e-2, 1e-3, 1e-4])
+    for sign in (1.0, -1.0):
+        lo, hi, counts = _start_mesh(sign * (1.0 - eps),
+                                     DEFAULT_QUAD.max_subdivisions)
+        # each point's innermost panel comes first and touches the critical end
+        first = np.r_[0, np.cumsum(counts)[:-1]]
+        if sign > 0:
+            assert np.all(lo[first] == 0.0)
+            width = hi[first]
+        else:
+            assert np.all(hi[first] == math.pi)
+            width = math.pi - lo[first]
+        assert np.all((width > eps / 2 ** 0.5) & (width < eps * 2 ** 0.5))
+    # far from criticality, the uniform start alone
+    assert _start_mesh(np.array([0.3, -2.5]), 4096)[2].tolist() == [8, 8]
+
+
+def test_ladder_stops_at_its_floor_and_within_the_budget():
+    J = np.array([1.0, -1.0, 1.0 - 1e-9])
+    lo, hi, counts = _start_mesh(J, DEFAULT_QUAD.max_subdivisions)
+    widths = hi - lo
+    assert widths.min() >= _LADDER_FLOOR
+    assert widths.min() < 2.0 * _LADDER_FLOOR
+    # the rungs count against max_subdivisions
+    assert _start_mesh(J, 8)[2].tolist() == [8, 8, 8]
+    assert _start_mesh(J, 11)[2].tolist() == [11, 11, 11]
+    assert np.all(counts <= DEFAULT_QUAD.max_subdivisions)
+
+
+def test_graded_start_converges_near_criticality_in_few_rule_calls(monkeypatch):
+    calls = []
+    real = quad_mod._panel_rule
+
+    def counting(f, lo, hi):
+        calls.append(lo.size)
+        return real(f, lo, hi)
+
+    monkeypatch.setattr(quad_mod, "_panel_rule", counting)
+    for J in (1.0 - 1e-4, -(1.0 - 1e-4)):
+        calls.clear()
+        chain_point(ChainParams(J, 0.7, 0.1), ("J",))
+        assert len(calls) <= 2
+    # with a budget of 8 panels the start is the uniform mesh alone, and
+    # the point no longer converges
+    calls.clear()
+    with pytest.raises(QuadratureFailure):
+        chain_point(ChainParams(1.0 - 1e-4, 0.7, 0.1), ("J",),
+                    QuadratureConfig(1e-10, 1e-10, 8))
+    assert calls == [8]
+
+
+# --------------------------------------------------------- mpmath oracle
+
+def test_chain_point_meets_its_tolerance_against_mpmath():
+    for row in ORACLE["points"]:
+        got = integrals(chain_point(ChainParams(*row[:3]), ("J",)))
+        assert within_tolerance(got, np.array(row[3:])).all(), row[:3]
+
+
+def test_chain_points_meet_their_tolerance_against_mpmath():
+    table = np.array(ORACLE["points"])
+    got = integrals(chain_points(table[:, 0], table[:, 1], table[:, 2], ("J",)))
+    ok = within_tolerance(got, table[:, 3:].T)
+    assert ok.all(), table[~ok.all(axis=0), :3]
+
+
+@pytest.mark.parametrize("params", [(1.000001, 0.2, 0.3), (-0.999999, 0.2, 0.3)])
+def test_oracle_table_is_reproduced_by_mpmath(params):
+    pytest.importorskip("mpmath")
+    from _oracles import critical_integrals
+
+    point = next(p for p in ORACLE["points"] if tuple(p[:3]) == params)
+    assert np.allclose(critical_integrals(*point[:3], dps=ORACLE["dps"]),
+                       point[3:], rtol=1e-15, atol=0.0)
+
+
+# ------------------------------------------------------- degenerate edges
+
+@pytest.mark.parametrize("J", [1.0, -1.0])
+@pytest.mark.parametrize("gamma", [0.0, 1e-300, 1e-12, 1e-6])
+@pytest.mark.parametrize("D", [0.0, 0.3])
+def test_exactly_critical_point_is_finite_and_quiet(J, gamma, D):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        corr = chain_point(ChainParams(J, gamma, D), ()).corr
+    assert all(math.isfinite(v) for v in (corr.mz, corr.gxx, corr.gyy, corr.gzz))
+
+
+def test_small_anisotropy_dip_at_criticality_is_resolved():
+    # At J = 1, D = 0 the magnetization dips to 1 - 2 gamma / pi + O(gamma^2)
+    # within about gamma of phi = 0; the uniform start missed it.
+    mz = chain_point(ChainParams(1.0, 1e-6, 0.0)).corr.mz
+    assert abs(mz - (1.0 - 2e-6 / math.pi)) < 1e-10
