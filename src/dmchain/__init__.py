@@ -14,8 +14,6 @@ from .chain import (
     XStateDerivative,
     chain_point,
     chain_points,
-    delta,
-    x_matrix,
     x_state,
 )
 from .fisher import (
@@ -28,7 +26,6 @@ from .quadrature import (
     DEFAULT_QUAD,
     QuadratureConfig,
     QuadratureFailure,
-    integrate_many,
     integrate_points,
 )
 from .multiparam import (

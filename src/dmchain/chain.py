@@ -5,21 +5,23 @@ Couplings are measured in units of the transverse field, so the chain is
 critical at J = +/-1.  Nearest-neighbour correlators are closed-form
 momentum integrals over [0, pi]; both the correlators and their derivatives
 with respect to the couplings are obtained by integrating analytic
-integrands with the adaptive Gauss-Kronrod engine.  Every pass starts on
-a mesh graded toward the endpoint where the integrands peak near
-criticality (see :func:`chain_point`).
+integrands with the adaptive Gauss-Kronrod engine.  The two entry points,
+:func:`chain_point` (one point) and :func:`chain_points` (a family), run
+the same refinement loop, so a point gets the same bits from either.
+Every pass starts on a mesh graded toward the endpoint where the
+integrands peak near criticality (see :func:`chain_point`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .quadrature import (DEFAULT_QUAD, QuadratureConfig, QuadratureFailure,
-                         integrate_many, integrate_points)
+                         integrate_points)
 
 __all__ = [
     "PARAM_TAGS",
@@ -31,9 +33,7 @@ __all__ = [
     "ChainPoints",
     "CriticalPoint",
     "PositivityViolation",
-    "delta",
     "x_state",
-    "x_matrix",
     "chain_point",
     "chain_points",
 ]
@@ -123,18 +123,6 @@ class Correlators:
     gzz: float
 
 
-def x_matrix(a_plus: float, a_minus: float, c: float, b_plus: float, b_minus: float) -> np.ndarray:
-    """Assemble the 4x4 X-form matrix from its five independent entries."""
-    return np.array(
-        [
-            [a_plus, 0.0, 0.0, b_minus],
-            [0.0, c, b_plus, 0.0],
-            [0.0, b_plus, c, 0.0],
-            [b_minus, 0.0, 0.0, a_minus],
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class TwoSpinXState:
     """Reduced state of two neighbouring spins in the magnetization basis."""
@@ -144,9 +132,6 @@ class TwoSpinXState:
     c: float
     b_plus: float
     b_minus: float
-
-    def matrix(self) -> np.ndarray:
-        return x_matrix(self.a_plus, self.a_minus, self.c, self.b_plus, self.b_minus)
 
     def probabilities(self) -> np.ndarray:
         """Outcome probabilities of the two-spin magnetization measurement."""
@@ -164,18 +149,8 @@ class XStateDerivative:
     b_plus: float
     b_minus: float
 
-    def matrix(self) -> np.ndarray:
-        return x_matrix(self.a_plus, self.a_minus, self.c, self.b_plus, self.b_minus)
-
     def probabilities(self) -> np.ndarray:
         return np.array([self.a_plus, self.c, self.c, self.a_minus])
-
-
-def delta(params: ChainParams, phi):
-    """Dispersion-like kernel; its zeros at |J| = 1 mark criticality."""
-    s = np.sin(phi)
-    bracket = params.J * (np.cos(phi) - 2.0 * params.D * s) - 1.0
-    return np.sqrt(bracket * bracket + (params.J * params.gamma * s) ** 2)
 
 
 def _validate_tags(tags: Sequence[str]) -> Tuple[str, ...]:
@@ -247,7 +222,7 @@ def _integrand_rows(J, g, D, tags: Tuple[str, ...], phi: np.ndarray) -> np.ndarr
             np.multiply(J, u, out=dq)                     # J u u inv3
             dq *= u
         else:
-            np.multiply(-2.0 * J ** 3 * g * g, s2, out=du)  # ... s2 s inv3
+            np.multiply(-2.0 * J * J * J * g * g, s2, out=du)  # ... s2 s inv3
             du *= s
             np.multiply(2.0 * J * J * g, s, out=dq)       # ... s u inv3
             dq *= u
@@ -281,15 +256,6 @@ def _start_mesh(J: np.ndarray, max_subdivisions: int):
             rungs + _UNIFORM_PANELS)
 
 
-def _integrand_stack(params: ChainParams, tags: Tuple[str, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    J, g, D = params.J, params.gamma, params.D
-
-    def f(phi: np.ndarray) -> np.ndarray:
-        return _integrand_rows(J, g, D, tags, phi)
-
-    return f
-
-
 def _assemble(mz: float, even: float, odd: float) -> Correlators:
     gxx = even - odd
     gyy = even + odd
@@ -307,9 +273,12 @@ def _assemble_derivative(corr: Correlators, dmz: float, deven: float, dodd: floa
 def _state_from(corr: Correlators) -> TwoSpinXState:
     # gzz = mz^2 - gxx gyy; written out, the small entries near J = 0
     # (a_minus ~ J^2) keep their digits instead of cancelling against 1.
+    # Squares are products: float ** 2 (libm pow) and an array's ** 2 can
+    # round differently, and a point must get the same bits either way.
     gxy = corr.gxx * corr.gyy
-    a_plus = 0.25 * ((1.0 + corr.mz) ** 2 - gxy)
-    a_minus = 0.25 * ((1.0 - corr.mz) ** 2 - gxy)
+    up, down = 1.0 + corr.mz, 1.0 - corr.mz
+    a_plus = 0.25 * (up * up - gxy)
+    a_minus = 0.25 * (down * down - gxy)
     c = 0.25 * (1.0 - corr.gzz)
     b_plus = 0.25 * (corr.gxx + corr.gyy)
     b_minus = 0.25 * (corr.gxx - corr.gyy)
@@ -335,7 +304,7 @@ def _check_positivity(state: TwoSpinXState) -> None:
         ("negative diagonal entry",
          (state.a_plus < -tol) | (state.a_minus < -tol) | (state.c < -tol)),
         ("outer coherence exceeds its diagonal bound",
-         state.b_minus ** 2 > state.a_plus * state.a_minus + tol),
+         state.b_minus * state.b_minus > state.a_plus * state.a_minus + tol),
         ("inner coherence exceeds its diagonal bound",
          abs(state.b_plus) > state.c + tol),
     )
@@ -359,8 +328,8 @@ class ChainPoints:
 
     From :func:`chain_points`, every field of ``corr``, ``state`` and each
     ``dcorr`` and ``dstate`` entry is an array over the points, in the
-    order of ``J``, ``gamma`` and ``D``; from :func:`chain_point`, all of
-    them are floats.
+    order of ``J``, ``gamma`` and ``D``; from :func:`chain_point`, a
+    family of one, all of them are floats with the same values.
     """
 
     J: np.ndarray
@@ -381,6 +350,24 @@ def _evaluated(J, gamma, D, tags: Tuple[str, ...], vals) -> ChainPoints:
     return ChainPoints(J, gamma, D, corr, _state_from(corr), dcorr, dstate)
 
 
+def _integrals(f, J, gamma, D, quad: QuadratureConfig) -> np.ndarray:
+    """Integrals of the stack ``f(phi, owner)`` at the points J, gamma, D.
+
+    J is an array; gamma and D only name a failing point's couplings.
+    Each point's pass starts on its graded mesh (see :func:`chain_point`);
+    a QuadratureFailure names the couplings of the point that failed.
+    """
+    try:
+        vals, _ = integrate_points(f, *_start_mesh(J, quad.max_subdivisions),
+                                   quad)
+    except QuadratureFailure as exc:
+        i = exc.point
+        raise QuadratureFailure(
+            f"{exc} (J = {J[i]:g}, gamma = {gamma[i]:g}, D = {D[i]:g})", i
+        ) from None
+    return vals
+
+
 def chain_point(
     params: ChainParams,
     tags: Sequence[str] = (),
@@ -391,19 +378,25 @@ def chain_point(
     Derivative integrands are differentiated analytically under the
     integral; a tag at a divergence of its integral raises CriticalPoint.
 
-    The pass starts on 8 uniform panels on [0, pi] plus a geometric ladder
-    of rungs (pi/8) 2^-k toward phi = 0 for J > 0, or phi = pi for J < 0,
-    where the integrands peak near criticality.  The ladder reaches down
-    to the rung nearest ||J| - 1|, but not below about 1e-5, and its rungs
-    count against ``quad.max_subdivisions``: with a budget of 8 panels
-    the start is the uniform mesh alone.
+    The pass is the one-point case of :func:`chain_points`, with the same
+    values bit for bit and every field a float.  It starts on 8 uniform
+    panels on [0, pi] plus a geometric ladder of rungs (pi/8) 2^-k toward
+    phi = 0 for J > 0, or phi = pi for J < 0, where the integrands peak
+    near criticality.  The ladder reaches down to the rung nearest
+    ||J| - 1|, but not below about 1e-5, and its rungs count against
+    ``quad.max_subdivisions``: with a budget of 8 panels the start is the
+    uniform mesh alone.
     """
     tags = _validate_tags(tags)
     if tags:
         _derivative_guard(params)
-    lo, hi, _ = _start_mesh(np.array([params.J]), quad.max_subdivisions)
-    vals, _ = integrate_many(_integrand_stack(params, tags), lo, hi, quad)
-    return _evaluated(params.J, params.gamma, params.D, tags, vals)
+    J, g, D = params.J, params.gamma, params.D
+
+    def f(phi: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return _integrand_rows(J, g, D, tags, phi)
+
+    vals = _integrals(f, np.array([J]), [g], [D], quad)
+    return _evaluated(J, g, D, tags, vals[:, 0].tolist())
 
 
 def chain_points(
@@ -417,8 +410,8 @@ def chain_points(
 
     J, gamma and D broadcast against each other to a 1-D family.  Each
     point starts on the same graded mesh as in :func:`chain_point` and is
-    refined on its own panels to the same tolerance, so the values agree
-    with it to well within that tolerance and do not depend on the rest
+    refined on its own panels to the same tolerance, so its values equal
+    those of :func:`chain_point` bit for bit and do not depend on the rest
     of the family.  Raises what :func:`chain_point` raises at the first
     offending point; a QuadratureFailure names the couplings of the point
     that failed.
@@ -440,15 +433,7 @@ def chain_points(
     def f(phi: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return _integrand_rows(J[owner], gamma[owner], D[owner], tags, phi)
 
-    try:
-        vals, _ = integrate_points(f, *_start_mesh(J, quad.max_subdivisions),
-                                   quad)
-    except QuadratureFailure as exc:
-        i = exc.point
-        raise QuadratureFailure(
-            f"{exc} (J = {J[i]:g}, gamma = {gamma[i]:g}, D = {D[i]:g})", i
-        ) from None
-    return _evaluated(J, gamma, D, tags, vals)
+    return _evaluated(J, gamma, D, tags, _integrals(f, J, gamma, D, quad))
 
 
 def x_state(params: ChainParams, quad: QuadratureConfig = DEFAULT_QUAD) -> TwoSpinXState:

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .chain import ChainParams, ChainPoints, chain_point, chain_points, x_state
-from .fisher import magnetization_fi
+from .fisher import _classical_fi, magnetization_fi
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
 __all__ = [
@@ -280,13 +280,13 @@ def _score_refine(counts, gamma, D, cell, ll, quad):
         j = vertex
     j = _clamp_critical(j)
     for _ in range(SCORING_MAX_ITER):
-        params = ChainParams(j, gamma, D)
-        point = chain_point(params, ("J",), quad)
-        p = _normalized(point.state.probabilities())
+        point = chain_point(ChainParams(j, gamma, D), ("J",), quad)
+        probs = point.state.probabilities()
+        p = _normalized(probs)
         dp = point.dstate["J"].probabilities()
         with np.errstate(divide="ignore", invalid="ignore"):
             score = float(counts[occupied] @ (dp[occupied] / p[occupied]))
-        info = shots * magnetization_fi(params, "J", quad, point=point)
+        info = shots * float(_classical_fi(probs, dp))
         if score > 0.0:
             lo = j
         elif score < 0.0:

@@ -7,12 +7,13 @@ routine per integral.  Panels are bisected where the 7-point Gauss /
 15-point Kronrod discrepancy dominates, until every member of the stack
 meets its tolerance or the panel budget runs out.
 
-:func:`integrate_points` applies the same refinement to a family of
-parameter points at once: each point keeps its own panels, tolerance and
-budget, and the panels of all unconverged points share each rule call.
+:func:`integrate_points` is the one refinement loop.  It refines a family
+of parameter points at once, a single point being a family of one: each
+point keeps its own panels, tolerance and budget, and the panels of all
+unconverged points share each rule call.
 
-Neither engine chooses where a pass starts: the caller passes the start
-panels, which count against ``max_subdivisions`` like any later panel.
+The engine does not choose where a pass starts: the caller passes the
+start panels, which count against ``max_subdivisions`` like any later panel.
 The chain layer starts each pass on a mesh graded toward the endpoint
 where its integrands peak (see :func:`dmchain.chain.chain_point`).
 """
@@ -20,7 +21,7 @@ where its integrands peak (see :func:`dmchain.chain.chain_point`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -28,7 +29,6 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureFailure",
     "DEFAULT_QUAD",
-    "integrate_many",
     "integrate_points",
 ]
 
@@ -37,10 +37,10 @@ class QuadratureFailure(RuntimeError):
     """Requested tolerance not reached within the subdivision budget.
 
     ``point`` is the index of the failing point in an
-    :func:`integrate_points` family, else None.
+    :func:`integrate_points` family.
     """
 
-    def __init__(self, message: str, point: Optional[int] = None) -> None:
+    def __init__(self, message: str, point: int) -> None:
         super().__init__(message)
         self.point = point
 
@@ -139,59 +139,6 @@ def _checked_panels(lo, hi) -> Tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def integrate_many(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    config: QuadratureConfig = DEFAULT_QUAD,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Integrate a stacked family of integrands over the panels [lo, hi].
-
-    ``f`` maps a flat point array of shape (n,) to values of shape (k, n);
-    the k integrands are evaluated on a shared adaptive grid that starts
-    from the given panels (normally a partition of the interval).  Nodes
-    are strictly interior, so integrable endpoint singularities never get
-    evaluated.  Returns ``(values, errors)``, both of shape (k,).
-
-    Raises QuadratureFailure if some integrand still violates
-    ``max(abs_tol, rel_tol * |integral|)`` after ``max_subdivisions``
-    panels, the start panels included.
-    """
-    lo, hi = _checked_panels(lo, hi)
-    vals, errs = _panel_rule(f, lo, hi)
-
-    while True:
-        totals = vals.sum(axis=1)
-        total_err = errs.sum(axis=1)
-        tol = np.maximum(config.abs_tol, config.rel_tol * np.abs(totals))
-        if not (total_err > tol).any():
-            return totals, total_err
-        budget = config.max_subdivisions - lo.size
-        if budget <= 0:
-            worst = float(np.max(total_err / tol))
-            raise QuadratureFailure(
-                f"no convergence with {lo.size} panels; "
-                f"worst error exceeds tolerance by factor {worst:.3g}"
-            )
-        # Split the panels carrying the bulk of the scaled error mass.
-        badness = (errs / tol[:, None]).max(axis=0)
-        order = np.argsort(badness)[::-1]
-        cum = np.cumsum(badness[order])
-        n_split = int(np.searchsorted(cum, 0.5 * cum[-1])) + 1
-        n_split = min(n_split, budget)
-        split = np.zeros(lo.size, dtype=bool)
-        split[order[:n_split]] = True
-
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[~split], lo[split], mid])
-        new_hi = np.concatenate([hi[~split], mid, hi[split]])
-        new_vals, new_errs = _panel_rule(f, np.concatenate([lo[split], mid]),
-                                         np.concatenate([mid, hi[split]]))
-        vals = np.concatenate([vals[:, ~split], new_vals], axis=1)
-        errs = np.concatenate([errs[:, ~split], new_errs], axis=1)
-        lo, hi = new_lo, new_hi
-
-
 def _family_rule(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: np.ndarray,
@@ -200,16 +147,15 @@ def _family_rule(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`_panel_rule` over panels of several points, in capped chunks."""
     per_call = _MAX_RULE_NODES // _XK.size
-    parts = []
-    # At least one call, so that even an empty family learns its stack size.
-    for s in range(0, max(lo.size, 1), per_call):
-        node_owner = np.repeat(owner[s:s + per_call], _XK.size)
-        parts.append(_panel_rule(lambda x: f(x, node_owner),
-                                 lo[s:s + per_call], hi[s:s + per_call]))
-    if len(parts) == 1:
-        return parts[0]
-    return (np.concatenate([p[0] for p in parts], axis=1),
-            np.concatenate([p[1] for p in parts], axis=1))
+    if lo.size > per_call:
+        parts = [_family_rule(f, lo[s:s + per_call], hi[s:s + per_call],
+                              owner[s:s + per_call])
+                 for s in range(0, lo.size, per_call)]
+        return (np.concatenate([p[0] for p in parts], axis=1),
+                np.concatenate([p[1] for p in parts], axis=1))
+    # Even an empty family makes this one call, so it learns its stack size.
+    node_owner = owner.repeat(_XK.size)
+    return _panel_rule(lambda x: f(x, node_owner), lo, hi)
 
 
 def integrate_points(
@@ -224,13 +170,14 @@ def integrate_points(
     Point i starts from its ``counts[i]`` (at least one) panels [lo, hi],
     which follow those of point i - 1.  ``f(x, owner)`` maps flat nodes x
     of shape (m,), and the index of the point each node belongs to, to
-    values of shape (k, m).  Every point is refined as
-    :func:`integrate_many` refines a single stack from the same start: it
-    has its own panels, its own test ``max(abs_tol, rel_tol * |integral|)``
-    and its own budget of ``max_subdivisions`` panels, only unconverged
-    points are split, and a point leaves the family once it converges.  A
-    point's panels, sums and split choices involve no other point, so its
-    values do not depend on which points share its call.  Returns
+    values of shape (k, m): the k integrands of a point are evaluated on
+    one shared adaptive grid.  Nodes are strictly interior, so integrable
+    endpoint singularities never get evaluated.  Every point has its own
+    panels, its own test ``max(abs_tol, rel_tol * |integral|)`` and its
+    own budget of ``max_subdivisions`` panels, only unconverged points are
+    split, and a point leaves the family once it converges.  A point's
+    panels, sums and split choices involve no other point, so its values
+    do not depend on which points share its call.  Returns
     ``(values, errors)``, both of shape (k, n).
 
     Raises QuadratureFailure if some point still violates its tolerance
@@ -238,59 +185,63 @@ def integrate_points(
     """
     lo, hi = _checked_panels(lo, hi)
     counts = np.asarray(counts, dtype=np.int64).ravel()
-    n = counts.size
     if (counts < 1).any() or counts.sum() != lo.size:
         raise ValueError("every point needs at least one start panel, "
                          "and counts must sum to the number of panels")
-    owner = np.repeat(np.arange(n), counts)
+    # points: family index of each point still being refined, ascending;
+    # its counts[i] panels follow those of the point before it.
+    points = np.arange(counts.size)
+    owner = points.repeat(counts)
     vals, errs = _family_rule(f, lo, hi, owner)
-    out_vals = np.empty((vals.shape[0], n))
-    out_errs = np.empty((vals.shape[0], n))
+    out_vals = out_errs = None
 
-    # Panels stay grouped by point, in the order integrate_many keeps them.
-    while owner.size:
-        starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-        counts = np.diff(np.r_[starts, owner.size])
-        points = owner[starts]
+    while True:
+        starts = counts.cumsum() - counts
         totals = np.add.reduceat(vals, starts, axis=1)
         total_err = np.add.reduceat(errs, starts, axis=1)
         tol = np.maximum(config.abs_tol, config.rel_tol * np.abs(totals))
-        unconverged = (total_err > tol).any(axis=0)
-        done = ~unconverged
-        out_vals[:, points[done]] = totals[:, done]
-        out_errs[:, points[done]] = total_err[:, done]
-        if done.all():
-            break
+        over = total_err > tol
+        if out_vals is None:             # first pass: every point, in order
+            out_vals, out_errs = totals, total_err
+        else:
+            out_vals[:, points] = totals
+            out_errs[:, points] = total_err
+        if not over.any():
+            return out_vals, out_errs
 
-        budget = config.max_subdivisions - counts[unconverged]
-        if (budget <= 0).any():
-            worst = total_err / tol
-            stuck = np.flatnonzero(unconverged)[budget <= 0]
-            point = int(points[stuck[0]])
-            raise QuadratureFailure(
-                f"no convergence at point {point} with "
-                f"{counts[stuck[0]]} panels; worst error exceeds tolerance "
-                f"by factor {float(worst[:, stuck].max()):.3g}", point
-            )
-        keep = np.repeat(unconverged, counts)
+        unconverged = over.any(axis=0)
+        keep = unconverged.repeat(counts)
         lo, hi, owner = lo[keep], hi[keep], owner[keep]
         vals, errs = vals[:, keep], errs[:, keep]
-        seg = np.repeat(np.arange(budget.size), counts[unconverged])
-        starts = np.r_[0, np.cumsum(counts[unconverged])[:-1]]
+        points, counts = points[unconverged], counts[unconverged]
+        tol = tol[:, unconverged]
+        budget = config.max_subdivisions - counts
+        if (budget <= 0).any():
+            stuck = int(np.flatnonzero(budget <= 0)[0])
+            point = int(points[stuck])
+            worst = total_err[:, unconverged][:, stuck] / tol[:, stuck]
+            raise QuadratureFailure(
+                f"no convergence at point {point} with {counts[stuck]} "
+                f"panels; worst error exceeds tolerance by factor "
+                f"{float(worst.max()):.3g}", point
+            )
+        seg = np.arange(points.size).repeat(counts)
+        starts = counts.cumsum() - counts
 
         # Split the panels carrying the bulk of each point's scaled error
         # mass: sort each point's panels by badness, take the shortest
         # prefix whose running sum reaches half of the point's total.
-        badness = (errs / tol[:, unconverged][:, seg]).max(axis=0)
+        badness = (errs / tol[:, seg]).max(axis=0)
         order = np.lexsort((-badness, seg))
         rank = np.arange(order.size) - starts[seg]
-        padded = np.zeros((budget.size, int(counts[unconverged].max())))
+        padded = np.zeros((points.size, int(counts.max())))
         padded[seg, rank] = badness[order]
         cum = np.cumsum(padded, axis=1)
         n_split = (cum < 0.5 * cum[:, -1:]).sum(axis=1) + 1
         n_split = np.minimum(n_split, budget)
         split = np.empty(order.size, dtype=bool)
         split[order] = rank < n_split[seg]
+        counts = counts + n_split
 
         mid = 0.5 * (lo[split] + hi[split])
         halves_lo = np.concatenate([lo[split], mid])
@@ -306,5 +257,3 @@ def integrate_points(
         owner = np.concatenate([owner[~split], halves_owner])[regroup]
         vals = np.concatenate([vals[:, ~split], new_vals], axis=1)[:, regroup]
         errs = np.concatenate([errs[:, ~split], new_errs], axis=1)[:, regroup]
-    return out_vals, out_errs
-

@@ -7,7 +7,8 @@ instead of analytic derivatives, and the textbook eigendecomposition
 QFI. Slow and dumb on purpose.
 
 ``sld`` and ``qfi_eigen`` are the eigendecomposition route over the full
-4x4 matrix, the independent check on the library's closed block algebra.
+4x4 matrix, the independent check on the library's closed block algebra;
+``x_matrix`` builds that matrix from a library X state.
 
 ``critical_integrals`` is the high-precision check near |J| = 1: mpmath
 quadrature on a mesh graded by hand, with the J derivatives taken by a
@@ -75,6 +76,25 @@ def x_matrix_direct(mz, gxx, gyy, gzz):
     rho[1, 2] = rho[2, 1] = b_plus
     rho[0, 3] = rho[3, 0] = b_minus
     return rho
+
+
+def x_matrix(state):
+    """4x4 matrix of an X state, or of its derivative, from its five entries."""
+    return np.array(
+        [
+            [state.a_plus, 0.0, 0.0, state.b_minus],
+            [0.0, state.c, state.b_plus, 0.0],
+            [0.0, state.b_plus, state.c, 0.0],
+            [state.b_minus, 0.0, 0.0, state.a_minus],
+        ]
+    )
+
+
+def delta(params, phi):
+    """Dispersion-like kernel; its zeros at |J| = 1 mark criticality."""
+    s = np.sin(phi)
+    bracket = params.J * (np.cos(phi) - 2.0 * params.D * s) - 1.0
+    return np.sqrt(bracket * bracket + (params.J * params.gamma * s) ** 2)
 
 
 def rho_direct(J, gamma, D, nodes=SIMPSON_NODES):

@@ -22,7 +22,7 @@ from dmchain.multiparam import qfi_matrix, qfim_det, uhlmann_matrix
 from dmchain.protocol import ProtocolConfig, adaptive_run
 from dmchain.sweep import FIGURES, figure_bundle
 
-from _oracles import qfi_eigen
+from _oracles import qfi_eigen, x_matrix
 
 GAMMAS = (0.2, 0.5, 0.7, 1.0)
 DS = (0.0, 0.02, 0.1, 0.2, 0.3)
@@ -50,11 +50,11 @@ def grid21():
             for D in DS:
                 params = ChainParams(float(J), g, D)
                 pt = chain_point(params, PARAM_TAGS)
-                rho = pt.state.matrix()
+                rho = x_matrix(pt.state)
                 for tag in PARAM_TAGS:
                     F = magnetization_fi(params, tag, point=pt)
                     Hb = qfi_xstate(params, tag, point=pt)
-                    He = qfi_eigen(rho, pt.dstate[tag].matrix())
+                    He = qfi_eigen(rho, x_matrix(pt.dstate[tag]))
                     rows.append((F, Hb, He))
     return rows, time.monotonic() - t0
 

@@ -1,18 +1,17 @@
 """Batched evaluation of parameter families against the per-point path."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 import dmchain.chain as chain_mod
-from dmchain.chain import (ChainParams, CriticalPoint, PositivityViolation,
-                           chain_point, chain_points)
+from dmchain.chain import (PARAM_TAGS, ChainParams, CriticalPoint,
+                           PositivityViolation, chain_point, chain_points)
 from dmchain.features import WINDOW
 from dmchain.fisher import _qfi_points, qfi_xstate
 from dmchain.quadrature import (DEFAULT_QUAD, QuadratureConfig,
-                                QuadratureFailure, integrate_many,
-                                integrate_points)
-
-FIELDS = ("mz", "gxx", "gyy", "gzz")
+                                QuadratureFailure, integrate_points)
 
 
 def batched_h(js, gamma, D):
@@ -70,13 +69,15 @@ def test_point_values_do_not_depend_on_the_family():
 
 
 def test_points_agree_with_single_stack_engine():
+    # each point of the family against that point integrated alone
     widths = np.geomspace(1e-4, 1.0, 7)
     f, _ = lorentzians(widths)
-    vals, _ = integrate_points(f, *start(widths.size, 0.0, 2.0))
+    vals, errs = integrate_points(f, *start(widths.size, 0.0, 2.0))
     for i in range(widths.size):
-        ref, _ = integrate_many(lambda x: f(x, np.full(x.size, i)),
-                                *start(1, 0.0, 2.0)[:2])
-        assert np.allclose(vals[:, i], ref, rtol=1e-12, atol=1e-14)
+        ref, ref_err = integrate_points(
+            lambda x, owner: f(x, np.full(x.size, i)), *start(1, 0.0, 2.0))
+        assert np.array_equal(vals[:, i], ref[:, 0])
+        assert np.array_equal(errs[:, i], ref_err[:, 0])
 
 
 def test_exhausted_point_fails_the_family():
@@ -96,6 +97,10 @@ def test_empty_family():
     assert vals.shape == errs.shape == (2, 0)
     with pytest.raises(ValueError):
         integrate_points(f, *start(1, 2.0, 0.0))
+    lo, hi, _ = start(2, 0.0, 2.0)
+    for counts in ([16, 0], [8, 7], [8, 9]):
+        with pytest.raises(ValueError, match="counts must sum"):
+            integrate_points(f, lo, hi, counts)
 
 
 def test_chain_points_meet_their_own_tolerance():
@@ -113,19 +118,34 @@ def test_chain_points_meet_their_own_tolerance():
 
 # ------------------------------------------------------------ chain layer
 
+def fields_of(pt):
+    """Every value of a ChainPoints: correlators, state and derivatives."""
+    return (astuple(pt.corr) + astuple(pt.state)
+            + sum((astuple(pt.dcorr[t]) + astuple(pt.dstate[t])
+                   for t in sorted(pt.dcorr)), ()))
+
+
 def test_chain_points_match_chain_point():
-    js = np.array([-1.998, -0.5, 0.3, 0.999, 1.5])
-    pts = chain_points(js, 0.7, 0.1, ("J", "D"))
-    assert set(pts.dcorr) == {"J", "D"}
-    for i, j in enumerate(js):
-        ref = chain_point(ChainParams(j, 0.7, 0.1), ("J", "D"))
-        for name in FIELDS:
-            assert getattr(pts.corr, name)[i] == pytest.approx(
-                getattr(ref.corr, name), rel=1e-12, abs=1e-14)
-            for tag in ("J", "D"):
-                assert getattr(pts.dcorr[tag], name)[i] == pytest.approx(
-                    getattr(ref.dcorr[tag], name), rel=1e-12, abs=1e-14)
-        assert pts.state.c[i] == pytest.approx(ref.state.c, rel=1e-12, abs=1e-14)
+    # The last two points catch a float and an array rounding one product
+    # differently: J ** 3 in the D row, and (1 + mz) ** 2 in the state.
+    points = [(-1.998, 0.7, 0.1), (-0.5, 0.7, 0.1), (0.3, 0.7, 0.1),
+              (0.999, 0.7, 0.1), (1.5, 0.7, 0.1), (1.45, 0.7, 0.1),
+              (-0.9852378297674188, -0.4603264289983997, 0.3631202041893178)]
+    for tags in ((), ("J",), PARAM_TAGS):
+        pts = chain_points(*zip(*points), tags)
+        assert set(pts.dcorr) == set(tags)
+        family = fields_of(pts)
+        for i, p in enumerate(points):
+            ref = fields_of(chain_point(ChainParams(*p), tags))
+            assert all(type(v) is float for v in ref)
+            assert [v[i] for v in family] == list(ref)
+
+
+def test_chain_point_failure_names_the_couplings():
+    with pytest.raises(QuadratureFailure,
+                       match=r"J = 0\.99999, gamma = 0\.01, D = 0\.3\)"):
+        chain_point(ChainParams(0.99999, 0.01, 0.3), ("J",),
+                    QuadratureConfig(max_subdivisions=9))
 
 
 def test_chain_points_broadcasts_parameters():

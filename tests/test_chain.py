@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from dmchain.chain import (ChainParams, Correlators, CriticalPoint,
                            PositivityViolation, TwoSpinXState, chain_point,
-                           delta, x_matrix, x_state)
+                           x_state)
+
+from _oracles import delta, x_matrix
 
 # Composite Simpson at 10^6 nodes on the frozen integral convention
 # (tests/_oracles.py); digits beyond ~1e-12 are quadrature noise.
@@ -115,7 +117,7 @@ def test_derivatives_match_finite_differences(wrt):
 # ------------------------------------------------------------------- X state
 
 def test_x_matrix_layout():
-    m = x_matrix(1.0, 2.0, 3.0, 4.0, 5.0)
+    m = x_matrix(TwoSpinXState(1.0, 2.0, 3.0, 4.0, 5.0))
     assert m[0, 0] == 1.0 and m[3, 3] == 2.0
     assert m[1, 1] == 3.0 and m[2, 2] == 3.0
     assert m[1, 2] == 4.0 and m[2, 1] == 4.0
@@ -126,12 +128,12 @@ def test_x_matrix_layout():
 def test_state_against_direct_assembly():
     from _oracles import rho_direct
 
-    rho = x_state(ChainParams(0.5, 0.7, 0.1)).matrix()
+    rho = x_matrix(x_state(ChainParams(0.5, 0.7, 0.1)))
     assert np.allclose(rho, rho_direct(0.5, 0.7, 0.1, nodes=200_001), atol=1e-10)
 
 
 def test_state_trace_and_hermiticity():
-    rho = x_state(ChainParams(1.5, 1.0, 0.0)).matrix()
+    rho = x_matrix(x_state(ChainParams(1.5, 1.0, 0.0)))
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.allclose(rho, rho.T)
     assert np.linalg.eigvalsh(rho).min() > -1e-12
@@ -197,5 +199,5 @@ def test_state_is_physical(J, gamma, D):
     p = state.probabilities()
     assert abs(p.sum() - 1.0) < 1e-9
     assert np.all(p >= 0.0)
-    ev = np.linalg.eigvalsh(state.matrix())
+    ev = np.linalg.eigvalsh(x_matrix(state))
     assert ev.min() > -1e-9

@@ -14,7 +14,7 @@ from dmchain.fisher import (DivergentInformationWarning, fisher_point,
 
 sys.path.insert(0, "tests")
 from _oracles import (classical_fi_direct, drho_fd, qfi_eigen,
-                      qfi_eigen_direct, rho_direct, sld)
+                      qfi_eigen_direct, rho_direct, sld, x_matrix)
 
 # Eigendecomposition QFI on the Simpson state with Richardson derivatives
 # (tests/_oracles.py); nodes 4e5 / 2e5, h = 1e-4.
@@ -40,14 +40,14 @@ def test_two_qfi_routes_agree():
     for (J, g, D), wrt in ORACLE_FI:
         params = ChainParams(J, g, D)
         pt = chain_point(params, (wrt,))
-        direct = qfi_eigen(pt.state.matrix(), pt.dstate[wrt].matrix())
+        direct = qfi_eigen(x_matrix(pt.state), x_matrix(pt.dstate[wrt]))
         assert qfi_xstate(params, wrt, point=pt) == pytest.approx(direct, rel=1e-7)
 
 
 def test_sld_reproduces_derivative():
     pt = chain_point(ChainParams(0.5, 0.7, 0.1), ("J",))
-    rho = pt.state.matrix()
-    drho = pt.dstate["J"].matrix()
+    rho = x_matrix(pt.state)
+    drho = x_matrix(pt.dstate["J"])
     L = sld(rho, drho)
     assert np.allclose(0.5 * (L @ rho + rho @ L), drho, atol=1e-10)
     # QFI as Tr[rho L^2] closes the loop
@@ -122,7 +122,7 @@ def test_classical_never_exceeds_quantum(J, gamma, D, wrt):
 def test_block_route_equals_eigen_route(J, gamma, D):
     pt = chain_point(ChainParams(J, gamma, D), ("J",))
     block = qfi_xstate(ChainParams(J, gamma, D), "J", point=pt)
-    eig = qfi_eigen(pt.state.matrix(), pt.dstate["J"].matrix())
+    eig = qfi_eigen(x_matrix(pt.state), x_matrix(pt.dstate["J"]))
     assert block == pytest.approx(eig, rel=1e-6, abs=1e-10)
 
 

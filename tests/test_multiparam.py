@@ -13,7 +13,7 @@ from dmchain.multiparam import (CONDITION_FLOOR, QfiMatrix, SingularInformation,
 from dmchain.sweep import SweepSpec, sweep
 
 sys.path.insert(0, "tests")
-from _oracles import drho_fd, rho_direct, sld
+from _oracles import drho_fd, rho_direct, sld, x_matrix
 
 REF = ChainParams(0.5, 0.7, 0.1)
 
@@ -43,8 +43,8 @@ def test_qfim_against_fd_oracle():
 
 def sld_route(pt):
     """QFI and Uhlmann matrices from oracle SLDs of one chain_point."""
-    rho = pt.state.matrix()
-    ls = [sld(rho, pt.dstate[t].matrix()) for t in PARAM_TAGS]
+    rho = x_matrix(pt.state)
+    ls = [sld(rho, x_matrix(pt.dstate[t])) for t in PARAM_TAGS]
     h = np.array([[0.5 * np.trace(rho @ (a @ b + b @ a)) for b in ls] for a in ls])
     u = np.array([[0.5 * np.trace(rho @ (a @ b - b @ a)) for b in ls] for a in ls])
     return h, u
@@ -135,9 +135,9 @@ def test_uhlmann_antisymmetric_storage():
 
 def test_sld_commutator_route():
     pt = chain_point(REF, ("J", "gamma"))
-    rho = pt.state.matrix()
-    lj = sld(rho, pt.dstate["J"].matrix())
-    lg = sld(rho, pt.dstate["gamma"].matrix())
+    rho = x_matrix(pt.state)
+    lj = sld(rho, x_matrix(pt.dstate["J"]))
+    lg = sld(rho, x_matrix(pt.dstate["gamma"]))
     val = 0.5 * np.trace(rho @ (lj @ lg - lg @ lj)).real
     assert uhlmann_matrix(REF).matrix[0, 1] == pytest.approx(val, abs=1e-12)
 

@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 
 from dmchain.quadrature import (DEFAULT_QUAD, QuadratureConfig,
-                                QuadratureFailure, integrate_many)
+                                QuadratureFailure, integrate_points)
 
 
 def uniform(a, b, panels=8):
-    """Start panels (lo, hi) of a uniform mesh on [a, b]."""
+    """Start panels (lo, hi, counts) of one point: a uniform mesh on [a, b]."""
     edges = np.linspace(a, b, panels + 1)
-    return edges[:-1], edges[1:]
+    return edges[:-1], edges[1:], [panels]
+
+
+def integrate_stack(f, a, b, config=DEFAULT_QUAD):
+    """A stack f(x) of shape (k, m) integrated as a one-point family."""
+    vals, errs = integrate_points(lambda x, owner: f(x), *uniform(a, b), config)
+    return vals[:, 0], errs[:, 0]
 
 
 def integrate(f, a, b, config=DEFAULT_QUAD):
-    """One integrand as a one-row integrate_many stack."""
-    vals, errs = integrate_many(lambda x: f(x)[None, :], *uniform(a, b), config)
+    """One integrand as a one-row stack."""
+    vals, errs = integrate_stack(lambda x: f(x)[None, :], a, b, config)
     return vals[0], errs[0]
 
 
@@ -60,8 +66,8 @@ def test_subdivision_exhaustion_raises():
 
 
 def test_vectorized_rows_match_scalar():
-    vals, _ = integrate_many(
-        lambda x: np.vstack([np.sin(x), np.cos(x), x**3]), *uniform(0.0, 1.2))
+    vals, _ = integrate_stack(
+        lambda x: np.vstack([np.sin(x), np.cos(x), x**3]), 0.0, 1.2)
     singles = [integrate(np.sin, 0.0, 1.2)[0], integrate(np.cos, 0.0, 1.2)[0],
                integrate(lambda x: x**3, 0.0, 1.2)[0]]
     assert np.allclose(vals, singles, rtol=1e-12, atol=1e-13)
