@@ -176,6 +176,24 @@ def _derivative_guard(params: ChainParams) -> None:
         )
 
 
+def _refused(J, gamma, D, tags: Tuple[str, ...]):
+    """Yield ``(index, exception)`` for each point :func:`chain_point`
+    would refuse, in order; J, gamma and D are 1-D float arrays."""
+    # Cheap superset of the points the scalar checks could reject; only
+    # those are rebuilt as ChainParams, which raise with the scalar message.
+    suspect = ~(np.isfinite(J) & np.isfinite(gamma) & np.isfinite(D)
+                & (np.abs(gamma) <= 1.0))
+    if tags:
+        suspect |= (gamma == 0.0) | (np.abs(np.abs(J) - 1.0) <= 2.0 * _CRIT_EPS)
+    for i in np.flatnonzero(suspect):
+        try:
+            params = ChainParams(float(J[i]), float(gamma[i]), float(D[i]))
+            if tags:
+                _derivative_guard(params)
+        except ValueError as exc:  # invalid couplings or CriticalPoint
+            yield int(i), exc
+
+
 def _integrand_rows(J, g, D, tags: Tuple[str, ...], phi: np.ndarray) -> np.ndarray:
     """Integrand stack at nodes phi; J, g, D are scalars or per-node arrays.
 
@@ -419,16 +437,8 @@ def chain_points(
     tags = _validate_tags(tags)
     J, gamma, D = (np.array(a, dtype=float).ravel()
                    for a in np.broadcast_arrays(J, gamma, D))
-    # Cheap superset of the points the scalar checks could reject; only
-    # those are rebuilt as ChainParams, which raise with the scalar message.
-    suspect = ~(np.isfinite(J) & np.isfinite(gamma) & np.isfinite(D)
-                & (np.abs(gamma) <= 1.0))
-    if tags:
-        suspect |= (gamma == 0.0) | (np.abs(np.abs(J) - 1.0) <= 2.0 * _CRIT_EPS)
-    for i in np.flatnonzero(suspect):
-        params = ChainParams(float(J[i]), float(gamma[i]), float(D[i]))
-        if tags:
-            _derivative_guard(params)
+    for _, exc in _refused(J, gamma, D, tags):
+        raise exc
 
     def f(phi: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return _integrand_rows(J[owner], gamma[owner], D[owner], tags, phi)

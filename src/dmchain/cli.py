@@ -28,7 +28,8 @@ from .multiparam import (SingularInformation, _sloppiness, matrix_crb,
                          qfi_matrix, uhlmann_matrix)
 from .protocol import ProtocolConfig, adaptive_run
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
-from .sweep import FIGURES, SweepSpec, figure_bundle, sweep
+from .sweep import (_QFIM_COLS, _U_COLS, FIGURES, SweepSpec, figure_bundle,
+                    sweep)
 
 NUMERICAL_ERRORS = (QuadratureFailure, CriticalPoint, PositivityViolation,
                     SingularInformation, InsufficientResolution, FlatProfile,
@@ -83,7 +84,7 @@ def _json_dumps(payload) -> str:
 
 
 def _csv_row(header, values) -> str:
-    cells = ["%.17g" % v for v in values]
+    cells = [v if isinstance(v, str) else "%.17g" % v for v in values]
     return ",".join(header) + "\n" + ",".join(cells) + "\n"
 
 
@@ -199,11 +200,10 @@ def _cmd_fisher(args) -> int:
             "F": fp.F, "H": fp.H, "H1": fp.H1, "H2": fp.H2, "S": fp.S,
         })
     else:
-        header = ["J", "gamma", "D", "wrt", "F", "H", "H1", "H2", "S"]
-        cells = ["%.17g" % v for v in (params.J, params.gamma, params.D)]
-        cells.append(args.wrt)
-        cells += ["%.17g" % v for v in (fp.F, fp.H, fp.H1, fp.H2, fp.S)]
-        text = ",".join(header) + "\n" + ",".join(cells) + "\n"
+        text = _csv_row(
+            ["J", "gamma", "D", "wrt", "F", "H", "H1", "H2", "S"],
+            [params.J, params.gamma, params.D, args.wrt,
+             fp.F, fp.H, fp.H1, fp.H2, fp.S])
     _emit(text, args.out)
     return 0
 
@@ -246,16 +246,10 @@ def _cmd_qfim(args) -> int:
         payload["crb"] = [[float(x) for x in row] for row in crb]
         payload["shots"] = args.shots
     if args.format == "csv":
-        header, values = [], []
-        tags = ("J", "gamma", "D")
-        for i in range(3):
-            for j in range(i, 3):
-                header.append("QFIM_%s_%s" % (tags[i], tags[j]))
-                values.append(qm.matrix[i, j])
-        header += ["U_J_gamma", "U_J_D", "U_gamma_D", "det", "condition_ratio"]
-        values += [um.matrix[0, 1], um.matrix[0, 2], um.matrix[1, 2],
-                   rep.det, rep.condition_ratio]
-        text = _csv_row(header, values)
+        text = _csv_row(
+            _QFIM_COLS + _U_COLS + ("det", "condition_ratio"),
+            [*qm.matrix[np.triu_indices(3)], *um.matrix[np.triu_indices(3, 1)],
+             rep.det, rep.condition_ratio])
     else:
         text = _json_dumps(payload)
     _emit(text, args.out)

@@ -3,9 +3,10 @@
 The momentum integrals of the chain share all of their expensive
 sub-expressions (the dispersion and its powers), so the engine integrates a
 whole stack of integrands on one adaptive grid instead of calling a scalar
-routine per integral.  Panels are bisected where the 7-point Gauss /
-15-point Kronrod discrepancy dominates, until every member of the stack
-meets its tolerance or the panel budget runs out.
+routine per integral.  A panel is bisected when its 7-point Gauss /
+15-point Kronrod discrepancy reaches an equal share of the tolerance of
+some member of the stack, until every member meets its tolerance or the
+panel budget runs out.
 
 :func:`integrate_points` is the one refinement loop.  It refines a family
 of parameter points at once, a single point being a family of one: each
@@ -174,14 +175,16 @@ def integrate_points(
     one shared adaptive grid.  Nodes are strictly interior, so integrable
     endpoint singularities never get evaluated.  Every point has its own
     panels, its own test ``max(abs_tol, rel_tol * |integral|)`` and its
-    own budget of ``max_subdivisions`` panels, only unconverged points are
-    split, and a point leaves the family once it converges.  A point's
-    panels, sums and split choices involve no other point, so its values
-    do not depend on which points share its call.  Returns
-    ``(values, errors)``, both of shape (k, n).
+    own budget of ``max_subdivisions`` panels, and a point leaves the
+    family once it converges.  An unconverged point with c panels bisects,
+    in place, each panel whose error reaches 1/c of its tolerance in some
+    integrand.  A point's panels, sums and split choices involve no other
+    point, so its values do not depend on which points share its call.
+    Returns ``(values, errors)``, both of shape (k, n).
 
-    Raises QuadratureFailure if some point still violates its tolerance
-    after ``max_subdivisions`` of its panels, its start panels included.
+    Raises QuadratureFailure if some unconverged point has no panel to
+    split, or would hold more than ``max_subdivisions`` panels, its start
+    panels included, after splitting them.
     """
     lo, hi = _checked_panels(lo, hi)
     counts = np.asarray(counts, dtype=np.int64).ravel()
@@ -215,45 +218,32 @@ def integrate_points(
         vals, errs = vals[:, keep], errs[:, keep]
         points, counts = points[unconverged], counts[unconverged]
         tol = tol[:, unconverged]
-        budget = config.max_subdivisions - counts
-        if (budget <= 0).any():
-            stuck = int(np.flatnonzero(budget <= 0)[0])
-            point = int(points[stuck])
-            worst = total_err[:, unconverged][:, stuck] / tol[:, stuck]
+        seg = np.arange(points.size).repeat(counts)
+
+        # Split every panel whose error reaches an equal share of its
+        # point's tolerance in some integrand: if no panel did, the point's
+        # summed error would be below its tolerance.
+        split = (errs * counts[seg] >= tol[:, seg]).any(axis=0)
+        n_split = np.add.reduceat(split, counts.cumsum() - counts)
+        # Nothing to split can only be roundoff in the sums; stop there too.
+        stuck = (counts + n_split > config.max_subdivisions) | (n_split == 0)
+        if stuck.any():
+            i = int(np.flatnonzero(stuck)[0])
+            point = int(points[i])
+            worst = total_err[:, unconverged][:, i] / tol[:, i]
             raise QuadratureFailure(
-                f"no convergence at point {point} with {counts[stuck]} "
+                f"no convergence at point {point} with {counts[i]} "
                 f"panels; worst error exceeds tolerance by factor "
                 f"{float(worst.max()):.3g}", point
             )
-        seg = np.arange(points.size).repeat(counts)
-        starts = counts.cumsum() - counts
-
-        # Split the panels carrying the bulk of each point's scaled error
-        # mass: sort each point's panels by badness, take the shortest
-        # prefix whose running sum reaches half of the point's total.
-        badness = (errs / tol[:, seg]).max(axis=0)
-        order = np.lexsort((-badness, seg))
-        rank = np.arange(order.size) - starts[seg]
-        padded = np.zeros((points.size, int(counts.max())))
-        padded[seg, rank] = badness[order]
-        cum = np.cumsum(padded, axis=1)
-        n_split = (cum < 0.5 * cum[:, -1:]).sum(axis=1) + 1
-        n_split = np.minimum(n_split, budget)
-        split = np.empty(order.size, dtype=bool)
-        split[order] = rank < n_split[seg]
         counts = counts + n_split
 
-        mid = 0.5 * (lo[split] + hi[split])
-        halves_lo = np.concatenate([lo[split], mid])
-        halves_hi = np.concatenate([mid, hi[split]])
-        halves_owner = np.concatenate([owner[split], owner[split]])
-        new_vals, new_errs = _family_rule(f, halves_lo, halves_hi, halves_owner)
-        # Stable regrouping keeps each point's unsplit panels, then its
-        # left halves, then its right halves.
-        regroup = np.argsort(np.concatenate([owner[~split], halves_owner]),
-                             kind="stable")
-        lo = np.concatenate([lo[~split], halves_lo])[regroup]
-        hi = np.concatenate([hi[~split], halves_hi])[regroup]
-        owner = np.concatenate([owner[~split], halves_owner])[regroup]
-        vals = np.concatenate([vals[:, ~split], new_vals], axis=1)[:, regroup]
-        errs = np.concatenate([errs[:, ~split], new_errs], axis=1)[:, regroup]
+        # Bisect in place: a split panel becomes its left and right halves,
+        # so each point's panels stay contiguous and in order.
+        halves = split.repeat(split + 1)
+        lo, hi, owner = (a.repeat(split + 1) for a in (lo, hi, owner))
+        vals, errs = (a.repeat(split + 1, axis=1) for a in (vals, errs))
+        left, right = np.flatnonzero(halves).reshape(-1, 2).T
+        hi[left] = lo[right] = 0.5 * (lo[left] + hi[left])
+        vals[:, halves], errs[:, halves] = _family_rule(
+            f, lo[halves], hi[halves], owner[halves])

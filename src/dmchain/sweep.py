@@ -18,8 +18,8 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .chain import (PARAM_TAGS, ChainParams, ChainPoints, PositivityViolation,
-                    _derivative_guard, chain_points)
+from .chain import (PARAM_TAGS, ChainPoints, PositivityViolation, _refused,
+                    chain_points)
 from .fisher import _block_pair, _classical_fi, _saturation
 from .multiparam import _spectrum
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
@@ -180,21 +180,15 @@ def sweep(spec: SweepSpec, quad: QuadratureConfig = DEFAULT_QUAD) -> SweepTable:
                for q in spec.quantities for name in _COLUMNS[q]}
     errors = [""] * len(values)
 
-    rows, coords = [], []
-    for i, v in enumerate(values):
-        kwargs = dict(spec.fixed)
-        kwargs[spec.axis] = float(v)
-        try:
-            params = ChainParams(J=kwargs["J"], gamma=kwargs["gamma"],
-                                 D=kwargs["D"])
-            _derivative_guard(params)
-        except ValueError as exc:  # invalid couplings or CriticalPoint
-            errors[i] = _message(exc)
-            continue
-        rows.append(i)
-        coords.append((params.J, params.gamma, params.D))
-    rows = np.array(rows, dtype=int)
-    coords = np.array(coords).reshape(-1, 3).T
+    coords = np.array([values if t == spec.axis
+                       else np.full(values.size, spec.fixed[t], dtype=float)
+                       for t in PARAM_TAGS])
+    valid = np.ones(values.size, dtype=bool)
+    for i, exc in _refused(*coords, tags):
+        errors[i] = _message(exc)
+        valid[i] = False
+    rows = np.flatnonzero(valid)
+    coords = coords[:, rows]
 
     def evaluate(k) -> None:
         cols = _columns(chain_points(*coords[:, k], tags, quad), spec, tags)

@@ -83,9 +83,23 @@ def test_points_agree_with_single_stack_engine():
 def test_exhausted_point_fails_the_family():
     widths = np.array([1.0, 1e-6, 0.5])
     f, _ = lorentzians(widths)
+    nodes = np.zeros(widths.size, dtype=int)
+
+    def recording(x, owner):
+        np.add.at(nodes, owner, 1)
+        return f(x, owner)
+
     config = QuadratureConfig(1e-10, 1e-10, 16)
-    with pytest.raises(QuadratureFailure, match="point 1"):
-        integrate_points(f, *start(widths.size, 0.0, 2.0), config)
+    lo, hi, counts = start(widths.size, 0.0, 2.0)
+    with pytest.raises(QuadratureFailure, match="point 1") as info:
+        integrate_points(recording, lo, hi, counts, config)
+    # every split adds one panel and evaluates its two halves:
+    # nodes = 15 (start + 2 splits) and panels = start + splits
+    splits, rest = np.divmod(nodes // 15 - counts, 2)
+    assert np.all(nodes % 15 == 0) and np.all(rest == 0)
+    panels = counts + splits
+    assert panels.max() <= config.max_subdivisions
+    assert f"with {panels[1]} panels" in str(info.value)
     # the easy points alone fit in the same budget
     g, _ = lorentzians(widths[[0, 2]])
     integrate_points(g, *start(2, 0.0, 2.0), config)
