@@ -31,11 +31,9 @@ from .quadrature import (
 from .multiparam import (
     QfiMatrix,
     SingularInformation,
-    SloppinessReport,
     UhlmannMatrix,
     matrix_crb,
     qfi_matrix,
-    qfim_det,
     uhlmann_matrix,
 )
 from .protocol import (

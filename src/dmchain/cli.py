@@ -24,8 +24,8 @@ from .chain import (ChainParams, CriticalPoint, PositivityViolation,
 from .features import (FlatProfile, InsufficientResolution, detect_d_loss,
                        detect_features)
 from .fisher import fisher_point
-from .multiparam import (SingularInformation, _sloppiness, matrix_crb,
-                         qfi_matrix, uhlmann_matrix)
+from .multiparam import (SingularInformation, matrix_crb, qfi_matrix,
+                         uhlmann_matrix)
 from .protocol import ProtocolConfig, adaptive_run
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
 from .sweep import (_QFIM_COLS, _U_COLS, FIGURES, SweepSpec, figure_bundle,
@@ -193,17 +193,13 @@ def _cmd_state(args) -> int:
 def _cmd_fisher(args) -> int:
     params = ChainParams(args.J, args.gamma, args.D)
     fp = fisher_point(params, args.wrt, _quad(args))
+    row = {"J": params.J, "gamma": params.gamma, "D": params.D,
+           "wrt": args.wrt,
+           "F": fp.F, "H": fp.H, "H1": fp.H1, "H2": fp.H2, "S": fp.S}
     if args.format == "json":
-        text = _json_dumps({
-            "J": params.J, "gamma": params.gamma, "D": params.D,
-            "wrt": args.wrt,
-            "F": fp.F, "H": fp.H, "H1": fp.H1, "H2": fp.H2, "S": fp.S,
-        })
+        text = _json_dumps(row)
     else:
-        text = _csv_row(
-            ["J", "gamma", "D", "wrt", "F", "H", "H1", "H2", "S"],
-            [params.J, params.gamma, params.D, args.wrt,
-             fp.F, fp.H, fp.H1, fp.H2, fp.S])
+        text = _csv_row(row, row.values())
     _emit(text, args.out)
     return 0
 
@@ -232,14 +228,13 @@ def _cmd_qfim(args) -> int:
     quad = _quad(args)
     qm = qfi_matrix(params, quad)
     um = uhlmann_matrix(params)
-    rep = _sloppiness(qm)
     payload = {
         "J": params.J, "gamma": params.gamma, "D": params.D,
         "qfim": [[float(x) for x in row] for row in qm.matrix],
         "uhlmann": [[float(x) for x in row] for row in um.matrix],
-        "det": rep.det,
-        "eigenvalues": [float(x) for x in rep.eigenvalues],
-        "condition_ratio": rep.condition_ratio,
+        "det": qm.det,
+        "eigenvalues": [float(x) for x in qm.eigenvalues],
+        "condition_ratio": qm.condition_ratio,
     }
     if args.shots is not None:
         crb = matrix_crb(qm, shots=args.shots)
@@ -249,7 +244,7 @@ def _cmd_qfim(args) -> int:
         text = _csv_row(
             _QFIM_COLS + _U_COLS + ("det", "condition_ratio"),
             [*qm.matrix[np.triu_indices(3)], *um.matrix[np.triu_indices(3, 1)],
-             rep.det, rep.condition_ratio])
+             qm.det, qm.condition_ratio])
     else:
         text = _json_dumps(payload)
     _emit(text, args.out)

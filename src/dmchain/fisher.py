@@ -53,8 +53,6 @@ class BlockDegenerateWarning(RuntimeWarning):
 
 def _ratio(num, den, floor):
     """num / den where den exceeds floor, else 0; den broadcasts against num."""
-    if np.ndim(den) == 0:
-        return num / den if den > floor else np.zeros(np.shape(num))
     num, den = np.broadcast_arrays(num, den)
     return np.divide(num, den, out=np.zeros(num.shape), where=den > floor)
 

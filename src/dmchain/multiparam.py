@@ -2,15 +2,17 @@
 
 The QFI matrix over (J, gamma, D) comes from one quadrature pass and the
 closed block algebra of :mod:`dmchain.fisher`, the same algebra that gives
-the single-parameter QFI on its diagonal.  For this family the state and
-its derivatives are real symmetric, so the SLDs are real and the Uhlmann
-matrix vanishes identically; it is returned as exact zeros.
+the single-parameter QFI on its diagonal.  It carries its own spectrum
+(eigenvalues, determinant and condition ratio), from the one
+eigendecomposition that also checks it is positive semidefinite; a
+vanishing determinant is the model's sloppiness.  For this family the
+state and its derivatives are real symmetric, so the SLDs are real and the
+Uhlmann matrix vanishes identically; it is returned as exact zeros.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,12 +23,10 @@ from .quadrature import DEFAULT_QUAD, QuadratureConfig
 __all__ = [
     "QfiMatrix",
     "UhlmannMatrix",
-    "SloppinessReport",
     "SingularInformation",
     "CONDITION_FLOOR",
     "qfi_matrix",
     "uhlmann_matrix",
-    "qfim_det",
     "matrix_crb",
 ]
 
@@ -42,12 +42,34 @@ class SingularInformation(RuntimeError):
     """Information matrix too ill-conditioned to invert meaningfully."""
 
 
+def _spectrum(eigenvalues: np.ndarray):
+    """Clipped eigenvalues, determinant and smallest / largest eigenvalue
+    ratio from the ascending eigenvalues of symmetric 3x3 matrices, stacked
+    on the leading axes.
+
+    The matrices are positive semidefinite, sums of outer products with
+    nonnegative weights, so an eigenvalue below 0 is roundoff and is
+    clipped to 0; the determinant and ratio are then never negative.
+    """
+    ev = np.maximum(eigenvalues, 0.0)
+    top = ev[..., -1]
+    ratio = np.divide(ev[..., 0], top, out=np.zeros(top.shape), where=top > 0.0)
+    return ev, np.prod(ev, axis=-1), ratio
+
+
 @dataclass(frozen=True)
 class QfiMatrix:
-    """3x3 quantum Fisher information matrix over (J, gamma, D)."""
+    """3x3 quantum Fisher information matrix over (J, gamma, D).
+
+    ``eigenvalues`` (descending, clipped at 0), ``det`` and
+    ``condition_ratio`` (smallest / largest eigenvalue) come from the
+    eigendecomposition that checks the matrix is positive semidefinite.
+    """
 
     matrix: np.ndarray
-    tags: Tuple[str, ...] = PARAM_TAGS
+    eigenvalues: np.ndarray = field(init=False)
+    det: float = field(init=False)
+    condition_ratio: float = field(init=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
@@ -56,12 +78,18 @@ class QfiMatrix:
         scale = max(np.abs(m).max(), 1.0)
         if np.abs(m - m.T).max() > _SYM_TOL * scale:
             raise ValueError("information matrix is not symmetric")
-        if np.linalg.eigvalsh(0.5 * (m + m.T)).min() < -_PSD_TOL * scale:
+        m = 0.5 * (m + m.T)
+        ev = np.linalg.eigvalsh(m)
+        if ev.min() < -_PSD_TOL * scale:
             raise ValueError("information matrix has a negative direction")
-        object.__setattr__(self, "matrix", 0.5 * (m + m.T))
+        ev, det, ratio = _spectrum(ev)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "eigenvalues", ev[::-1])
+        object.__setattr__(self, "det", float(det))
+        object.__setattr__(self, "condition_ratio", float(ratio))
 
     def entry(self, mu: str, nu: str) -> float:
-        return float(self.matrix[self.tags.index(mu), self.tags.index(nu)])
+        return float(self.matrix[PARAM_TAGS.index(mu), PARAM_TAGS.index(nu)])
 
 
 @dataclass(frozen=True)
@@ -69,7 +97,6 @@ class UhlmannMatrix:
     """Antisymmetric SLD-commutator expectations, stored signed."""
 
     matrix: np.ndarray
-    tags: Tuple[str, ...] = PARAM_TAGS
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
@@ -80,19 +107,6 @@ class UhlmannMatrix:
 
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.matrix)
-
-
-@dataclass(frozen=True)
-class SloppinessReport:
-    """Determinant and spectrum of the QFI matrix at one point."""
-
-    det: float
-    eigenvalues: np.ndarray  # sorted descending
-    condition_ratio: float   # smallest / largest
-
-    def __post_init__(self) -> None:
-        ev = np.sort(np.asarray(self.eigenvalues, dtype=float))[::-1]
-        object.__setattr__(self, "eigenvalues", ev)
 
 
 def qfi_matrix(
@@ -117,36 +131,6 @@ def uhlmann_matrix(params: ChainParams) -> UhlmannMatrix:
     return UhlmannMatrix(matrix=np.zeros((3, 3)))
 
 
-def _spectrum(matrices: np.ndarray):
-    """Ascending eigenvalues, determinant and smallest / largest eigenvalue
-    ratio of symmetric 3x3 matrices stacked on the leading axes.
-
-    The matrices are positive semidefinite, sums of outer products with
-    nonnegative weights, so an eigenvalue below 0 is roundoff and is
-    clipped to 0; the determinant and ratio are then never negative.
-    """
-    ev = np.maximum(np.linalg.eigvalsh(matrices), 0.0)
-    top = ev[..., -1]
-    ratio = np.divide(ev[..., 0], top, out=np.zeros(top.shape), where=top > 0.0)
-    return ev, np.prod(ev, axis=-1), ratio
-
-
-def _sloppiness(qfim: QfiMatrix) -> SloppinessReport:
-    ev, det, ratio = _spectrum(qfim.matrix)
-    return SloppinessReport(
-        det=float(det),
-        eigenvalues=ev[::-1].copy(),
-        condition_ratio=float(ratio),
-    )
-
-
-def qfim_det(
-    params: ChainParams,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> SloppinessReport:
-    return _sloppiness(qfi_matrix(params, quad))
-
-
 def matrix_crb(qfim: QfiMatrix, shots: int = 1) -> np.ndarray:
     """Covariance lower bound H^{-1} / shots.
 
@@ -155,9 +139,7 @@ def matrix_crb(qfim: QfiMatrix, shots: int = 1) -> np.ndarray:
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    ev = np.linalg.eigvalsh(qfim.matrix)
-    top = float(ev.max())
-    if top <= 0.0 or ev.min() / top < CONDITION_FLOOR:
+    if qfim.condition_ratio < CONDITION_FLOOR:
         raise SingularInformation(
             "QFI matrix condition ratio below %.0e; no covariance bound"
             % CONDITION_FLOOR

@@ -182,15 +182,18 @@ def integrate_points(
     point, so its values do not depend on which points share its call.
     Returns ``(values, errors)``, both of shape (k, n).
 
-    Raises QuadratureFailure if some unconverged point has no panel to
-    split, or would hold more than ``max_subdivisions`` panels, its start
-    panels included, after splitting them.
+    Raises ValueError if some point starts on more than
+    ``max_subdivisions`` panels, and QuadratureFailure if some unconverged
+    point has no panel to split, or would hold more than
+    ``max_subdivisions`` panels, its start panels included, after
+    splitting them.
     """
     lo, hi = _checked_panels(lo, hi)
     counts = np.asarray(counts, dtype=np.int64).ravel()
-    if (counts < 1).any() or counts.sum() != lo.size:
-        raise ValueError("every point needs at least one start panel, "
-                         "and counts must sum to the number of panels")
+    if ((counts < 1) | (counts > config.max_subdivisions)).any() \
+            or counts.sum() != lo.size:
+        raise ValueError("every point needs 1 to max_subdivisions start "
+                         "panels, and counts must sum to the number of panels")
     # points: family index of each point still being refined, ascending;
     # its counts[i] panels follow those of the point before it.
     points = np.arange(counts.size)

@@ -157,7 +157,8 @@ def _columns(points: ChainPoints, spec: SweepSpec,
         # exactly zero for this real family, as uhlmann_matrix returns
         cols.update((name, np.zeros(h.shape[-1])) for name in _U_COLS)
     if "det" in spec.quantities:
-        _, cols["det"], cols["condition_ratio"] = _spectrum(np.moveaxis(h, -1, 0))
+        _, cols["det"], cols["condition_ratio"] = _spectrum(
+            np.linalg.eigvalsh(np.moveaxis(h, -1, 0)))
     return cols
 
 

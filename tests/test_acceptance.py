@@ -18,7 +18,7 @@ import pytest
 from dmchain.chain import PARAM_TAGS, ChainParams, chain_point
 from dmchain.features import classify_curve, default_curve
 from dmchain.fisher import fisher_point, magnetization_fi, qfi_xstate
-from dmchain.multiparam import qfi_matrix, qfim_det, uhlmann_matrix
+from dmchain.multiparam import qfi_matrix, uhlmann_matrix
 from dmchain.protocol import ProtocolConfig, adaptive_run
 from dmchain.sweep import FIGURES, figure_bundle
 
@@ -240,8 +240,8 @@ def test_07_uhlmann_compatibility(fig4_mats, fig6_mats):
 
 
 def test_08_sloppiness(fig6_mats):
-    neg = qfim_det(ChainParams(0.999, 0.2, -0.3))
-    pos = qfim_det(ChainParams(0.999, 0.2, 0.2))
+    neg = qfi_matrix(ChainParams(0.999, 0.2, -0.3))
+    pos = qfi_matrix(ChainParams(0.999, 0.2, 0.2))
     ratio = neg.det / pos.det
     per_case = {}
     for D, (ms, _) in fig6_mats.items():

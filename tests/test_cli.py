@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import dmchain
@@ -136,20 +137,26 @@ def test_qfim_csv_columns(capsys):
 
 
 def test_qfim_evaluates_its_point_once(capsys, monkeypatch):
+    # one quadrature pass and one eigendecomposition, even with a bound
     import dmchain.multiparam as multiparam
 
-    calls = []
-    real = multiparam.chain_point
+    calls = {"chain_point": 0, "eigvalsh": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(multiparam, "chain_point", counting)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(multiparam, "chain_point")
+    counting(np.linalg, "eigvalsh")
     code, _, _ = run_cli(capsys, "qfim", "--J", "0.5", "--gamma", "0.7",
                          "--D", "0.1", "--shots", "1000")
     assert code == 0
-    assert len(calls) == 1
+    assert calls == {"chain_point": 1, "eigvalsh": 1}
 
 
 def test_qfim_singular_exit(capsys):

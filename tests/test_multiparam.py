@@ -7,9 +7,9 @@ import pytest
 
 from dmchain.chain import PARAM_TAGS, ChainParams, CriticalPoint, chain_point
 from dmchain.fisher import qfi_xstate
-from dmchain.multiparam import (CONDITION_FLOOR, QfiMatrix, SingularInformation,
-                                SloppinessReport, UhlmannMatrix, matrix_crb,
-                                qfi_matrix, qfim_det, uhlmann_matrix)
+from dmchain.multiparam import (_PSD_TOL, CONDITION_FLOOR, QfiMatrix,
+                                SingularInformation, UhlmannMatrix, matrix_crb,
+                                qfi_matrix, uhlmann_matrix)
 from dmchain.sweep import SweepSpec, sweep
 
 sys.path.insert(0, "tests")
@@ -145,19 +145,41 @@ def test_sld_commutator_route():
 # -------------------------------------------------------------- sloppiness
 
 def test_sloppiness_report_fields():
-    rep = qfim_det(REF)
-    m = qfi_matrix(REF).matrix
+    rep = qfi_matrix(REF)
+    m = rep.matrix
     assert rep.det == pytest.approx(np.linalg.det(m), rel=1e-8)
     assert rep.eigenvalues[0] >= rep.eigenvalues[1] >= rep.eigenvalues[2]
     assert rep.condition_ratio == pytest.approx(
         rep.eigenvalues[-1] / rep.eigenvalues[0], rel=1e-12)
 
 
+def test_spectrum_matches_eigvalsh():
+    # a PSD matrix away from any clipping: the fields are plain functions
+    # of its ascending eigenvalues
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 3))
+    m = QfiMatrix(a @ a.T)
+    ev = np.linalg.eigvalsh(m.matrix)
+    assert ev[0] > 0.0
+    assert np.array_equal(m.eigenvalues, ev[::-1])
+    assert m.det == np.prod(ev)
+    assert m.condition_ratio == ev[0] / ev[-1]
+
+
+def test_roundoff_negative_direction_is_clipped():
+    m = QfiMatrix(np.diag([1.0, 0.5, -0.5 * _PSD_TOL]))
+    assert np.array_equal(m.eigenvalues, [1.0, 0.5, 0.0])
+    assert m.det == 0.0
+    assert m.condition_ratio == 0.0
+    with pytest.raises(SingularInformation):
+        matrix_crb(m)
+
+
 def test_dm_sign_breaks_near_critical_degeneracy():
     # at J just below the critical coupling the D < 0 chain carries a
     # far less singular information matrix than D > 0
-    minus = qfim_det(ChainParams(0.999, 0.2, -0.3))
-    plus = qfim_det(ChainParams(0.999, 0.2, 0.3))
+    minus = qfi_matrix(ChainParams(0.999, 0.2, -0.3))
+    plus = qfi_matrix(ChainParams(0.999, 0.2, 0.3))
     assert minus.det > 0.0
     assert minus.det / plus.det > 1e3 or plus.det / minus.det > 1e3
 
@@ -173,17 +195,17 @@ def test_sloppiness_never_negative_on_fig5_grid():
         assert np.all(table.columns["det"] >= 0.0)
         assert np.all(table.columns["condition_ratio"] >= 0.0)
         for D in ds:
-            rep = qfim_det(ChainParams(0.999, gamma, float(D)))
+            rep = qfi_matrix(ChainParams(0.999, gamma, float(D)))
             assert rep.det >= 0.0 and rep.condition_ratio >= 0.0
             assert np.all(rep.eigenvalues >= 0.0)
-    rep = qfim_det(ChainParams(0.999, 0.2, 0.0))
+    rep = qfi_matrix(ChainParams(0.999, 0.2, 0.0))
     assert rep.det >= 0.0 and rep.condition_ratio >= 0.0
     assert np.all(rep.eigenvalues >= 0.0)
 
 
 def test_extremal_anisotropy_is_sloppy():
     # gamma = 1: one quasi-flat direction, spectrum spans many decades
-    rep = qfim_det(ChainParams(0.9, 1.0, 0.1))
+    rep = qfi_matrix(ChainParams(0.9, 1.0, 0.1))
     assert rep.condition_ratio < 1e-4
 
 

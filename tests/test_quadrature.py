@@ -65,6 +65,16 @@ def test_subdivision_exhaustion_raises():
         integrate(lambda x: 1e-6 / (x**2 + 1e-12), -1.0, 1.0, cfg)
 
 
+def test_start_panels_count_against_the_budget():
+    # a point that starts over budget is refused, even if it would converge
+    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=16)
+    with pytest.raises(ValueError, match="max_subdivisions"):
+        integrate_points(lambda x, owner: np.cos(x)[None, :],
+                         *uniform(0.0, 2.0, panels=20), cfg)
+    val, _ = integrate(np.cos, 0.0, 2.0, cfg)
+    assert val == pytest.approx(np.sin(2.0), rel=1e-12)
+
+
 def test_vectorized_rows_match_scalar():
     vals, _ = integrate_stack(
         lambda x: np.vstack([np.sin(x), np.cos(x), x**3]), 0.0, 1.2)
