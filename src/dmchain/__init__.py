@@ -11,7 +11,6 @@ from .chain import (
     PARAM_TAGS,
     PositivityViolation,
     TwoSpinXState,
-    XStateDerivative,
     chain_point,
     chain_points,
     x_state,

@@ -8,7 +8,9 @@ with respect to the couplings are obtained by integrating analytic
 integrands with the adaptive Gauss-Kronrod engine.  The two entry points,
 :func:`chain_point` (one point) and :func:`chain_points` (a family), run
 the same refinement loop, so a point gets the same bits from either.
-Every pass starts on a mesh graded toward the endpoint where the
+A coupling derivative is held in the type of the quantity it differentiates:
+:class:`Correlators` for the correlators, :class:`TwoSpinXState` for the
+state.  Every pass starts on a mesh graded toward the endpoint where the
 integrands peak near criticality (see :func:`chain_point`).
 """
 
@@ -29,7 +31,6 @@ __all__ = [
     "ChainParams",
     "Correlators",
     "TwoSpinXState",
-    "XStateDerivative",
     "ChainPoints",
     "CriticalPoint",
     "PositivityViolation",
@@ -103,11 +104,6 @@ class ChainParams:
         if abs(self.gamma) > 1.0:
             raise ValueError(f"anisotropy must satisfy |gamma| <= 1, got {self.gamma!r}")
 
-    def replace(self, **kw: float) -> "ChainParams":
-        d = {"J": self.J, "gamma": self.gamma, "D": self.D}
-        d.update(kw)
-        return ChainParams(**d)
-
 
 @dataclass(frozen=True)
 class Correlators:
@@ -125,7 +121,11 @@ class Correlators:
 
 @dataclass(frozen=True)
 class TwoSpinXState:
-    """Reduced state of two neighbouring spins in the magnetization basis."""
+    """Reduced state of two neighbouring spins in the magnetization basis.
+
+    Also reused for its coupling derivatives, in which case each field
+    holds the derivative of the corresponding entry.
+    """
 
     a_plus: float
     a_minus: float
@@ -134,22 +134,9 @@ class TwoSpinXState:
     b_minus: float
 
     def probabilities(self) -> np.ndarray:
-        """Outcome probabilities of the two-spin magnetization measurement."""
-        p = np.array([self.a_plus, self.c, self.c, self.a_minus])
-        return np.clip(p, 0.0, None)
-
-
-@dataclass(frozen=True)
-class XStateDerivative:
-    """Entrywise derivative of the X state with respect to one coupling."""
-
-    a_plus: float
-    a_minus: float
-    c: float
-    b_plus: float
-    b_minus: float
-
-    def probabilities(self) -> np.ndarray:
+        """Diagonal entries (uu, ud, du, dd), unclipped: those of a state
+        may sit up to POSITIVITY_TOL below 0.  The clipped, normalized
+        distribution is :func:`dmchain.protocol.outcome_probabilities`."""
         return np.array([self.a_plus, self.c, self.c, self.a_minus])
 
 
@@ -305,8 +292,8 @@ def _state_from(corr: Correlators) -> TwoSpinXState:
     return state
 
 
-def _dstate_from(dcorr: Correlators) -> XStateDerivative:
-    return XStateDerivative(
+def _dstate_from(dcorr: Correlators) -> TwoSpinXState:
+    return TwoSpinXState(
         a_plus=0.25 * (2.0 * dcorr.mz + dcorr.gzz),
         a_minus=0.25 * (-2.0 * dcorr.mz + dcorr.gzz),
         c=-0.25 * dcorr.gzz,
@@ -346,26 +333,23 @@ class ChainPoints:
 
     From :func:`chain_points`, every field of ``corr``, ``state`` and each
     ``dcorr`` and ``dstate`` entry is an array over the points, in the
-    order of ``J``, ``gamma`` and ``D``; from :func:`chain_point`, a
-    family of one, all of them are floats with the same values.
+    broadcast order of the couplings; from :func:`chain_point`, a family
+    of one, all of them are floats with the same values.
     """
 
-    J: np.ndarray
-    gamma: np.ndarray
-    D: np.ndarray
     corr: Correlators
     state: TwoSpinXState
     dcorr: Dict[str, Correlators]
-    dstate: Dict[str, XStateDerivative]
+    dstate: Dict[str, TwoSpinXState]
 
 
-def _evaluated(J, gamma, D, tags: Tuple[str, ...], vals) -> ChainPoints:
+def _evaluated(tags: Tuple[str, ...], vals) -> ChainPoints:
     """Correlators, state and derivatives from the integrals of the stack."""
     corr = _assemble(vals[0], vals[1], vals[2])
     dcorr = {tag: _assemble_derivative(corr, *vals[3 + 3 * i : 6 + 3 * i])
              for i, tag in enumerate(tags)}
     dstate = {tag: _dstate_from(d) for tag, d in dcorr.items()}
-    return ChainPoints(J, gamma, D, corr, _state_from(corr), dcorr, dstate)
+    return ChainPoints(corr, _state_from(corr), dcorr, dstate)
 
 
 def _integrals(f, J, gamma, D, quad: QuadratureConfig) -> np.ndarray:
@@ -414,7 +398,7 @@ def chain_point(
         return _integrand_rows(J, g, D, tags, phi)
 
     vals = _integrals(f, np.array([J]), [g], [D], quad)
-    return _evaluated(J, g, D, tags, vals[:, 0].tolist())
+    return _evaluated(tags, vals[:, 0].tolist())
 
 
 def chain_points(
@@ -443,7 +427,7 @@ def chain_points(
     def f(phi: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return _integrand_rows(J[owner], gamma[owner], D[owner], tags, phi)
 
-    return _evaluated(J, gamma, D, tags, _integrals(f, J, gamma, D, quad))
+    return _evaluated(tags, _integrals(f, J, gamma, D, quad))
 
 
 def x_state(params: ChainParams, quad: QuadratureConfig = DEFAULT_QUAD) -> TwoSpinXState:

@@ -31,6 +31,8 @@ from .quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
 from .sweep import (_QFIM_COLS, _U_COLS, FIGURES, SweepSpec, figure_bundle,
                     sweep)
 
+__all__ = ["main"]
+
 NUMERICAL_ERRORS = (QuadratureFailure, CriticalPoint, PositivityViolation,
                     SingularInformation, InsufficientResolution, FlatProfile,
                     FloatingPointError)
@@ -173,7 +175,7 @@ def _cmd_state(args) -> int:
     params = ChainParams(args.J, args.gamma, args.D)
     point = chain_point(params, (), _quad(args))
     c = point.corr
-    p = point.state.probabilities()
+    p = np.clip(point.state.probabilities(), 0.0, None)
     if args.format == "json":
         text = _json_dumps({
             "J": params.J, "gamma": params.gamma, "D": params.D,

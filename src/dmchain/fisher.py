@@ -6,8 +6,9 @@ closed form: three rank-one terms over the stacked parameter derivatives,
 which give the quantum Fisher information matrix over any set of
 couplings and, on its diagonal, the single-parameter QFI.  An eigenvalue
 pair of the state summing to at most ``SUPPORT_TOL`` lies outside the
-support and is dropped.  Every function takes scalars or arrays over
-points, so batched evaluations share the same algebra.
+support and is dropped.  The internal helpers take scalars or arrays
+over points, so batched evaluations share the same algebra; each public
+function evaluates its own point in one quadrature pass.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -148,11 +149,9 @@ def magnetization_fi(
     params: ChainParams,
     wrt: str,
     quad: QuadratureConfig = DEFAULT_QUAD,
-    point: Optional[ChainPoints] = None,
 ) -> float:
     """Fisher information of the two-spin magnetization measurement."""
-    if point is None:
-        point = chain_point(params, (wrt,), quad)
+    point = chain_point(params, (wrt,), quad)
     return float(_classical_fi(point.state.probabilities(),
                                point.dstate[wrt].probabilities()))
 
@@ -161,11 +160,9 @@ def qfi_xstate(
     params: ChainParams,
     wrt: str,
     quad: QuadratureConfig = DEFAULT_QUAD,
-    point: Optional[ChainPoints] = None,
 ) -> float:
     """Quantum Fisher information as the sum of the two block contributions."""
-    if point is None:
-        point = chain_point(params, (wrt,), quad)
+    point = chain_point(params, (wrt,), quad)
     outer, inner = _block_pair(point.state, point.dstate, (wrt,))
     return float(outer[0, 0] + inner[0, 0])
 
@@ -197,11 +194,9 @@ def fisher_point(
     params: ChainParams,
     wrt: str,
     quad: QuadratureConfig = DEFAULT_QUAD,
-    point: Optional[ChainPoints] = None,
 ) -> FisherPoint:
     """F, H with its block split, and their ratio, from one quadrature pass."""
-    if point is None:
-        point = chain_point(params, (wrt,), quad)
+    point = chain_point(params, (wrt,), quad)
     outer, inner = _block_pair(point.state, point.dstate, (wrt,))
     h1, h2 = float(outer[0, 0]), float(inner[0, 0])
     h = h1 + h2

@@ -57,13 +57,15 @@ def _spectrum(eigenvalues: np.ndarray):
     return ev, np.prod(ev, axis=-1), ratio
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QfiMatrix:
     """3x3 quantum Fisher information matrix over (J, gamma, D).
 
     ``eigenvalues`` (descending, clipped at 0), ``det`` and
     ``condition_ratio`` (smallest / largest eigenvalue) come from the
     eigendecomposition that checks the matrix is positive semidefinite.
+    ``matrix`` and ``eigenvalues`` are read-only, so they stay consistent;
+    instances compare by identity.
     """
 
     matrix: np.ndarray
@@ -83,8 +85,10 @@ class QfiMatrix:
         if ev.min() < -_PSD_TOL * scale:
             raise ValueError("information matrix has a negative direction")
         ev, det, ratio = _spectrum(ev)
+        ev = ev[::-1]
+        m.flags.writeable = ev.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "eigenvalues", ev[::-1])
+        object.__setattr__(self, "eigenvalues", ev)
         object.__setattr__(self, "det", float(det))
         object.__setattr__(self, "condition_ratio", float(ratio))
 
@@ -92,9 +96,10 @@ class QfiMatrix:
         return float(self.matrix[PARAM_TAGS.index(mu), PARAM_TAGS.index(nu)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UhlmannMatrix:
-    """Antisymmetric SLD-commutator expectations, stored signed."""
+    """Antisymmetric SLD-commutator expectations, stored signed; instances
+    compare by identity."""
 
     matrix: np.ndarray
 
@@ -104,9 +109,6 @@ class UhlmannMatrix:
             raise ValueError("expected a 3x3 matrix")
         # enforce exact antisymmetry; the diagonal is zero by definition
         object.__setattr__(self, "matrix", 0.5 * (m - m.T))
-
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.matrix)
 
 
 def qfi_matrix(

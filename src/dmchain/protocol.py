@@ -19,11 +19,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .chain import ChainParams, ChainPoints, chain_point, chain_points, x_state
+from .chain import ChainParams, chain_point, chain_points, x_state
 from .fisher import _classical_fi, magnetization_fi
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
@@ -155,8 +155,9 @@ def outcome_probabilities(
 
 
 def _normalized(p: np.ndarray) -> np.ndarray:
-    """Probabilities over the outcomes on the first axis, divided by their
-    sum; raises if any sum drifted from 1 beyond roundoff."""
+    """Populations over the outcomes on the first axis, clipped at 0 and
+    divided by their sum; raises if any sum drifted from 1 beyond roundoff."""
+    p = np.clip(p, 0.0, None)
     s = p.sum(axis=0)
     lost = ~((0.999999 < s) & (s < 1.000001))
     if lost.any():
@@ -238,6 +239,7 @@ def mle_estimate(
     ll_max = ll[k]
 
     at_edge = k == 0 or k == len(js) - 1
+    j_hat, refine = float(js[k]), not at_edge
     if int(occupied.sum()) == 1 and not at_edge:
         # single-cell counts can leave the likelihood flat over a stretch
         plateau = np.flatnonzero(ll >= ll_max - 1e-9 * max(1.0, abs(ll_max)))
@@ -247,16 +249,22 @@ def mle_estimate(
                 % (js[plateau[0]], js[plateau[-1]]),
                 DegenerateLikelihoodWarning,
             )
-            j_hat = 0.5 * (js[plateau[0]] + js[plateau[-1]])
+            j_hat, refine = 0.5 * (js[plateau[0]] + js[plateau[-1]]), False
             at_edge = bool(plateau[0] == 0 or plateau[-1] == len(js) - 1)
-            return _finish(j_hat, B, gamma, D, shots, at_edge, quad)
 
-    if at_edge:
-        return _finish(float(js[k]), B, gamma, D, shots, True, quad)
-
-    j_hat, point = _score_refine(counts, gamma, D, js[k - 1:k + 2],
-                                 ll[k - 1:k + 2], quad)
-    return _finish(j_hat, B, gamma, D, shots, False, quad, point)
+    if refine:
+        j_hat, fisher = _score_refine(counts, gamma, D, js[k - 1:k + 2],
+                                      ll[k - 1:k + 2], quad)
+    else:
+        j_hat = _clamp_critical(j_hat)
+        fisher = magnetization_fi(ChainParams(j_hat, gamma, D), "J", quad)
+    # below the floor the round is uninformative; the B^2 factor would
+    # otherwise fake arbitrarily small variances as the field collapses
+    if fisher > FISHER_FLOOR and np.isfinite(fisher):
+        variance = B * B / (shots * fisher)
+    else:
+        variance = math.inf
+    return MleResult(estimate=j_hat * B, variance_est=variance, at_edge=at_edge)
 
 
 def _score_refine(counts, gamma, D, cell, ll, quad):
@@ -268,7 +276,8 @@ def _score_refine(counts, gamma, D, cell, ll, quad):
     which gives the score sum n_i p_i'/p_i and F; the bracket shrinks on
     the sign of the score, and a step that leaves it, or an information
     M F that is not finite and positive, is replaced by bisection.
-    Returns the last evaluated iterate and its pass.
+    Returns the last evaluated iterate and its F, also when the
+    SCORING_MAX_ITER passes run out.
     """
     occupied = counts > 0
     shots = int(counts.sum())
@@ -278,15 +287,17 @@ def _score_refine(counts, gamma, D, cell, ll, quad):
                        / (ll[0] - 2.0 * ll[1] + ll[2]))
     if lo < vertex < hi:                 # false for nan from flat or -inf ll
         j = vertex
-    j = _clamp_critical(j)
+    nxt = _clamp_critical(j)
     for _ in range(SCORING_MAX_ITER):
+        j = nxt
         point = chain_point(ChainParams(j, gamma, D), ("J",), quad)
         probs = point.state.probabilities()
         p = _normalized(probs)
         dp = point.dstate["J"].probabilities()
         with np.errstate(divide="ignore", invalid="ignore"):
             score = float(counts[occupied] @ (dp[occupied] / p[occupied]))
-        info = shots * float(_classical_fi(probs, dp))
+        fisher = float(_classical_fi(probs, dp))
+        info = shots * fisher
         if score > 0.0:
             lo = j
         elif score < 0.0:
@@ -299,23 +310,7 @@ def _score_refine(counts, gamma, D, cell, ll, quad):
         # the maximizer lies in the band excluded around |j| = 1
         if not lo < nxt < hi or abs(nxt - j) <= SCORING_TOL * max(1.0, abs(j)):
             break
-        j = nxt
-    return j, point
-
-
-def _finish(j_hat, B, gamma, D, shots, at_edge, quad,
-            point: Optional[ChainPoints] = None) -> MleResult:
-    """Round result at j_hat; F comes from ``point``, a derivative pass at
-    j_hat, or from a new pass."""
-    j_hat = _clamp_critical(j_hat)
-    fisher = magnetization_fi(ChainParams(j_hat, gamma, D), "J", quad, point)
-    # below the floor the round is uninformative; the B^2 factor would
-    # otherwise fake arbitrarily small variances as the field collapses
-    if fisher > FISHER_FLOOR and np.isfinite(fisher):
-        variance = B * B / (shots * fisher)
-    else:
-        variance = math.inf
-    return MleResult(estimate=j_hat * B, variance_est=variance, at_edge=at_edge)
+    return j, fisher
 
 
 def adaptive_run(config: ProtocolConfig,

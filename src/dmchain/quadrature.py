@@ -113,13 +113,12 @@ _W = np.stack([_WK, _WG], axis=1)   # (15, 2): Kronrod, Gauss
 def _panel_rule(
     f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Kronrod values and error estimates per integrand per panel."""
+    """Kronrod values and error estimates per integrand per panel; f maps
+    nodes of shape (m,) to a (k, m) stack."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = mid[:, None] + half[:, None] * _XK[None, :]
-    y = np.asarray(f(x.ravel()))
-    if y.ndim == 1:
-        y = y[None, :]
+    y = f(x.ravel())
     y = y.reshape(y.shape[0], lo.size, _XK.size)
     # One product with the stacked weights: no full-size weighted copy of y.
     sums = (y.reshape(-1, _XK.size) @ _W).reshape(y.shape[0], lo.size, 2)

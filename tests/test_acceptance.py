@@ -7,6 +7,7 @@ are kept at their stated values and fail honestly rather than being
 loosened to match the code.
 """
 
+import dataclasses
 import math
 import os
 import time
@@ -52,8 +53,8 @@ def grid21():
                 pt = chain_point(params, PARAM_TAGS)
                 rho = x_matrix(pt.state)
                 for tag in PARAM_TAGS:
-                    F = magnetization_fi(params, tag, point=pt)
-                    Hb = qfi_xstate(params, tag, point=pt)
+                    F = magnetization_fi(params, tag)
+                    Hb = qfi_xstate(params, tag)
                     He = qfi_eigen(rho, x_matrix(pt.dstate[tag]))
                     rows.append((F, Hb, He))
     return rows, time.monotonic() - t0
@@ -84,7 +85,7 @@ def fig6_mats():
         for j in js:
             params = ChainParams(float(j), 1.0, D)
             ms.append(qfi_matrix(params).matrix)
-            us.append(uhlmann_matrix(params).magnitudes())
+            us.append(np.abs(uhlmann_matrix(params).matrix))
         out[D] = (np.array(ms), np.array(us))
     return out
 
@@ -97,7 +98,7 @@ def fig4_mats():
     for d in ds:
         params = ChainParams(0.999, 0.2, float(d))
         ms.append(qfi_matrix(params).matrix)
-        us.append(uhlmann_matrix(params).magnitudes())
+        us.append(np.abs(uhlmann_matrix(params).matrix))
     return ds, np.array(ms), np.array(us)
 
 
@@ -133,7 +134,7 @@ def test_02_derivatives_vs_finite_differences():
             x0 = getattr(params, tag)
 
             def f(x):
-                c = chain_point(params.replace(**{tag: x})).corr
+                c = chain_point(dataclasses.replace(params, **{tag: x})).corr
                 return np.array([c.mz, c.gxx, c.gyy, c.gzz])
 
             fd = (f(x0 - 2 * h) - 8 * f(x0 - h)

@@ -1,5 +1,6 @@
 """Ground-state correlators and the reduced two-spin state."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -44,8 +45,10 @@ def test_params_validation():
         ChainParams(math.nan, 0.5, 0.0)
     with pytest.raises(ValueError):
         ChainParams(0.5, 0.5, math.inf)
-    p = ChainParams(0.5, 0.7, 0.1).replace(D=0.2)
+    p = dataclasses.replace(ChainParams(0.5, 0.7, 0.1), D=0.2)
     assert (p.J, p.gamma, p.D) == (0.5, 0.7, 0.2)
+    with pytest.raises(ValueError):
+        dataclasses.replace(p, gamma=1.5)
 
 
 def test_params_frozen():

@@ -41,7 +41,7 @@ def test_two_qfi_routes_agree():
         params = ChainParams(J, g, D)
         pt = chain_point(params, (wrt,))
         direct = qfi_eigen(x_matrix(pt.state), x_matrix(pt.dstate[wrt]))
-        assert qfi_xstate(params, wrt, point=pt) == pytest.approx(direct, rel=1e-7)
+        assert qfi_xstate(params, wrt) == pytest.approx(direct, rel=1e-7)
 
 
 def test_sld_reproduces_derivative():
@@ -65,7 +65,7 @@ def test_classical_fi_from_probability_vector():
     pt = chain_point(ChainParams(0.5, 0.7, 0.1), ("J",))
     p = pt.state.probabilities()
     dp = pt.dstate["J"].probabilities()
-    assert magnetization_fi(ChainParams(0.5, 0.7, 0.1), "J", point=pt) == pytest.approx(
+    assert magnetization_fi(ChainParams(0.5, 0.7, 0.1), "J") == pytest.approx(
         classical_fi_direct(p, dp), rel=1e-12)
 
 
@@ -105,9 +105,8 @@ fisher_J = st.floats(-2.0, 2.0).filter(lambda j: abs(abs(j) - 1.0) > 0.05)
 @example(J=-1e-4, gamma=0.95, D=0.0, wrt="J")
 @example(J=1e-6, gamma=1.0, D=0.0, wrt="J")
 def test_classical_never_exceeds_quantum(J, gamma, D, wrt):
-    pt = chain_point(ChainParams(J, gamma, D), (wrt,))
-    F = magnetization_fi(ChainParams(J, gamma, D), wrt, point=pt)
-    H = qfi_xstate(ChainParams(J, gamma, D), wrt, point=pt)
+    F = magnetization_fi(ChainParams(J, gamma, D), wrt)
+    H = qfi_xstate(ChainParams(J, gamma, D), wrt)
     assert F <= H + 1e-9
     assert H >= -1e-12
 
@@ -121,7 +120,7 @@ def test_classical_never_exceeds_quantum(J, gamma, D, wrt):
 @example(J=0.01, gamma=0.25, D=0.0)
 def test_block_route_equals_eigen_route(J, gamma, D):
     pt = chain_point(ChainParams(J, gamma, D), ("J",))
-    block = qfi_xstate(ChainParams(J, gamma, D), "J", point=pt)
+    block = qfi_xstate(ChainParams(J, gamma, D), "J")
     eig = qfi_eigen(x_matrix(pt.state), x_matrix(pt.dstate["J"]))
     assert block == pytest.approx(eig, rel=1e-6, abs=1e-10)
 

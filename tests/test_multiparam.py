@@ -90,6 +90,18 @@ def test_qfi_matrix_validation():
         QfiMatrix(-np.eye(3))
 
 
+def test_matrix_types_compare_by_identity_and_stay_consistent():
+    a, b = QfiMatrix(np.eye(3)), QfiMatrix(np.eye(3))
+    u = UhlmannMatrix(np.zeros((3, 3)))
+    assert (a == a) is True and (a == b) is False and (u == u) is True
+    assert len({a, b, u}) == 3
+    with pytest.raises(ValueError):
+        a.matrix[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        a.eigenvalues[0] = 5.0
+    assert a.det == 1.0 and np.array_equal(a.matrix, np.eye(3))
+
+
 def test_entry_lookup():
     m = qfi_matrix(REF)
     assert m.entry("J", "gamma") == m.entry("gamma", "J")
@@ -103,7 +115,7 @@ def test_uhlmann_vanishes_for_real_family():
     # real symmetric state and derivatives: all SLDs are real, so every
     # commutator expectation is pure roundoff
     scale = qfi_matrix(REF).matrix.max()
-    u = uhlmann_matrix(REF).magnitudes()
+    u = np.abs(uhlmann_matrix(REF).matrix)
     assert u.max() <= 1e-10 * scale
     assert np.all(np.diag(u) == 0.0)
 
@@ -130,7 +142,7 @@ def test_uhlmann_antisymmetric_storage():
                                 [-1.0, 0.0, 2.0],
                                 [0.0, -2.0, 0.0]]))
     assert np.allclose(u.matrix, -u.matrix.T)
-    assert u.magnitudes()[0, 1] == 1.0
+    assert np.abs(u.matrix)[0, 1] == 1.0
 
 
 def test_sld_commutator_route():

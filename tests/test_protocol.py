@@ -244,17 +244,31 @@ def _record_passes(monkeypatch):
     return passes
 
 
-def test_interior_round_pass_budget(monkeypatch):
+@pytest.mark.parametrize("max_iter", [1, 2, protocol.SCORING_MAX_ITER])
+def test_interior_round_pass_budget(monkeypatch, max_iter):
     counts = sample_outcomes(outcome_probabilities(ChainParams(0.7, 0.7, 0.1)),
                              10_000, seed=0)
     _probability_curve(0.7, 0.1, GRID, DEFAULT_QUAD)
+    monkeypatch.setattr(protocol, "SCORING_MAX_ITER", max_iter)
     passes = _record_passes(monkeypatch)
+    fi_calls = []
+    real_fi = protocol._classical_fi
+
+    def counting_fi(probs, dprobs):
+        fi_calls.append(1)
+        return real_fi(probs, dprobs)
+
+    monkeypatch.setattr(protocol, "_classical_fi", counting_fi)
     res = mle_estimate(counts, 1.0, 0.7, 0.1, GRID)
-    assert 1 <= len(passes) <= 8
+    monkeypatch.undo()
+    assert 1 <= len(passes) <= min(max_iter, 8)
     assert all(tags == ("J",) for _, tags in passes)
-    # the variance proxy reuses the last pass, at the returned estimate
+    assert len(fi_calls) == len(passes)
+    # the variance proxy is F of the last pass, at the returned estimate,
+    # also when the scoring passes run out
     assert passes[-1][0] == res.estimate
-    assert math.isfinite(res.variance_est)
+    fi = fisher.magnetization_fi(ChainParams(res.estimate, 0.7, 0.1), "J")
+    assert res.variance_est == 1.0 / (10_000 * fi)
 
 
 @pytest.mark.parametrize("gamma,D", [(0.7, 0.1), (1.0, 0.0)])
