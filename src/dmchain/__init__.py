@@ -36,7 +36,6 @@ from .multiparam import (
     uhlmann_matrix,
 )
 from .protocol import (
-    CrbReport,
     DegenerateLikelihoodWarning,
     MleResult,
     NonConvergenceWarning,
@@ -44,7 +43,6 @@ from .protocol import (
     ProtocolTrace,
     RoundRecord,
     adaptive_run,
-    crb_report,
     mle_estimate,
     outcome_probabilities,
     sample_outcomes,

@@ -34,8 +34,7 @@ from .sweep import (_QFIM_COLS, _U_COLS, FIGURES, SweepSpec, figure_bundle,
 __all__ = ["main"]
 
 NUMERICAL_ERRORS = (QuadratureFailure, CriticalPoint, PositivityViolation,
-                    SingularInformation, InsufficientResolution, FlatProfile,
-                    FloatingPointError)
+                    SingularInformation, InsufficientResolution, FlatProfile)
 
 
 def _colon_tuple(text: str, types, form: str):

@@ -172,16 +172,6 @@ def classify_curve(js: Sequence[float], hs: Sequence[float]) -> str:
     return full
 
 
-def _classify_d(fine: str, base: str, D: float, strict: bool = True) -> str:
-    """Class at D from the verdicts on the full curve and on its even points."""
-    if base != fine:
-        if strict:
-            raise InsufficientResolution(
-                "classification of D=%g unstable under refinement" % D)
-        return fine  # boundary probing: the finer grid saw more structure
-    return base
-
-
 _ORDER = {"monotone": 0, "bump": 1, "peak": 2}
 
 
@@ -235,7 +225,12 @@ def detect_features(
         if D not in verdicts:
             curve = _checked_curve(*sampler(gamma, D, 2 * points - 1, quad))
             verdicts[D] = _classify_fine_and_coarse(*curve)
-        return _classify_d(*verdicts[D], D, strict)
+        fine, coarse = verdicts[D]
+        # a non-strict boundary probe keeps the finer grid's verdict
+        if strict and fine != coarse:
+            raise InsufficientResolution(
+                "classification of D=%g unstable under refinement" % D)
+        return fine
 
     classifications = {float(D): classify(D) for D in d_values}
     c_lo = classify(lo)

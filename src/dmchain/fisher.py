@@ -181,8 +181,6 @@ def _qfi_points(points: ChainPoints, wrt: str) -> np.ndarray:
 class FisherPoint:
     """Classical and quantum information at one coupling point."""
 
-    params: ChainParams
-    wrt: str
     F: float
     H: float
     H1: float
@@ -202,5 +200,4 @@ def fisher_point(
     h = h1 + h2
     f = float(_classical_fi(point.state.probabilities(),
                             point.dstate[wrt].probabilities()))
-    return FisherPoint(params=params, wrt=wrt, F=f, H=h, H1=h1, H2=h2,
-                       S=float(_saturation(f, h)))
+    return FisherPoint(F=f, H=h, H1=h1, H2=h2, S=float(_saturation(f, h)))

@@ -92,9 +92,6 @@ class QfiMatrix:
         object.__setattr__(self, "det", float(det))
         object.__setattr__(self, "condition_ratio", float(ratio))
 
-    def entry(self, mu: str, nu: str) -> float:
-        return float(self.matrix[PARAM_TAGS.index(mu), PARAM_TAGS.index(nu)])
-
 
 @dataclass(frozen=True, eq=False)
 class UhlmannMatrix:

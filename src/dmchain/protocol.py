@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "ProtocolConfig",
     "RoundRecord",
     "ProtocolTrace",
-    "CrbReport",
     "DegenerateLikelihoodWarning",
     "NonConvergenceWarning",
     "outcome_probabilities",
@@ -39,7 +38,6 @@ __all__ = [
     "mle_estimate",
     "MleResult",
     "adaptive_run",
-    "crb_report",
 ]
 
 # Refined maximizers are kept this far from the critical points, where the
@@ -170,8 +168,7 @@ def sample_outcomes(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     """Multinomial draw of outcome counts; seed may be int or Generator."""
     if shots < 1:
         raise ValueError("shots must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.multinomial(shots, probs)
+    return np.random.default_rng(seed).multinomial(shots, probs)
 
 
 @lru_cache(maxsize=32)
@@ -390,50 +387,9 @@ def adaptive_run(config: ProtocolConfig,
             "adaptive run did not converge; consider a different J_guess",
             NonConvergenceWarning,
         )
-    final = records[-1] if records else None
     return ProtocolTrace(
         rounds=tuple(records),
         converged=converged,
-        final_estimate=final.estimate if final else math.nan,
-        final_variance=final.variance_est if final else math.inf,
-    )
-
-
-@dataclass(frozen=True)
-class CrbReport:
-    """Ensemble variance against the fixed-field Cramer-Rao bound."""
-
-    crb_reference: float                 # 1 / (M F(J_true)) at unit field
-    unattainable: bool                   # F(J_true) carries no information
-    per_round_empirical: Tuple[float, ...]
-    per_round_median_varest: Tuple[float, ...]
-
-    def ratios(self) -> Tuple[float, ...]:
-        if self.unattainable:
-            return tuple(math.nan for _ in self.per_round_empirical)
-        return tuple(v / self.crb_reference for v in self.per_round_empirical)
-
-
-def crb_report(traces: Sequence[ProtocolTrace], config: ProtocolConfig,
-               quad: QuadratureConfig = DEFAULT_QUAD) -> CrbReport:
-    """Compare seed-ensemble estimator variance with 1/(M F(J_true))."""
-    if not traces:
-        raise ValueError("need at least one trace")
-    fisher = magnetization_fi(
-        ChainParams(config.J_true, config.gamma, config.D), "J", quad)
-    unattainable = not (np.isfinite(fisher) and fisher > 1e-12)
-    crb = math.inf if unattainable else 1.0 / (config.shots * fisher)
-
-    n_rounds = max(len(t.rounds) for t in traces)
-    empirical, med_proxy = [], []
-    for k in range(n_rounds):
-        ests = [t.rounds[k].estimate for t in traces if len(t.rounds) > k]
-        proxies = [t.rounds[k].variance_est for t in traces if len(t.rounds) > k]
-        empirical.append(float(np.var(ests, ddof=1)) if len(ests) > 1 else math.nan)
-        med_proxy.append(float(np.median(proxies)))
-    return CrbReport(
-        crb_reference=crb,
-        unattainable=unattainable,
-        per_round_empirical=tuple(empirical),
-        per_round_median_varest=tuple(med_proxy),
+        final_estimate=records[-1].estimate,
+        final_variance=records[-1].variance_est,
     )

@@ -75,7 +75,6 @@ def test_fisher_point_fields_consistent():
     fp = fisher_point(ChainParams(0.5, 0.7, 0.1), "J")
     assert fp.H == pytest.approx(fp.H1 + fp.H2, abs=1e-14)
     assert fp.S == pytest.approx(fp.F / fp.H, rel=1e-12)
-    assert fp.wrt == "J"
 
 
 def test_block_weights_sum_to_one():

@@ -71,13 +71,13 @@ def test_closed_form_matches_sld_route():
 
 def test_diagonal_matches_scalar_qfi():
     m = qfi_matrix(REF)
-    for wrt in ("J", "gamma", "D"):
-        assert m.entry(wrt, wrt) == pytest.approx(qfi_xstate(REF, wrt), rel=1e-10)
+    for i, wrt in enumerate(("J", "gamma", "D")):
+        assert m.matrix[i, i] == pytest.approx(qfi_xstate(REF, wrt), rel=1e-10)
 
 
 def test_qfim_symmetric_psd():
     m = qfi_matrix(ChainParams(0.9, 0.5, -0.2)).matrix
-    assert np.allclose(m, m.T)
+    assert np.array_equal(m, m.T)
     assert np.linalg.eigvalsh(m).min() >= -1e-12
 
 
@@ -100,13 +100,6 @@ def test_matrix_types_compare_by_identity_and_stay_consistent():
     with pytest.raises(ValueError):
         a.eigenvalues[0] = 5.0
     assert a.det == 1.0 and np.array_equal(a.matrix, np.eye(3))
-
-
-def test_entry_lookup():
-    m = qfi_matrix(REF)
-    assert m.entry("J", "gamma") == m.entry("gamma", "J")
-    with pytest.raises(ValueError):
-        m.entry("J", "kappa")
 
 
 # ----------------------------------------------------------------- Uhlmann
@@ -234,8 +227,8 @@ def test_matrix_crb_diagonal_bounds_single_parameter():
     # joint estimation can never beat the single-parameter bound
     m = qfi_matrix(REF)
     cov = matrix_crb(m)
-    for i, wrt in enumerate(("J", "gamma", "D")):
-        assert cov[i, i] >= 1.0 / m.entry(wrt, wrt) - 1e-12
+    for i in range(3):
+        assert cov[i, i] >= 1.0 / m.matrix[i, i] - 1e-12
 
 
 def test_matrix_crb_rejects_singular():
