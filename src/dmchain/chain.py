@@ -46,38 +46,55 @@ _CRIT_EPS = 1e-9
 _PI = math.pi
 
 # Start mesh of every quadrature pass: _UNIFORM_PANELS panels on [0, pi],
-# the first of them cut by a geometric ladder of rungs (pi/8) 2^-k.  The
+# the first of them cut by a geometric ladder of rungs _RUNG 2^-k.  The
 # deepest rung is the last one above _LADDER_FLOOR: the Kronrod nodes of
 # the panel below it keep cos(phi) < 1 in double precision (the smallest
 # is 5e-8), so u = J cos(phi) - 1 stays nonzero at J = 1.
 _UNIFORM_PANELS = 8
+_RUNG = _PI / _UNIFORM_PANELS
 _LADDER_FLOOR = 1e-5
-_MAX_RUNGS = int(math.log2(_PI / _UNIFORM_PANELS / _LADDER_FLOOR))
+_MAX_RUNGS = int(math.log2(_RUNG / _LADDER_FLOOR))
 
 
-def _ladder_tables():
-    """Start panels of every ladder depth k, padded to a common width.
+def _start_tables():
+    """Start panels of every end and ladder depth, and where along J each
+    row starts.  Row ``k + end * (_MAX_RUNGS + 1)`` holds in its ``keep``
+    entries the ladder of depth k toward phi = 0 (end 0, J >= 0) or pi,
+    innermost first.  The depth rint(log2(_RUNG / max(||J| - 1|,
+    _LADDER_FLOOR))), held to [0, _MAX_RUNGS], changes within an ulp or two
+    of |J| = 1 -+ _RUNG 2^-(k + 1/2), so each ``breaks`` entry, the first J
+    of a stretch of one row, is found exactly on the ulps around that
+    guess; ``rows[cap]`` is each stretch's row with the depth at most cap."""
+    edges = np.concatenate([[0.0], _RUNG * 2.0 ** -np.arange(_MAX_RUNGS, 0, -1),
+                            np.linspace(0.0, _PI, _UNIFORM_PANELS + 1)[1:]])
+    lo = np.zeros((2 * (_MAX_RUNGS + 1), edges.size - 1))
+    hi, keep = np.zeros_like(lo), np.zeros(lo.shape, dtype=bool)
+    for k in range(_MAX_RUNGS + 1):
+        n, down = k + _UNIFORM_PANELS, k + _MAX_RUNGS + 1
+        lo[k, 1:n] = edges[_MAX_RUNGS - k + 1:-1]
+        hi[k, :n] = edges[_MAX_RUNGS - k + 1:]
+        lo[down, :n], hi[down, :n] = _PI - hi[k, :n], _PI - lo[k, :n]
+        keep[k, :n] = keep[down, :n] = True
 
-    Returns ``lo`` and ``hi`` of shape (2, _MAX_RUNGS + 1, panels), for
-    the ladder toward phi = 0 (index 0) and its mirror toward pi (index
-    1), and the (_MAX_RUNGS + 1, panels) mask of the panels depth k uses:
-    those from index _MAX_RUNGS - k on, the first widened down to 0.
-    """
-    edges = np.concatenate([
-        [0.0],
-        (_PI / _UNIFORM_PANELS) * 2.0 ** -np.arange(_MAX_RUNGS, 0, -1),
-        np.linspace(0.0, _PI, _UNIFORM_PANELS + 1)[1:],
-    ])
-    depths = np.arange(_MAX_RUNGS + 1)
-    first = _MAX_RUNGS - depths
-    keep = np.arange(edges.size - 1) >= first[:, None]
-    lo = np.tile(edges[:-1], (depths.size, 1))
-    lo[depths, first] = 0.0
-    hi = np.tile(edges[1:], (depths.size, 1))
-    return np.stack([lo, _PI - hi]), np.stack([hi, _PI - lo]), keep
+    def depth(J):
+        near = np.maximum(np.abs(np.abs(J) - 1.0), _LADDER_FLOOR)
+        return np.clip(np.rint(np.log2(_RUNG / near)), 0, _MAX_RUNGS)
+
+    offsets = _RUNG * 2.0 ** -(np.arange(_MAX_RUNGS) + 0.5)
+    guess = np.concatenate([1.0 - offsets, 1.0 + offsets[::-1]])
+    ulps = (guess.view(np.int64)[:, None] + np.arange(-8, 9)).view(np.float64)
+    d = depth(ulps)
+    up = ulps[np.arange(guess.size), (d != d[:, :1]).argmax(axis=1)]
+    # depth(-J) = depth(J): below 0 a stretch starts one ulp nearer 0
+    breaks = np.concatenate([-np.nextafter(up, 0.0)[::-1], [0.0], up])
+    first = np.concatenate([[breaks[0] - 1.0], breaks])
+    rows = (np.minimum(depth(first), np.arange(_MAX_RUNGS + 1)[:, None])
+            + (first < 0.0) * (_MAX_RUNGS + 1))
+    return lo, hi, keep, keep.sum(axis=1), breaks, rows.astype(np.intp)
 
 
-_LADDER_LO, _LADDER_HI, _LADDER_KEEP = _ladder_tables()
+(_START_LO, _START_HI, _START_KEEP, _START_COUNTS, _START_BREAKS,
+ _START_ROWS) = _start_tables()
 
 
 class CriticalPoint(ValueError):
@@ -133,11 +150,14 @@ class TwoSpinXState:
     b_plus: float
     b_minus: float
 
+    def populations(self) -> tuple:
+        """Diagonal entries (uu, ud, du, dd), unclipped, so a state's may sit up
+        to POSITIVITY_TOL below 0 (protocol.outcome_probabilities clips them)."""
+        return (self.a_plus, self.c, self.c, self.a_minus)
+
     def probabilities(self) -> np.ndarray:
-        """Diagonal entries (uu, ud, du, dd), unclipped: those of a state
-        may sit up to POSITIVITY_TOL below 0.  The clipped, normalized
-        distribution is :func:`dmchain.protocol.outcome_probabilities`."""
-        return np.array([self.a_plus, self.c, self.c, self.a_minus])
+        """:meth:`populations` as an array, outcomes on the first axis."""
+        return np.array(self.populations())
 
 
 def _validate_tags(tags: Sequence[str]) -> Tuple[str, ...]:
@@ -251,14 +271,10 @@ def _start_mesh(J: np.ndarray, max_subdivisions: int):
     start panels count against the budget.  Panels are grouped by point,
     the innermost first.
     """
-    near = np.maximum(np.abs(np.abs(J) - 1.0), _LADDER_FLOOR)
-    depth = np.rint(np.log2((_PI / _UNIFORM_PANELS) / near))
     cap = min(_MAX_RUNGS, max_subdivisions - _UNIFORM_PANELS)
-    rungs = np.minimum(np.maximum(depth, 0), cap).astype(np.intp)
-    end = (J < 0.0).astype(np.intp)
-    keep = _LADDER_KEEP[rungs]
-    return (_LADDER_LO[end, rungs][keep], _LADDER_HI[end, rungs][keep],
-            rungs + _UNIFORM_PANELS)
+    row = _START_ROWS[cap][np.searchsorted(_START_BREAKS, J, side="right")]
+    keep = _START_KEEP[row]
+    return _START_LO[row][keep], _START_HI[row][keep], _START_COUNTS[row]
 
 
 def _assemble(mz: float, even: float, odd: float) -> Correlators:
@@ -313,7 +329,7 @@ def _check_positivity(state: TwoSpinXState) -> None:
         ("inner coherence exceeds its diagonal bound",
          abs(state.b_plus) > state.c + tol),
     )
-    if np.ndim(state.a_plus):
+    if isinstance(state.a_plus, np.ndarray):
         bad_points = np.flatnonzero(np.any([hit for _, hit in defects], axis=0))
         if bad_points.size:
             i = bad_points[0]

@@ -42,6 +42,8 @@ DP_TOL = 1e-6
 # Eigenvalue pairs of the state summing to at most SUPPORT_TOL lie outside
 # its support and carry no information.
 SUPPORT_TOL = 1e-12
+_DIVERGENT = ("an outcome probability vanished with nonvanishing derivative; "
+              "classical information diverges")
 
 
 class DivergentInformationWarning(RuntimeWarning):
@@ -130,13 +132,23 @@ def _classical_fi(probs, dprobs):
                    where=inside).sum(axis=0)
     divergent = (~inside & (abs(dprobs) >= DP_TOL)).any(axis=0)
     if divergent.any():
-        warnings.warn(
-            "an outcome probability vanished with nonvanishing derivative; "
-            "classical information diverges",
-            DivergentInformationWarning,
-            stacklevel=3,
-        )
+        warnings.warn(_DIVERGENT, DivergentInformationWarning, stacklevel=3)
     return np.where(divergent, math.inf, fi)
+
+
+def _classical_fi_point(probs, dprobs) -> float:
+    """:func:`_classical_fi` of one point from floats, with the same bits:
+    skipping its 0.0 terms outside the support changes no sum from 0.0."""
+    fi, divergent = 0.0, False
+    for p, dp in zip(probs, dprobs):
+        if p >= P_TOL:
+            fi += dp * dp / p
+        elif abs(dp) >= DP_TOL:
+            divergent = True
+    if divergent:
+        warnings.warn(_DIVERGENT, DivergentInformationWarning, stacklevel=3)
+        return math.inf
+    return fi
 
 
 def _saturation(f, h):
@@ -152,8 +164,8 @@ def magnetization_fi(
 ) -> float:
     """Fisher information of the two-spin magnetization measurement."""
     point = chain_point(params, (wrt,), quad)
-    return float(_classical_fi(point.state.probabilities(),
-                               point.dstate[wrt].probabilities()))
+    return _classical_fi_point(point.state.populations(),
+                               point.dstate[wrt].populations())
 
 
 def qfi_xstate(
@@ -198,6 +210,6 @@ def fisher_point(
     outer, inner = _block_pair(point.state, point.dstate, (wrt,))
     h1, h2 = float(outer[0, 0]), float(inner[0, 0])
     h = h1 + h2
-    f = float(_classical_fi(point.state.probabilities(),
-                            point.dstate[wrt].probabilities()))
+    f = _classical_fi_point(point.state.populations(),
+                            point.dstate[wrt].populations())
     return FisherPoint(F=f, H=h, H1=h1, H2=h2, S=float(_saturation(f, h)))

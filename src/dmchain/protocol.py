@@ -24,7 +24,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .chain import ChainParams, chain_point, chain_points, x_state
-from .fisher import _classical_fi, magnetization_fi
+from .fisher import _classical_fi_point, magnetization_fi
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
 __all__ = [
@@ -53,6 +53,7 @@ STABLE_SIGMA = 3.0
 # Effective-coupling Fisher information below this is treated as zero
 # (working points carry F of order 0.1 to 40 in these units).
 FISHER_FLOOR = 1e-8
+_LOST_NORMALIZATION = "probabilities lost normalization: sum=%r"
 
 
 class DegenerateLikelihoodWarning(RuntimeWarning):
@@ -159,8 +160,7 @@ def _normalized(p: np.ndarray) -> np.ndarray:
     s = p.sum(axis=0)
     lost = ~((0.999999 < s) & (s < 1.000001))
     if lost.any():
-        raise RuntimeError("probabilities lost normalization: sum=%r"
-                           % float(np.extract(lost, s)[0]))
+        raise RuntimeError(_LOST_NORMALIZATION % float(np.extract(lost, s)[0]))
     return p / s
 
 
@@ -276,7 +276,8 @@ def _score_refine(counts, gamma, D, cell, ll, quad):
     Returns the last evaluated iterate and its F, also when the
     SCORING_MAX_ITER passes run out.
     """
-    occupied = counts > 0
+    occupied = np.flatnonzero(counts).tolist()
+    weights = counts[occupied]
     shots = int(counts.sum())
     lo, j, hi = (float(x) for x in cell)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -288,12 +289,9 @@ def _score_refine(counts, gamma, D, cell, ll, quad):
     for _ in range(SCORING_MAX_ITER):
         j = nxt
         point = chain_point(ChainParams(j, gamma, D), ("J",), quad)
-        probs = point.state.probabilities()
-        p = _normalized(probs)
-        dp = point.dstate["J"].probabilities()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score = float(counts[occupied] @ (dp[occupied] / p[occupied]))
-        fisher = float(_classical_fi(probs, dp))
+        score, fisher = _scoring_step(weights, occupied,
+                                      point.state.populations(),
+                                      point.dstate["J"].populations())
         info = shots * fisher
         if score > 0.0:
             lo = j
@@ -308,6 +306,24 @@ def _score_refine(counts, gamma, D, cell, ll, quad):
         if not lo < nxt < hi or abs(nxt - j) <= SCORING_TOL * max(1.0, abs(j)):
             break
     return j, fisher
+
+
+def _scoring_step(weights, occupied, probs, dprobs):
+    """Score sum_i n_i p_i'/p_i over the ``occupied`` outcomes (counts
+    ``weights``) and F from float populations and J derivatives, with the
+    bits of :func:`_normalized` (clip -0.0 to 0.0, keep NaN) and ``@``."""
+    p = [0.0 if x <= 0.0 else x for x in probs]
+    s = 0.0
+    for x in p:
+        s += x
+    if not 0.999999 < s < 1.000001:
+        raise RuntimeError(_LOST_NORMALIZATION % s)
+    # dp / 0 is +-inf, or NaN for dp = 0; inf - inf in the sum is NaN
+    ratios = [dprobs[i] / (p[i] / s) if p[i] else dprobs[i] * math.inf
+              for i in occupied]
+    score = (math.nan if math.inf in ratios and -math.inf in ratios
+             else float(weights @ ratios))
+    return score, _classical_fi_point(probs, dprobs)
 
 
 def adaptive_run(config: ProtocolConfig,

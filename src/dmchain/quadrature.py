@@ -112,9 +112,9 @@ _W = np.stack([_WK, _WG], axis=1)   # (15, 2): Kronrod, Gauss
 
 def _panel_rule(
     f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Kronrod values and error estimates per integrand per panel; f maps
-    nodes of shape (m,) to a (k, m) stack."""
+) -> np.ndarray:
+    """Kronrod values and error estimates per integrand per panel, stacked
+    as (2, k, panels); f maps nodes of shape (m,) to a (k, m) stack."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = mid[:, None] + half[:, None] * _XK[None, :]
@@ -122,21 +122,14 @@ def _panel_rule(
     y = y.reshape(y.shape[0], lo.size, _XK.size)
     # One product with the stacked weights: no full-size weighted copy of y.
     sums = (y.reshape(-1, _XK.size) @ _W).reshape(y.shape[0], lo.size, 2)
-    kron = sums[..., 0] * half
+    kron, err = est = np.empty((2, y.shape[0], lo.size))
+    np.multiply(sums[..., 0], half, out=kron)
     gauss = sums[..., 1] * half
     diff = np.abs(kron - gauss)
     # QUADPACK-style sharpening: trust the (200 d)^1.5 estimate only where it
     # is smaller than the raw discrepancy.
-    err = np.minimum(diff, (200.0 * diff) ** 1.5)
-    return kron, err
-
-
-def _checked_panels(lo, hi) -> Tuple[np.ndarray, np.ndarray]:
-    lo = np.asarray(lo, dtype=float).ravel()
-    hi = np.asarray(hi, dtype=float).ravel()
-    if lo.shape != hi.shape or not (hi > lo).all():
-        raise ValueError("start panels need matching lo, hi with hi > lo")
-    return lo, hi
+    np.minimum(diff, (200.0 * diff) ** 1.5, out=err)
+    return est
 
 
 def _family_rule(
@@ -144,15 +137,14 @@ def _family_rule(
     lo: np.ndarray,
     hi: np.ndarray,
     owner: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """:func:`_panel_rule` over panels of several points, in capped chunks."""
     per_call = _MAX_RULE_NODES // _XK.size
     if lo.size > per_call:
-        parts = [_family_rule(f, lo[s:s + per_call], hi[s:s + per_call],
-                              owner[s:s + per_call])
-                 for s in range(0, lo.size, per_call)]
-        return (np.concatenate([p[0] for p in parts], axis=1),
-                np.concatenate([p[1] for p in parts], axis=1))
+        return np.concatenate(
+            [_family_rule(f, lo[s:s + per_call], hi[s:s + per_call],
+                          owner[s:s + per_call])
+             for s in range(0, lo.size, per_call)], axis=2)
     # Even an empty family makes this one call, so it learns its stack size.
     node_owner = owner.repeat(_XK.size)
     return _panel_rule(lambda x: f(x, node_owner), lo, hi)
@@ -185,39 +177,42 @@ def integrate_points(
     ``max_subdivisions`` panels, and QuadratureFailure if some unconverged
     point has no panel to split, or would hold more than
     ``max_subdivisions`` panels, its start panels included, after
-    splitting them.
+    splitting them.  A NaN error estimate is unconverged, so a point
+    whose integral is not finite raises instead of returning NaN.
     """
-    lo, hi = _checked_panels(lo, hi)
+    lo = np.asarray(lo, dtype=float).ravel()
+    hi = np.asarray(hi, dtype=float).ravel()
+    if lo.shape != hi.shape or not (hi > lo).all():
+        raise ValueError("start panels need matching lo, hi with hi > lo")
     counts = np.asarray(counts, dtype=np.int64).ravel()
-    if ((counts < 1) | (counts > config.max_subdivisions)).any() \
-            or counts.sum() != lo.size:
+    c = counts.tolist()
+    if (min(c, default=1) < 1 or sum(c) != lo.size
+            or max(c, default=1) > config.max_subdivisions):
         raise ValueError("every point needs 1 to max_subdivisions start "
                          "panels, and counts must sum to the number of panels")
     # points: family index of each point still being refined, ascending;
     # its counts[i] panels follow those of the point before it.
     points = np.arange(counts.size)
     owner = points.repeat(counts)
-    vals, errs = _family_rule(f, lo, hi, owner)
-    out_vals = out_errs = None
+    est = _family_rule(f, lo, hi, owner)
+    out = None
 
     while True:
-        starts = counts.cumsum() - counts
-        totals = np.add.reduceat(vals, starts, axis=1)
-        total_err = np.add.reduceat(errs, starts, axis=1)
+        sums = np.add.reduceat(est, counts.cumsum() - counts, axis=2)
+        totals, total_err = sums
         tol = np.maximum(config.abs_tol, config.rel_tol * np.abs(totals))
-        over = total_err > tol
-        if out_vals is None:             # first pass: every point, in order
-            out_vals, out_errs = totals, total_err
+        if out is None:                  # first pass: every point, in order
+            out = sums
         else:
-            out_vals[:, points] = totals
-            out_errs[:, points] = total_err
-        if not over.any():
-            return out_vals, out_errs
+            out[:, :, points] = sums
+        # A NaN error estimate is no convergence.
+        met = total_err <= tol
+        if met.all():
+            return out[0], out[1]
 
-        unconverged = over.any(axis=0)
+        unconverged = ~met.all(axis=0)
         keep = unconverged.repeat(counts)
-        lo, hi, owner = lo[keep], hi[keep], owner[keep]
-        vals, errs = vals[:, keep], errs[:, keep]
+        lo, hi, owner, est = lo[keep], hi[keep], owner[keep], est[:, :, keep]
         points, counts = points[unconverged], counts[unconverged]
         tol = tol[:, unconverged]
         seg = np.arange(points.size).repeat(counts)
@@ -225,27 +220,28 @@ def integrate_points(
         # Split every panel whose error reaches an equal share of its
         # point's tolerance in some integrand: if no panel did, the point's
         # summed error would be below its tolerance.
-        split = (errs * counts[seg] >= tol[:, seg]).any(axis=0)
+        split = (est[1] * counts[seg] >= tol[:, seg]).any(axis=0)
         n_split = np.add.reduceat(split, counts.cumsum() - counts)
-        # Nothing to split can only be roundoff in the sums; stop there too.
+        # Nothing to split can only be roundoff in the sums, or an integral
+        # that is not finite; stop there too.
         stuck = (counts + n_split > config.max_subdivisions) | (n_split == 0)
         if stuck.any():
             i = int(np.flatnonzero(stuck)[0])
             point = int(points[i])
-            worst = total_err[:, unconverged][:, i] / tol[:, i]
+            worst = float((total_err[:, unconverged][:, i] / tol[:, i]).max())
             raise QuadratureFailure(
-                f"no convergence at point {point} with {counts[i]} "
-                f"panels; worst error exceeds tolerance by factor "
-                f"{float(worst.max()):.3g}", point
-            )
+                f"no convergence at point {point} with {counts[i]} panels; "
+                + (f"worst error exceeds tolerance by factor {worst:.3g}"
+                   if np.isfinite(worst) else "the integral is not finite"),
+                point)
         counts = counts + n_split
 
         # Bisect in place: a split panel becomes its left and right halves,
         # so each point's panels stay contiguous and in order.
         halves = split.repeat(split + 1)
         lo, hi, owner = (a.repeat(split + 1) for a in (lo, hi, owner))
-        vals, errs = (a.repeat(split + 1, axis=1) for a in (vals, errs))
+        est = est.repeat(split + 1, axis=2)
         left, right = np.flatnonzero(halves).reshape(-1, 2).T
         hi[left] = lo[right] = 0.5 * (lo[left] + hi[left])
-        vals[:, halves], errs[:, halves] = _family_rule(
-            f, lo[halves], hi[halves], owner[halves])
+        est[:, :, halves] = _family_rule(f, lo[halves], hi[halves],
+                                         owner[halves])

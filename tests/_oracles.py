@@ -15,6 +15,10 @@ quadrature on a mesh graded by hand, with the J derivatives taken by a
 complex step instead of differentiated integrands.  Its values on the
 grid of ``tests/critical_oracle.json`` (about 20 s) are regenerated by
 ``python tests/_oracles.py tests/critical_oracle.json > new.json``.
+
+``start_mesh`` builds the graded start panels of each point the direct
+way: the ladder depth from its formula per point, and the rows from
+padded tables of every depth with a mask of the panels each one uses.
 """
 
 import json
@@ -163,6 +167,37 @@ def qfi_eigen(rho: np.ndarray, drho: np.ndarray, tol: float = SUPPORT_TOL) -> fl
     denom = w[:, None] + w[None, :]
     mask = denom > tol
     return float((2.0 * np.abs(m[mask]) ** 2 / denom[mask]).sum())
+
+
+def start_mesh(J, max_subdivisions):
+    """Start panels ``(lo, hi, counts)`` of the points J: 8 uniform panels
+    on [0, pi], the first cut by rungs (pi/8) 2^-k toward phi = 0 (J >= 0)
+    or pi (J < 0), down to the rung nearest max(||J| - 1|, 1e-5), at most
+    min(15, max_subdivisions - 8) of them, innermost panel first."""
+    rungs_max = 15
+    edges = np.concatenate([
+        [0.0],
+        (np.pi / 8) * 2.0 ** -np.arange(rungs_max, 0, -1),
+        np.linspace(0.0, np.pi, 9)[1:],
+    ])
+    depths = np.arange(rungs_max + 1)
+    first = rungs_max - depths
+    keep_table = np.arange(edges.size - 1) >= first[:, None]
+    lo_up = np.tile(edges[:-1], (depths.size, 1))
+    lo_up[depths, first] = 0.0
+    hi_up = np.tile(edges[1:], (depths.size, 1))
+    lo_table = np.stack([lo_up, np.pi - hi_up])
+    hi_table = np.stack([hi_up, np.pi - lo_up])
+
+    J = np.asarray(J, dtype=float)
+    near = np.maximum(np.abs(np.abs(J) - 1.0), 1e-5)
+    depth = np.rint(np.log2((np.pi / 8) / near))
+    cap = min(rungs_max, max_subdivisions - 8)
+    rungs = np.minimum(np.maximum(depth, 0), cap).astype(np.intp)
+    end = (J < 0.0).astype(np.intp)
+    keep = keep_table[rungs]
+    return (lo_table[end, rungs][keep], hi_table[end, rungs][keep],
+            rungs + 8)
 
 
 def critical_integrals(J, gamma, D, dps=30):

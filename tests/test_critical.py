@@ -14,6 +14,8 @@ from dmchain.chain import (ChainParams, _LADDER_FLOOR, _start_mesh,
                            chain_point, chain_points)
 from dmchain.quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
 
+from _oracles import start_mesh
+
 # mpmath.quad at 30 digits (tests/_oracles.py critical_integrals) at
 # ||J| - 1| in {1e-2, 1e-4, 1e-6} on both sides of both critical points,
 # gamma in {0.2, 0.7, 1} and D in {0, 0.3}.  Each row: J, gamma, D, then
@@ -43,6 +45,32 @@ def test_start_mesh_partitions_the_interval(J):
     order = np.argsort(lo)
     assert lo[order][0] == 0.0 and hi[order][-1] == math.pi
     assert np.array_equal(lo[order][1:], hi[order][:-1])
+
+
+def rung_points():
+    """J at every end and ladder depth, within three ulps either side of
+    every rung boundary ||J| - 1| = (pi/8) 2^-(k + 1/2), and at +-1,
+    +-(1 +- 1e-5) and 0."""
+    rung = math.pi / 8
+    near = np.concatenate([rung * 2.0 ** -np.arange(16),
+                           rung * 2.0 ** -(np.arange(-1, 17) + 0.5), [1e-5]])
+    J = np.concatenate([1.0 - near, 1.0 + near, [1.0, 0.0]])
+    J = np.concatenate([J, -J])
+    return np.concatenate([J + k * np.spacing(J) for k in range(-3, 4)])
+
+
+@pytest.mark.parametrize("max_subdivisions", range(8, 24))
+def test_start_mesh_equals_the_padded_table_oracle(max_subdivisions):
+    J = rung_points()
+    for got, want in zip(_start_mesh(J, max_subdivisions),
+                         start_mesh(J, max_subdivisions)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    # a one-point family, as chain_point starts it, gets the same rows
+    for j in J[::7]:
+        for got, want in zip(_start_mesh(np.array([j]), max_subdivisions),
+                             start_mesh(np.array([j]), max_subdivisions)):
+            assert np.array_equal(got, want)
 
 
 def test_ladder_reaches_the_rung_nearest_the_distance_to_criticality():

@@ -251,13 +251,13 @@ def test_interior_round_pass_budget(monkeypatch, max_iter):
     monkeypatch.setattr(protocol, "SCORING_MAX_ITER", max_iter)
     passes = _record_passes(monkeypatch)
     fi_calls = []
-    real_fi = protocol._classical_fi
+    real_fi = protocol._classical_fi_point
 
     def counting_fi(probs, dprobs):
         fi_calls.append(1)
         return real_fi(probs, dprobs)
 
-    monkeypatch.setattr(protocol, "_classical_fi", counting_fi)
+    monkeypatch.setattr(protocol, "_classical_fi_point", counting_fi)
     res = mle_estimate(counts, 1.0, 0.7, 0.1, GRID)
     monkeypatch.undo()
     assert 1 <= len(passes) <= min(max_iter, 8)
@@ -311,6 +311,123 @@ def test_mle_uninformative_point_gets_infinite_variance():
 def test_mle_rejects_empty_counts():
     with pytest.raises(ValueError):
         mle_estimate(np.array([0, 0, 0, 0]), 1.0, 1.0, 0.1, GRID)
+
+
+# ------------------------------------------- scoring step in floats
+
+def same_bits(a, b):
+    """a and b are the same float: equal with the same sign, or both NaN."""
+    return (math.isnan(a) and math.isnan(b)) or (
+        a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+def array_scoring_step(counts, probs, dprobs):
+    """The scoring step on arrays: _normalized, the score over the occupied
+    outcomes as numpy computes it, and _classical_fi of the raw populations."""
+    occupied = counts > 0
+    probs, dp = np.array(probs), np.array(dprobs)
+    p = protocol._normalized(probs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = float(counts[occupied] @ (dp[occupied] / p[occupied]))
+    return score, float(fisher._classical_fi(probs, dp))
+
+
+def float_scoring_step(counts, probs, dprobs):
+    return protocol._scoring_step(counts[counts > 0],
+                                  np.flatnonzero(counts).tolist(),
+                                  probs, dprobs)
+
+
+def outcome_draws(rng, n):
+    """Counts, raw populations and their derivatives: populations near a
+    distribution, some replaced by tiny, P_TOL, zero, -0.0 or slightly
+    negative values, and derivatives over many scales, some exactly 0 or
+    +-DP_TOL."""
+    edges = (1e-14, fisher.P_TOL, 0.0, -0.0, -1e-10, 3e-7, math.nan)
+    for _ in range(n):
+        counts = rng.multinomial(10_000, rng.dirichlet(np.ones(4)))
+        counts[rng.random(4) < 0.25] = 0
+        counts[rng.integers(4)] += 1
+        probs = rng.dirichlet(np.full(4, 0.7)).tolist()
+        dprobs = (rng.normal(size=4) * 10.0 ** rng.uniform(-9, 2, 4)).tolist()
+        for i in range(4):
+            if rng.random() < 0.2:
+                probs[i] = edges[rng.integers(len(edges) - (rng.random() > 0.02))]
+            if rng.random() < 0.1:
+                dprobs[i] = float(rng.choice([0.0, fisher.DP_TOL, -fisher.DP_TOL]))
+        if rng.random() < 0.9:           # mostly still within 1e-6 of 1
+            k = int(np.argmax(probs))
+            probs[k] += 1.0 - sum(probs)
+        yield counts, probs, dprobs
+
+
+def outcome(route, *args):
+    """The route's (score, F), or the type and message of what it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = route(*args)
+        except RuntimeError as exc:
+            return (type(exc), str(exc)), []
+    return result, [w.category for w in caught]
+
+
+def test_scoring_step_in_floats_equals_the_array_route_bit_for_bit():
+    rng = np.random.default_rng(5)
+    raised = divergent = 0
+    for counts, probs, dprobs in outcome_draws(rng, 4000):
+        got, got_warned = outcome(float_scoring_step, counts, probs, dprobs)
+        want, want_warned = outcome(array_scoring_step, counts, probs, dprobs)
+        assert got_warned == want_warned
+        if isinstance(want[0], type):
+            assert got == want
+            raised += 1
+        else:
+            assert all(map(same_bits, got, want)), (counts, probs, dprobs)
+            divergent += math.isinf(want[1])
+        # the float F is the one-point F of magnetization_fi and fisher_point
+        f = outcome(fisher._classical_fi_point, probs, dprobs)
+        assert f[1] == outcome(fisher._classical_fi, np.array(probs),
+                               np.array(dprobs))[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert same_bits(f[0], float(fisher._classical_fi(
+                np.array(probs), np.array(dprobs))))
+    assert 100 < raised < 2000 and divergent > 100
+
+
+@pytest.mark.parametrize("probs,dprobs,counts", [
+    # an outcome at exactly P_TOL stays in the support
+    ((0.5, fisher.P_TOL, fisher.P_TOL, 0.5 - 2e-12), (0.1, 2e-6, 2e-6, -0.1),
+     (5000, 1, 1, 4998)),
+    # occupied outcomes with p = 0: dp / 0 is inf, -inf, or NaN for dp = 0
+    ((0.5, 0.0, 0.0, 0.5), (0.1, 1e-3, -1e-3, -0.1), (5000, 3, 2, 4995)),
+    ((0.5, 0.0, 0.0, 0.5), (0.1, 0.0, 0.0, -0.1), (5000, 3, 0, 4997)),
+    # -0.0 is clipped to 0.0, so dp / p keeps the sign of dp
+    ((0.5, -0.0, -0.0, 0.5), (0.1, 1e-3, 1e-3, -0.1), (5000, 3, 0, 4997)),
+])
+def test_scoring_step_edge_cases(probs, dprobs, counts):
+    counts = np.array(counts)
+    got, got_warned = outcome(float_scoring_step, counts, probs, dprobs)
+    want, want_warned = outcome(array_scoring_step, counts, probs, dprobs)
+    assert got_warned == want_warned
+    assert all(map(same_bits, got, want))
+
+
+def test_scoring_step_divergent_and_lost_normalization():
+    counts = np.array([5000, 1, 1, 4998])
+    probs, dprobs = (0.5, 1e-13, 1e-13, 0.5), (0.1, 2e-6, 2e-6, -0.1)
+    with pytest.warns(fisher.DivergentInformationWarning):
+        score, F = float_scoring_step(counts, probs, dprobs)
+    assert F == math.inf
+    with pytest.warns(fisher.DivergentInformationWarning):
+        assert (score, F) == array_scoring_step(counts, probs, dprobs)
+    # a NaN population raises the normalization error of the array route
+    probs = (math.nan, 0.5, 0.5, 0.0)
+    with pytest.raises(RuntimeError, match="lost normalization: sum=nan"):
+        float_scoring_step(counts, probs, dprobs)
+    with pytest.raises(RuntimeError, match="lost normalization: sum=nan"):
+        array_scoring_step(counts, probs, dprobs)
 
 
 # ----------------------------------------------------------- adaptive runs

@@ -65,6 +65,21 @@ def test_subdivision_exhaustion_raises():
         integrate(lambda x: 1e-6 / (x**2 + 1e-12), -1.0, 1.0, cfg)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_integral_that_is_not_finite_fails_at_once(value):
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.full(x.shape, value)
+
+    # inf times a zero Gauss weight is NaN
+    with np.errstate(invalid="ignore"), pytest.raises(
+            QuadratureFailure, match="with 8 panels; the integral is not finite"):
+        integrate(f, 0.0, 1.0)
+    assert len(calls) == 1
+
+
 def test_start_panels_count_against_the_budget():
     # a point that starts over budget is refused, even if it would converge
     cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=16)

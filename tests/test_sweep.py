@@ -118,6 +118,17 @@ def test_failing_batch_rows_fail_alone():
         assert all(math.isfinite(table.columns[c][i]) for c in ("F", "H", "S"))
 
 
+def test_row_whose_integrals_are_not_finite_gets_an_error_cell():
+    spec = SweepSpec("D", (0.1, 1e308, 2), {"J": 0.5, "gamma": 0.5})
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = sweep(spec)
+    assert table.errors[0] == ""
+    assert all(math.isfinite(table.columns[c][0]) for c in ("F", "H", "S"))
+    assert table.errors[1].startswith("QuadratureFailure: ")
+    assert "the integral is not finite" in table.errors[1]
+    assert all(math.isnan(table.columns[c][1]) for c in ("F", "H", "S"))
+
+
 def test_one_batch_per_spec(monkeypatch):
     calls = []
     real = sweep_mod.chain_points
