@@ -43,6 +43,9 @@ PARAM_TAGS = ("J", "gamma", "D")
 
 POSITIVITY_TOL = 1e-9
 _CRIT_EPS = 1e-9
+# Bound on (1 + |J|)(1 + 2|D|), which bounds |u|, |J| and |2D|: the integrands'
+# largest products (u^2, J^3, J u^2) stay finite and 1/Delta^3 a normal float.
+_MAX_SCALE = 1e100
 _PI = math.pi
 
 # Start mesh of every quadrature pass: _UNIFORM_PANELS panels on [0, pi],
@@ -120,6 +123,8 @@ class ChainParams:
                 raise ValueError(f"{name} must be finite, got {v!r}")
         if abs(self.gamma) > 1.0:
             raise ValueError(f"anisotropy must satisfy |gamma| <= 1, got {self.gamma!r}")
+        if (1.0 + abs(self.J)) * (1.0 + 2.0 * abs(self.D)) > _MAX_SCALE:
+            raise ValueError(f"couplings must satisfy (1 + |J|)(1 + 2|D|) <= 1e100, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -190,6 +195,8 @@ def _refused(J, gamma, D, tags: Tuple[str, ...]):
     # those are rebuilt as ChainParams, which raise with the scalar message.
     suspect = ~(np.isfinite(J) & np.isfinite(gamma) & np.isfinite(D)
                 & (np.abs(gamma) <= 1.0))
+    with np.errstate(over="ignore"):
+        suspect |= (1.0 + np.abs(J)) * (1.0 + 2.0 * np.abs(D)) > _MAX_SCALE
     if tags:
         suspect |= (gamma == 0.0) | (np.abs(np.abs(J) - 1.0) <= 2.0 * _CRIT_EPS)
     for i in np.flatnonzero(suspect):

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 invalid arguments or spec, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -89,6 +90,7 @@ def _csv_row(header, values) -> str:
     return ",".join(header) + "\n" + ",".join(cells) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dmchain",

@@ -13,6 +13,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -122,13 +123,10 @@ class SweepTable:
         return [self.spec.axis] + list(self.columns) + ["error"]
 
     def to_csv(self) -> str:
-        lines = [",".join(self.header())]
-        cols = list(self.columns.values())
-        for i, v in enumerate(self.axis_values):
-            cells = ["%.17g" % v] + ["%.17g" % c[i] for c in cols]
-            cells.append(self.errors[i])
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        cols = [c.tolist() for c in (self.axis_values, *self.columns.values())]
+        row = "%.17g," * len(cols) + "%s"
+        lines = [row % cells for cells in zip(*cols, self.errors)]
+        return "\n".join([",".join(self.header())] + lines) + "\n"
 
     def to_json(self) -> str:
         payload = {
@@ -162,6 +160,19 @@ def _columns(points: ChainPoints, spec: SweepSpec,
     return cols
 
 
+@lru_cache(maxsize=8)
+def _batch(coords: bytes, tags: Tuple[str, ...],
+           quad: QuadratureConfig) -> ChainPoints:
+    """Read-only :func:`chain_points` at the float64 (J, gamma, D) rows of
+    ``coords``; 8 entries keep fig1's sweeps for fig2 and fig3, fig4's for fig5."""
+    points = chain_points(*np.frombuffer(coords).reshape(3, -1), tags, quad)
+    for part in (points.corr, points.state, *points.dcorr.values(),
+                 *points.dstate.values()):
+        for array in vars(part).values():
+            array.flags.writeable = False
+    return points
+
+
 def _message(exc: Exception) -> str:
     return "%s: %s" % (type(exc).__name__, exc)
 
@@ -191,18 +202,18 @@ def sweep(spec: SweepSpec, quad: QuadratureConfig = DEFAULT_QUAD) -> SweepTable:
     rows = np.flatnonzero(valid)
     coords = coords[:, rows]
 
-    def evaluate(k) -> None:
-        cols = _columns(chain_points(*coords[:, k], tags, quad), spec, tags)
+    def evaluate(k, points: ChainPoints) -> None:
+        cols = _columns(points, spec, tags)
         for name, column in columns.items():
             column[rows[k]] = cols[name]
 
     if rows.size:
         try:
-            evaluate(slice(None))
+            evaluate(slice(None), _batch(coords.tobytes(), tags, quad))
         except (QuadratureFailure, PositivityViolation):
             for k in range(rows.size):
                 try:
-                    evaluate([k])
+                    evaluate([k], chain_points(*coords[:, [k]], tags, quad))
                 except (QuadratureFailure, PositivityViolation) as exc:
                     errors[rows[k]] = _message(exc)
 

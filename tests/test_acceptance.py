@@ -21,7 +21,7 @@ from dmchain.features import classify_curve, default_curve
 from dmchain.fisher import fisher_point, magnetization_fi, qfi_xstate
 from dmchain.multiparam import qfi_matrix, uhlmann_matrix
 from dmchain.protocol import ProtocolConfig, adaptive_run
-from dmchain.sweep import FIGURES, figure_bundle
+from dmchain.sweep import FIGURES, _batch, figure_bundle
 
 from _oracles import qfi_eigen, x_matrix
 
@@ -310,6 +310,8 @@ def test_11_figure_determinism(tmp_path):
         for name in FIGURES:
             pair = []
             for run in ("a", "b"):
+                # each run recomputes, not reuses, the earlier sweeps
+                _batch.cache_clear()
                 d = os.path.join(tmp_path, name + run)
                 paths = figure_bundle(name, d)
                 pair.append(b"".join(open(p, "rb").read() for p in paths))

@@ -45,6 +45,10 @@ def test_params_validation():
         ChainParams(math.nan, 0.5, 0.0)
     with pytest.raises(ValueError):
         ChainParams(0.5, 0.5, math.inf)
+    # finite couplings whose integrand products would overflow
+    for J, D in ((0.5, 1e155), (0.5, 1e200), (1e101, 0.0), (0.0, 1e101)):
+        with pytest.raises(ValueError, match="must satisfy"):
+            ChainParams(J, 0.5, D)
     p = dataclasses.replace(ChainParams(0.5, 0.7, 0.1), D=0.2)
     assert (p.J, p.gamma, p.D) == (0.5, 0.7, 0.2)
     with pytest.raises(ValueError):
@@ -54,6 +58,15 @@ def test_params_validation():
 def test_params_frozen():
     with pytest.raises(Exception):
         ChainParams(0.5, 0.7, 0.1).J = 1.0
+
+
+def test_large_couplings_keep_their_limit_or_are_refused():
+    # |J D| >> 1 polarizes the chain; where u*u overflowed (D ~ 1e155 at
+    # J = 0.5) the pass returned mz = 0.0856, then 0.0, with no error
+    assert chain_point(ChainParams(0.5, 0.5, 1e99)).corr.mz \
+        == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="must satisfy"):
+        chain_point(ChainParams(0.5, 0.5, 1e155))
 
 
 # ------------------------------------------------------- decoupled limit J=0

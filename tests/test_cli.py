@@ -281,6 +281,32 @@ def test_invalid_spec_exit(capsys):
     assert "invalid spec" in err
 
 
+def test_couplings_out_of_range_exit(capsys):
+    code, _, err = run_cli(capsys, "state", "--J", "0.5", "--gamma", "0.5",
+                           "--D", "1e155")
+    assert code == 2
+    assert "invalid spec: couplings must satisfy" in err
+
+
+def test_parser_built_once_matches_fresh_parser(capsys, monkeypatch):
+    from dmchain import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        ["fisher", "--J", "0.5", "--gamma", "0.7", "--wrt", "D"],
+        ["fisher", "--J", "0.5", "--gamma", "0.7"],
+        ["sweep", "--axis", "D", "--range", "0:0.2:3", "--J", "0.5",
+         "--gamma", "0.7", "--format", "json"],
+        ["state", "--J", "0.5", "--gamma", "0.7", "--format", "csv"],
+    ]
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    # no flag of one call leaks into the next
+    assert json.loads(shared[0][1])["wrt"] == "D"
+    assert json.loads(shared[1][1])["wrt"] == "J"
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [run_cli(capsys, *argv) for argv in calls] == shared
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

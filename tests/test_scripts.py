@@ -10,7 +10,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("argv", [
-    ["make_figures.py", "--only", "fig4", "--out", "figures"],
+    # fig5's gamma = 0.2 sweep is fig4's, so the second reuses the first
+    ["make_figures.py", "--only", "fig4", "fig5", "--out", "figures"],
     ["protocol_demo.py"],
     ["saturation_scan.py", "--points", "21"],
 ], ids=lambda argv: argv[0])

@@ -1,17 +1,20 @@
 """Parameter sweeps and reproducible figure bundles."""
 
+import dataclasses
 import importlib
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from dmchain.chain import ChainParams
-from dmchain.fisher import fisher_point
+from dmchain.chain import PARAM_TAGS, ChainParams
+from dmchain.fisher import (BlockDegenerateWarning,
+                            DivergentInformationWarning, fisher_point)
 from dmchain.multiparam import qfi_matrix
-from dmchain.quadrature import QuadratureConfig
+from dmchain.quadrature import DEFAULT_QUAD, QuadratureConfig
 from dmchain.sweep import (FIGURES, CriticalNudgeWarning, SweepSpec,
                            SweepTable, figure_bundle, sweep)
 
@@ -21,6 +24,14 @@ sweep_mod = importlib.import_module("dmchain.sweep")
 
 def spec_fhs(rng=(0.2, 0.8, 7), gamma=0.5, D=0.1):
     return SweepSpec("J", rng, {"gamma": gamma, "D": D})
+
+
+@pytest.fixture
+def cold_memo():
+    """Start from an empty batch memo and leave none of the test's entries."""
+    sweep_mod._batch.cache_clear()
+    yield
+    sweep_mod._batch.cache_clear()
 
 
 # ------------------------------------------------------------------- specs
@@ -103,10 +114,14 @@ def test_sweep_matrix_quantities():
     assert np.abs(table.columns["U_J_D"]).max() < 1e-8
 
 
-def test_failing_batch_rows_fail_alone():
+def test_failing_batch_rows_fail_alone(cold_memo):
     # a tight budget: rows 0-4 converge, rows 5-6 (J near 1) do not
     spec = SweepSpec("J", (0.1, 0.99, 7), {"gamma": 0.5, "D": 0.1})
     table = sweep(spec, QuadratureConfig(1e-10, 1e-10, 8))
+    # the failed batch is not kept: a second sweep fails it again
+    assert sweep(spec, QuadratureConfig(1e-10, 1e-10, 8)).to_csv() \
+        == table.to_csv()
+    assert sweep_mod._batch.cache_info().currsize == 0
     for i in (5, 6):
         assert table.errors[i].startswith("QuadratureFailure: ")
         assert all(math.isnan(table.columns[c][i]) for c in ("F", "H", "S"))
@@ -119,17 +134,16 @@ def test_failing_batch_rows_fail_alone():
 
 
 def test_row_whose_integrals_are_not_finite_gets_an_error_cell():
+    # D = 1e308 is refused as out of range before the batch; row 0 survives
     spec = SweepSpec("D", (0.1, 1e308, 2), {"J": 0.5, "gamma": 0.5})
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = sweep(spec)
+    table = sweep(spec)
     assert table.errors[0] == ""
     assert all(math.isfinite(table.columns[c][0]) for c in ("F", "H", "S"))
-    assert table.errors[1].startswith("QuadratureFailure: ")
-    assert "the integral is not finite" in table.errors[1]
+    assert table.errors[1].startswith("ValueError: couplings must satisfy")
     assert all(math.isnan(table.columns[c][1]) for c in ("F", "H", "S"))
 
 
-def test_one_batch_per_spec(monkeypatch):
+def test_one_batch_per_spec(monkeypatch, cold_memo):
     calls = []
     real = sweep_mod.chain_points
 
@@ -138,7 +152,7 @@ def test_one_batch_per_spec(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sweep_mod, "chain_points", counting)
-    sweep(spec_fhs())
+    first = sweep(spec_fhs())
     sweep(SweepSpec("D", (-0.2, 0.2, 5), {"J": 0.5, "gamma": 0.7},
                     quantities=("QFIM", "U", "det")))
     assert [len(c[0]) for c in calls] == [7, 5]
@@ -146,6 +160,19 @@ def test_one_batch_per_spec(monkeypatch):
     with pytest.warns(CriticalNudgeWarning):
         sweep(SweepSpec("J", (0.5, 1.5, 3), {"gamma": 0.0, "D": 0.0}))
     assert len(calls) == 3 and len(calls[2][0]) == 2
+    # the same rows over the same tags, for other quantities, reuse a batch
+    again = sweep(SweepSpec("J", (0.2, 0.8, 7), {"gamma": 0.5, "D": 0.1},
+                            quantities=("H",)))
+    assert len(calls) == 3
+    assert np.array_equal(again.columns["H"], first.columns["H"])
+    # other tags, quadrature, couplings or row count miss
+    sweep(SweepSpec("J", (0.2, 0.8, 7), {"gamma": 0.5, "D": 0.1}, wrt="D"))
+    sweep(spec_fhs(), QuadratureConfig(1e-9, 1e-9))
+    sweep(spec_fhs(D=np.nextafter(0.1, 1.0)))
+    sweep(spec_fhs((0.2, 0.8, 8)))
+    assert len(calls) == 7
+    info = sweep_mod._batch.cache_info()
+    assert (info.hits, info.misses) == (1, 7)
 
 
 @pytest.mark.parametrize("spec", [
@@ -179,6 +206,60 @@ def test_batched_columns_match_per_point(spec):
             assert all(row[c] == 0.0 for c in sweep_mod._U_COLS)
 
 
+# ------------------------------------------------------- shared batches
+
+def test_batch_arrays_are_read_only(cold_memo):
+    coords = np.array([[0.3, 0.5], [0.5, 0.5], [0.1, 0.1]]).tobytes()
+    points = sweep_mod._batch(coords, PARAM_TAGS, DEFAULT_QUAD)
+    assert sweep_mod._batch(coords, PARAM_TAGS, DEFAULT_QUAD) is points
+    parts = [points.corr, points.state, *points.dcorr.values(),
+             *points.dstate.values()]
+    assert len(parts) == 8
+    for part in parts:
+        for array in vars(part).values():
+            assert array.shape == (2,) and not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+def test_warnings_are_raised_again_on_a_hit(monkeypatch, cold_memo):
+    # the memo holds chain output only; the information algebra, and its
+    # warnings, run on every sweep.  A doctored derivative makes the dead
+    # outcome ud of the J = 0 row (up-up state) carry information.
+    real = sweep_mod.chain_points
+
+    def doctored(*args, **kwargs):
+        points = real(*args, **kwargs)
+        bumped = dataclasses.replace(points.dstate["J"],
+                                     c=np.ones_like(points.dstate["J"].c))
+        return dataclasses.replace(points, dstate={"J": bumped})
+
+    monkeypatch.setattr(sweep_mod, "chain_points", doctored)
+    spec = SweepSpec("J", (-0.01, 0.01, 3), {"gamma": 0.7, "D": 0.0})
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = sweep(spec)
+        assert {w.category for w in caught} == {DivergentInformationWarning,
+                                                BlockDegenerateWarning}
+        assert table.columns["F"][1] == math.inf
+    assert sweep_mod._batch.cache_info().hits == 1
+
+
+def test_figure_set_reuses_each_shared_sweep(tmp_path, cold_memo):
+    def read(name, sub):
+        return [open(os.path.join(tmp_path, sub, name + ext), "rb").read()
+                for ext in (".csv", ".json")]
+
+    figure_bundle("fig3", os.path.join(tmp_path, "cold"))
+    sweep_mod._batch.cache_clear()
+    for name in FIGURES:
+        figure_bundle(name, os.path.join(tmp_path, "set"))
+    # fig2's and fig3's D = 0 lines and fig5's gamma = 0.2 line
+    assert sweep_mod._batch.cache_info().hits == 3
+    assert read("fig3", "set") == read("fig3", "cold")
+
+
 # ----------------------------------------------------------- serialization
 
 def test_csv_round_trip():
@@ -193,6 +274,23 @@ def test_csv_round_trip():
         assert cells[4] == ""
 
 
+def test_csv_rows_match_per_cell_formatting():
+    # the per-cell formatting the row template replaced, as the reference,
+    # on signed zeros, NaN, infinities, subnormals and error messages
+    table = SweepTable(
+        spec=spec_fhs(), axis_values=np.array([0.2, -0.0, 1e-310]),
+        columns={"F": np.array([math.nan, math.inf, -math.inf]),
+                 "H": np.array([1.0 / 3.0, -0.0, 5e-324]),
+                 "S": np.array([0.1, 2.0, 1e300])},
+        errors=("", "CriticalPoint: a, b", "ValueError: 100% (J = 1)"))
+    want = [",".join(table.header())]
+    for i, v in enumerate(table.axis_values):
+        want.append(",".join(["%.17g" % v]
+                             + ["%.17g" % c[i] for c in table.columns.values()]
+                             + [table.errors[i]]))
+    assert table.to_csv() == "\n".join(want) + "\n"
+
+
 def test_json_payload():
     table = sweep(spec_fhs((0.3, 0.5, 3)))
     payload = json.loads(table.to_json())
@@ -204,6 +302,7 @@ def test_json_payload():
 
 def test_sweep_deterministic():
     a = sweep(spec_fhs((0.3, 0.5, 3)))
+    sweep_mod._batch.cache_clear()
     b = sweep(spec_fhs((0.3, 0.5, 3)))
     assert a.to_csv() == b.to_csv()
     assert a.to_json() == b.to_json()
@@ -215,6 +314,7 @@ def test_figure_bundle_reproducible(tmp_path):
     d1 = os.path.join(tmp_path, "a")
     d2 = os.path.join(tmp_path, "b")
     paths1 = figure_bundle("fig4", d1)
+    sweep_mod._batch.cache_clear()
     paths2 = figure_bundle("fig4", d2)
     for p1, p2 in zip(paths1, paths2):
         with open(p1, "rb") as fh:
