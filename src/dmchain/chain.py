@@ -173,7 +173,7 @@ def _validate_tags(tags: Sequence[str]) -> Tuple[str, ...]:
     return tags
 
 
-def _derivative_guard(params: ChainParams) -> None:
+def derivative_guard(params: ChainParams) -> None:
     # Derivative integrands carry 1/Delta^3 and stop being integrable when
     # Delta develops a zero: at J = +/-1 for gamma != 0, and on the whole
     # band |J| sqrt(1 + 4 D^2) >= 1 for gamma = 0.
@@ -188,7 +188,7 @@ def _derivative_guard(params: ChainParams) -> None:
         )
 
 
-def _refused(J, gamma, D, tags: Tuple[str, ...]):
+def refused(J, gamma, D, tags: Tuple[str, ...]):
     """Yield ``(index, exception)`` for each point :func:`chain_point`
     would refuse, in order; J, gamma and D are 1-D float arrays."""
     # Cheap superset of the points the scalar checks could reject; only
@@ -203,7 +203,7 @@ def _refused(J, gamma, D, tags: Tuple[str, ...]):
         try:
             params = ChainParams(float(J[i]), float(gamma[i]), float(D[i]))
             if tags:
-                _derivative_guard(params)
+                derivative_guard(params)
         except ValueError as exc:  # invalid couplings or CriticalPoint
             yield int(i), exc
 
@@ -414,7 +414,7 @@ def chain_point(
     """
     tags = _validate_tags(tags)
     if tags:
-        _derivative_guard(params)
+        derivative_guard(params)
     J, g, D = params.J, params.gamma, params.D
 
     def f(phi: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -444,7 +444,7 @@ def chain_points(
     tags = _validate_tags(tags)
     J, gamma, D = (np.array(a, dtype=float).ravel()
                    for a in np.broadcast_arrays(J, gamma, D))
-    for _, exc in _refused(J, gamma, D, tags):
+    for _, exc in refused(J, gamma, D, tags):
         raise exc
 
     def f(phi: np.ndarray, owner: np.ndarray) -> np.ndarray:

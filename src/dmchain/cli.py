@@ -29,7 +29,7 @@ from .multiparam import (SingularInformation, matrix_crb, qfi_matrix,
                          uhlmann_matrix)
 from .protocol import ProtocolConfig, adaptive_run
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
-from .sweep import (_QFIM_COLS, _U_COLS, FIGURES, SweepSpec, figure_bundle,
+from .sweep import (FIGURES, QFIM_COLS, U_COLS, SweepSpec, figure_bundle,
                     sweep)
 
 __all__ = ["main"]
@@ -245,7 +245,7 @@ def _cmd_qfim(args) -> int:
         payload["shots"] = args.shots
     if args.format == "csv":
         text = _csv_row(
-            _QFIM_COLS + _U_COLS + ("det", "condition_ratio"),
+            QFIM_COLS + U_COLS + ("det", "condition_ratio"),
             [*qm.matrix[np.triu_indices(3)], *um.matrix[np.triu_indices(3, 1)],
              qm.det, qm.condition_ratio])
     else:

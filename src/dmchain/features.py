@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .chain import chain_points
-from .fisher import _qfi_points
+from .fisher import block_qfi
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
 __all__ = [
@@ -69,7 +69,7 @@ class FeatureReport:
 def _h_curve(js: np.ndarray, gamma: float, D: float,
              quad: QuadratureConfig) -> np.ndarray:
     """H(J) for the coupling at every J of js, as one batched quadrature."""
-    return _qfi_points(chain_points(js, gamma, D, ("J",), quad), "J")
+    return block_qfi(chain_points(js, gamma, D, ("J",), quad))[0][0, 0]
 
 
 def default_curve(

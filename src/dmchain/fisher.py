@@ -1,14 +1,25 @@
 """Classical and quantum Fisher information of the two-spin probe.
 
-The X structure of the reduced state splits it into two real 2x2 blocks.
-Each block's information is summed pair by pair over its eigenbasis in
-closed form: three rank-one terms over the stacked parameter derivatives,
-which give the quantum Fisher information matrix over any set of
-couplings and, on its diagonal, the single-parameter QFI.  An eigenvalue
-pair of the state summing to at most ``SUPPORT_TOL`` lies outside the
-support and is dropped.  The internal helpers take scalars or arrays
-over points, so batched evaluations share the same algebra; each public
-function evaluates its own point in one quadrature pass.
+This module is the package's one information layer: other modules reach
+F, H and S = F/H only through it, and only it knows the support cuts
+``P_TOL``, ``DP_TOL`` and ``SUPPORT_TOL``.  Besides the exported
+per-point functions, it shares three names with the package:
+
+- :func:`classical_fi`, F from outcome probabilities and derivatives.
+  The input picks the route: floats of one point are summed as floats,
+  which keeps a one-point call cheap; arrays over points, outcomes first,
+  are summed in numpy.  Both give the same bits.
+- :func:`block_qfi`, the QFI matrices (H, H1, H2) over the tags of a
+  :class:`ChainPoints`.  The X structure splits the reduced state into
+  two real 2x2 blocks, outer and inner, each summed pair by pair over its
+  eigenbasis in closed form; an eigenvalue pair summing to at most
+  ``SUPPORT_TOL`` lies outside the support and is dropped.
+- :func:`information`, (F, H, H1, H2, S) for one tag of a ChainPoints.
+
+They take populations or ChainPoints and run inside the exported
+functions, so they stay out of ``__all__``.  Instrumentation that wraps
+each exported function (``perfbench/tracer.py``) reads a ChainParams
+from each call and counts each call as one request to this layer.
 """
 
 from __future__ import annotations
@@ -16,7 +27,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -74,9 +84,15 @@ def _block_info(p, q, b, dp, dq, db):
     eigenvalues sum to at most SUPPORT_TOL lies outside the support and
     is dropped.  The smaller eigenvalue comes from the determinant
     p q - b^2, which keeps its digits when the block is nearly pure.
-    Scalars or arrays over points.
+    Scalars or arrays over points.  A block outside the support whose
+    derivative does not vanish warns.
     """
     w0 = p + q
+    if ((w0 <= SUPPORT_TOL) & ((abs(dp) > DP_TOL) | (abs(dq) > DP_TOL)
+                               | (abs(db) > DP_TOL))).any():
+        warnings.warn("weightless block with nonvanishing derivative; "
+                      "its divergent contribution is dropped",
+                      BlockDegenerateWarning, stacklevel=4)
     d = p - q
     r = (d * d + 4.0 * b * b) ** 0.5                # lambda_+ - lambda_-
     s_plus = w0 + r                                 # 2 lambda_+
@@ -90,43 +106,48 @@ def _block_info(p, q, b, dp, dq, db):
             + _ratio(_outer(across), w0, SUPPORT_TOL))
 
 
-def _block_pair(state, dstate, tags: Sequence[str]):
-    """Outer and inner block information matrices over tags.
+def block_qfi(points: ChainPoints):
+    """QFI matrices (H, H1, H2) over the tags of ``points.dstate``, in order.
 
-    ``dstate`` maps each tag to its X-state derivative; fields are scalars
-    or arrays over points, giving (k, k) or (k, k, n) matrices.  A block
-    outside the support whose derivative does not vanish warns.
+    H1 and H2 are the outer and inner block contributions and H their sum;
+    each is (k, k) for a point from :func:`chain_point` or (k, k, n) over
+    the points of :func:`chain_points`.
     """
+    state, derivs = points.state, points.dstate.values()
+
     def stacked(name):
-        return np.array([getattr(dstate[t], name) for t in tags])
+        return np.array([getattr(d, name) for d in derivs])
 
-    out = []
-    for p, q, b, dp, dq, db in (
-        (state.a_plus, state.a_minus, state.b_minus,
-         stacked("a_plus"), stacked("a_minus"), stacked("b_minus")),
-        (state.c, state.c, state.b_plus,
-         stacked("c"), stacked("c"), stacked("b_plus")),
-    ):
-        light = p + q <= SUPPORT_TOL
-        if (light & ((abs(dp) > DP_TOL) | (abs(dq) > DP_TOL)
-                     | (abs(db) > DP_TOL))).any():
-            warnings.warn(
-                "weightless block with nonvanishing derivative; "
-                "its divergent contribution is dropped",
-                BlockDegenerateWarning,
-                stacklevel=3,
-            )
-        out.append(_block_info(p, q, b, dp, dq, db))
-    return out
+    outer = _block_info(state.a_plus, state.a_minus, state.b_minus,
+                        stacked("a_plus"), stacked("a_minus"), stacked("b_minus"))
+    inner = _block_info(state.c, state.c, state.b_plus,
+                        stacked("c"), stacked("c"), stacked("b_plus"))
+    return outer + inner, outer, inner
 
 
-def _classical_fi(probs, dprobs):
-    """Fisher information of the outcomes on the first axis; arrays over points.
+def classical_fi(probs, dprobs):
+    """Fisher information of the outcomes ``probs`` with derivatives ``dprobs``.
 
-    A point where an outcome vanishes with a nonvanishing derivative
-    warns and gets infinite information.
+    Floats of one point, such as :meth:`TwoSpinXState.populations` of a
+    :func:`chain_point`, are summed as floats into a float; arrays over
+    points, outcomes on the first axis, are summed in numpy into an array.
+    Both routes give the same bits: skipping the 0.0 terms outside the
+    support changes no sum from 0.0.  A point where an outcome vanishes
+    with a nonvanishing derivative warns and gets infinite information.
     """
+    if isinstance(probs[0], float):
+        fi, divergent = 0.0, False
+        for p, dp in zip(probs, dprobs):
+            if p >= P_TOL:
+                fi += dp * dp / p
+            elif abs(dp) >= DP_TOL:
+                divergent = True
+        if divergent:
+            warnings.warn(_DIVERGENT, DivergentInformationWarning, stacklevel=3)
+            return math.inf
+        return fi
     p = np.maximum(probs, 0.0)
+    dprobs = np.asarray(dprobs)
     inside = p >= P_TOL
     fi = np.divide(dprobs * dprobs, p, out=np.zeros(p.shape),
                    where=inside).sum(axis=0)
@@ -136,25 +157,17 @@ def _classical_fi(probs, dprobs):
     return np.where(divergent, math.inf, fi)
 
 
-def _classical_fi_point(probs, dprobs) -> float:
-    """:func:`_classical_fi` of one point from floats, with the same bits:
-    skipping its 0.0 terms outside the support changes no sum from 0.0."""
-    fi, divergent = 0.0, False
-    for p, dp in zip(probs, dprobs):
-        if p >= P_TOL:
-            fi += dp * dp / p
-        elif abs(dp) >= DP_TOL:
-            divergent = True
-    if divergent:
-        warnings.warn(_DIVERGENT, DivergentInformationWarning, stacklevel=3)
-        return math.inf
-    return fi
-
-
-def _saturation(f, h):
-    """F/H where H carries information, else NaN; scalars or arrays."""
-    return np.divide(f, h, out=np.full(np.shape(h), math.nan),
-                     where=np.asarray(h) > P_TOL)
+def information(points: ChainPoints, wrt: str, blocks):
+    """(F, H, H1, H2, S) for the tag ``wrt`` of ``points``, given
+    ``blocks = block_qfi(points)``; S = F/H where H carries information,
+    else NaN."""
+    k = list(points.dstate).index(wrt)
+    h, h1, h2 = (m[k, k] for m in blocks)
+    f = classical_fi(points.state.populations(),
+                     points.dstate[wrt].populations())
+    s = np.divide(f, h, out=np.full(np.shape(h), math.nan),
+                  where=np.asarray(h) > P_TOL)
+    return f, h, h1, h2, s
 
 
 def magnetization_fi(
@@ -164,8 +177,8 @@ def magnetization_fi(
 ) -> float:
     """Fisher information of the two-spin magnetization measurement."""
     point = chain_point(params, (wrt,), quad)
-    return _classical_fi_point(point.state.populations(),
-                               point.dstate[wrt].populations())
+    return classical_fi(point.state.populations(),
+                        point.dstate[wrt].populations())
 
 
 def qfi_xstate(
@@ -174,19 +187,7 @@ def qfi_xstate(
     quad: QuadratureConfig = DEFAULT_QUAD,
 ) -> float:
     """Quantum Fisher information as the sum of the two block contributions."""
-    point = chain_point(params, (wrt,), quad)
-    outer, inner = _block_pair(point.state, point.dstate, (wrt,))
-    return float(outer[0, 0] + inner[0, 0])
-
-
-def _qfi_points(points: ChainPoints, wrt: str) -> np.ndarray:
-    """:func:`qfi_xstate` at every point of a batched evaluation.
-
-    Calls no public function of this module, so per-point instrumentation
-    of those functions never sees arrays.
-    """
-    outer, inner = _block_pair(points.state, points.dstate, (wrt,))
-    return outer[0, 0] + inner[0, 0]
+    return float(block_qfi(chain_point(params, (wrt,), quad))[0][0, 0])
 
 
 @dataclass(frozen=True)
@@ -207,9 +208,4 @@ def fisher_point(
 ) -> FisherPoint:
     """F, H with its block split, and their ratio, from one quadrature pass."""
     point = chain_point(params, (wrt,), quad)
-    outer, inner = _block_pair(point.state, point.dstate, (wrt,))
-    h1, h2 = float(outer[0, 0]), float(inner[0, 0])
-    h = h1 + h2
-    f = _classical_fi_point(point.state.populations(),
-                            point.dstate[wrt].populations())
-    return FisherPoint(F=f, H=h, H1=h1, H2=h2, S=float(_saturation(f, h)))
+    return FisherPoint(*map(float, information(point, wrt, block_qfi(point))))

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import PARAM_TAGS, ChainParams, _derivative_guard, chain_point
-from .fisher import _block_pair
+from .chain import PARAM_TAGS, ChainParams, chain_point, derivative_guard
+from .fisher import block_qfi
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
 __all__ = [
@@ -42,7 +42,7 @@ class SingularInformation(RuntimeError):
     """Information matrix too ill-conditioned to invert meaningfully."""
 
 
-def _spectrum(eigenvalues: np.ndarray):
+def spectrum(eigenvalues: np.ndarray):
     """Clipped eigenvalues, determinant and smallest / largest eigenvalue
     ratio from the ascending eigenvalues of symmetric 3x3 matrices, stacked
     on the leading axes.
@@ -84,7 +84,7 @@ class QfiMatrix:
         ev = np.linalg.eigvalsh(m)
         if ev.min() < -_PSD_TOL * scale:
             raise ValueError("information matrix has a negative direction")
-        ev, det, ratio = _spectrum(ev)
+        ev, det, ratio = spectrum(ev)
         ev = ev[::-1]
         m.flags.writeable = ev.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -114,8 +114,7 @@ def qfi_matrix(
 ) -> QfiMatrix:
     """H_{mu nu} = Tr[rho (L_mu L_nu + L_nu L_mu) / 2], in closed block form."""
     point = chain_point(params, PARAM_TAGS, quad)
-    outer, inner = _block_pair(point.state, point.dstate, PARAM_TAGS)
-    return QfiMatrix(matrix=outer + inner)
+    return QfiMatrix(matrix=block_qfi(point)[0])
 
 
 def uhlmann_matrix(params: ChainParams) -> UhlmannMatrix:
@@ -126,7 +125,7 @@ def uhlmann_matrix(params: ChainParams) -> UhlmannMatrix:
     part of a real trace: the matrix is exactly zero wherever the QFI
     matrix is defined.  Raises CriticalPoint where :func:`qfi_matrix` does.
     """
-    _derivative_guard(params)
+    derivative_guard(params)
     return UhlmannMatrix(matrix=np.zeros((3, 3)))
 
 

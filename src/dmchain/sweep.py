@@ -19,10 +19,10 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .chain import (PARAM_TAGS, ChainPoints, PositivityViolation, _refused,
-                    chain_points)
-from .fisher import _block_pair, _classical_fi, _saturation
-from .multiparam import _spectrum
+from .chain import (PARAM_TAGS, ChainPoints, PositivityViolation, chain_points,
+                    refused)
+from .fisher import block_qfi, information
+from .multiparam import spectrum
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
 
 __all__ = [
@@ -38,17 +38,17 @@ __all__ = [
 SWEEP_QUANTITIES = ("F", "H", "S", "QFIM", "U", "det")
 
 # column layout per quantity
-_QFIM_COLS = tuple(
+QFIM_COLS = tuple(
     "QFIM_%s_%s" % (a, b)
     for i, a in enumerate(PARAM_TAGS) for b in PARAM_TAGS[i:]
 )
-_U_COLS = ("U_J_gamma", "U_J_D", "U_gamma_D")
+U_COLS = ("U_J_gamma", "U_J_D", "U_gamma_D")
 _COLUMNS = {
     "F": ("F",),
     "H": ("H",),
     "S": ("S",),
-    "QFIM": _QFIM_COLS,
-    "U": _U_COLS,
+    "QFIM": QFIM_COLS,
+    "U": U_COLS,
     "det": ("det", "condition_ratio"),
 }
 
@@ -138,24 +138,21 @@ class SweepTable:
         return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-def _columns(points: ChainPoints, spec: SweepSpec,
-             tags: Tuple[str, ...]) -> Dict[str, np.ndarray]:
+def _columns(points: ChainPoints, spec: SweepSpec) -> Dict[str, np.ndarray]:
     """The requested columns at every point of a batched evaluation."""
-    outer, inner = _block_pair(points.state, points.dstate, tags)
-    h = outer + inner
+    blocks = block_qfi(points)
+    h = blocks[0]
     cols: Dict[str, np.ndarray] = {}
     if any(q in spec.quantities for q in ("F", "H", "S")):
-        k = tags.index(spec.wrt)
-        F = _classical_fi(points.state.probabilities(),
-                          points.dstate[spec.wrt].probabilities())
-        cols.update(F=F, H=h[k, k], S=_saturation(F, h[k, k]))
+        F, H, _, _, S = information(points, spec.wrt, blocks)
+        cols.update(F=F, H=H, S=S)
     if "QFIM" in spec.quantities:
-        cols.update(zip(_QFIM_COLS, h[np.triu_indices(3)]))
+        cols.update(zip(QFIM_COLS, h[np.triu_indices(3)]))
     if "U" in spec.quantities:
         # exactly zero for this real family, as uhlmann_matrix returns
-        cols.update((name, np.zeros(h.shape[-1])) for name in _U_COLS)
+        cols.update((name, np.zeros(h.shape[-1])) for name in U_COLS)
     if "det" in spec.quantities:
-        _, cols["det"], cols["condition_ratio"] = _spectrum(
+        _, cols["det"], cols["condition_ratio"] = spectrum(
             np.linalg.eigvalsh(np.moveaxis(h, -1, 0)))
     return cols
 
@@ -182,8 +179,9 @@ def sweep(spec: SweepSpec, quad: QuadratureConfig = DEFAULT_QUAD) -> SweepTable:
 
     Rows with invalid couplings or on a divergence of the derivatives get
     their error first; the other rows are evaluated as one batched
-    quadrature.  If that batch fails, each of its rows is evaluated alone,
-    so only the failing rows become NaN.
+    quadrature.  If a batch fails, its rows are split in halves and each
+    half is batched again, down to single rows, so only the failing rows
+    become NaN, each with its own message.
     """
     values = spec.axis_values()
     tags = PARAM_TAGS if any(q in spec.quantities for q in ("QFIM", "U", "det")) \
@@ -196,26 +194,28 @@ def sweep(spec: SweepSpec, quad: QuadratureConfig = DEFAULT_QUAD) -> SweepTable:
                        else np.full(values.size, spec.fixed[t], dtype=float)
                        for t in PARAM_TAGS])
     valid = np.ones(values.size, dtype=bool)
-    for i, exc in _refused(*coords, tags):
+    for i, exc in refused(*coords, tags):
         errors[i] = _message(exc)
         valid[i] = False
     rows = np.flatnonzero(valid)
     coords = coords[:, rows]
 
-    def evaluate(k, points: ChainPoints) -> None:
-        cols = _columns(points, spec, tags)
+    # the memo holds whole sweeps only; a failed one never enters it
+    pending = [np.arange(rows.size)] if rows.size else []
+    while pending:
+        k = pending.pop()
+        try:
+            points = (_batch(coords.tobytes(), tags, quad) if k.size == rows.size
+                      else chain_points(*coords[:, k], tags, quad))
+        except (QuadratureFailure, PositivityViolation) as exc:
+            if k.size == 1:
+                errors[rows[k[0]]] = _message(exc)
+            else:
+                pending += np.array_split(k, 2)[::-1]
+            continue
+        cols = _columns(points, spec)
         for name, column in columns.items():
             column[rows[k]] = cols[name]
-
-    if rows.size:
-        try:
-            evaluate(slice(None), _batch(coords.tobytes(), tags, quad))
-        except (QuadratureFailure, PositivityViolation):
-            for k in range(rows.size):
-                try:
-                    evaluate([k], chain_points(*coords[:, [k]], tags, quad))
-                except (QuadratureFailure, PositivityViolation) as exc:
-                    errors[rows[k]] = _message(exc)
 
     return SweepTable(spec=spec, axis_values=values, columns=columns,
                       errors=tuple(errors))

@@ -9,13 +9,13 @@ import dmchain.chain as chain_mod
 from dmchain.chain import (PARAM_TAGS, ChainParams, CriticalPoint,
                            PositivityViolation, chain_point, chain_points)
 from dmchain.features import WINDOW
-from dmchain.fisher import _qfi_points, qfi_xstate
+from dmchain.fisher import block_qfi, qfi_xstate
 from dmchain.quadrature import (DEFAULT_QUAD, QuadratureConfig,
                                 QuadratureFailure, integrate_points)
 
 
 def batched_h(js, gamma, D):
-    return _qfi_points(chain_points(js, gamma, D, ("J",)), "J")
+    return block_qfi(chain_points(js, gamma, D, ("J",)))[0][0, 0]
 
 
 def scalar_h(js, gamma, D):

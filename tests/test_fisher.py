@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmchain.chain import ChainParams, chain_point, x_state
-from dmchain.fisher import (DivergentInformationWarning, fisher_point,
-                            magnetization_fi, qfi_xstate)
+from dmchain.fisher import (DivergentInformationWarning, classical_fi,
+                            fisher_point, magnetization_fi, qfi_xstate)
 
 sys.path.insert(0, "tests")
 from _oracles import (classical_fi_direct, drho_fd, qfi_eigen,
@@ -134,9 +134,12 @@ def test_decoupled_point_carries_no_classical_information():
 
 
 def test_divergence_warning_when_support_shrinks():
-    from dmchain.fisher import _classical_fi
-
+    probs, dprobs = [1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0]
     with pytest.warns(DivergentInformationWarning):
-        F = _classical_fi(np.array([1.0, 0.0, 0.0, 0.0]),
-                          np.array([0.0, 0.5, 0.5, 0.0]))
+        F = classical_fi(np.array(probs), np.array(dprobs))
     assert math.isinf(F)
+    # arrays over points: only the point that loses its support diverges
+    with pytest.warns(DivergentInformationWarning):
+        F = classical_fi(np.array([probs, [0.25] * 4]).T,
+                         np.array([dprobs, [0.5] * 4]).T)
+    assert F.shape == (2,) and math.isinf(F[0]) and F[1] == 4.0

@@ -14,7 +14,7 @@ from dmchain.chain import PARAM_TAGS, ChainParams
 from dmchain.fisher import (BlockDegenerateWarning,
                             DivergentInformationWarning, fisher_point)
 from dmchain.multiparam import qfi_matrix
-from dmchain.quadrature import DEFAULT_QUAD, QuadratureConfig
+from dmchain.quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
 from dmchain.sweep import (FIGURES, CriticalNudgeWarning, SweepSpec,
                            SweepTable, figure_bundle, sweep)
 
@@ -133,6 +133,64 @@ def test_failing_batch_rows_fail_alone(cold_memo):
         assert all(math.isfinite(table.columns[c][i]) for c in ("F", "H", "S"))
 
 
+def test_failing_batch_is_split_in_halves(monkeypatch, cold_memo):
+    # a 12-panel budget fails 5 of 400 rows, next to |J| = 1; halving each
+    # failing batch reaches them in far fewer passes than one per row
+    spec = SweepSpec("J", (-2.0, 2.0, 400), {"gamma": 0.5, "D": 0.1})
+    quad = QuadratureConfig(max_subdivisions=12)
+    real = sweep_mod.chain_points
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(np.size(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "chain_points", counting)
+    table = sweep(spec, quad)
+    assert calls[0] == 400 and len(calls) <= 60
+    assert sum(1 for e in table.errors if e) == 5
+    assert sweep_mod._batch.cache_info().currsize == 0
+
+    # the same bytes, error cells included, as evaluating every row alone
+    def alone(*args, **kwargs):
+        if np.size(args[0]) > 1:
+            raise QuadratureFailure("batch refused", 0)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "chain_points", alone)
+    assert sweep(spec, quad).to_csv() == table.to_csv()
+
+
+def test_block_algebra_runs_once_per_batch(monkeypatch, cold_memo):
+    calls = []
+    real = sweep_mod.block_qfi
+
+    def counting(points):
+        calls.append(points)
+        return real(points)
+
+    monkeypatch.setattr(sweep_mod, "block_qfi", counting)
+    spec = dataclasses.replace(spec_fhs(),
+                               quantities=("F", "H", "S", "QFIM", "det"))
+    sweep(spec)
+    assert len(calls) == 1 and tuple(calls[0].dstate) == PARAM_TAGS
+    # a failing batch: once per batch that succeeds
+    batches = []
+    real_points = sweep_mod.chain_points
+
+    def recording(*args, **kwargs):
+        points = real_points(*args, **kwargs)
+        batches.append(points)
+        return points
+
+    monkeypatch.setattr(sweep_mod, "chain_points", recording)
+    calls.clear()
+    sweep(dataclasses.replace(spec, range=(0.1, 0.99, 7)),
+          QuadratureConfig(1e-10, 1e-10, 8))
+    assert len(calls) == len(batches) >= 2
+    assert all(c is b for c, b in zip(calls, batches))
+
+
 def test_row_whose_integrals_are_not_finite_gets_an_error_cell():
     # D = 1e308 is refused as out of range before the batch; row 0 survives
     spec = SweepSpec("D", (0.1, 1e308, 2), {"J": 0.5, "gamma": 0.5})
@@ -197,13 +255,13 @@ def test_batched_columns_match_per_point(spec):
                                       equal_nan=True)
         qm = qfi_matrix(params)
         if "QFIM" in spec.quantities:
-            got = [row[c] for c in sweep_mod._QFIM_COLS]
+            got = [row[c] for c in sweep_mod.QFIM_COLS]
             assert got == list(qm.matrix[np.triu_indices(3)])
         if "det" in spec.quantities:
             assert row["det"] == qm.det
             assert row["condition_ratio"] == qm.condition_ratio
         if "U" in spec.quantities:
-            assert all(row[c] == 0.0 for c in sweep_mod._U_COLS)
+            assert all(row[c] == 0.0 for c in sweep_mod.U_COLS)
 
 
 # ------------------------------------------------------- shared batches
