@@ -3,18 +3,19 @@
 This module is the package's one information layer: other modules reach
 F, H and S = F/H only through it, and only it knows the support cuts
 ``P_TOL``, ``DP_TOL`` and ``SUPPORT_TOL``.  Besides the exported
-per-point functions, it shares three names with the package:
+per-point functions, it shares four names with the package:
 
-- :func:`classical_fi`, F from outcome probabilities and derivatives.
-  The input picks the route: floats of one point are summed as floats,
-  which keeps a one-point call cheap; arrays over points, outcomes first,
-  are summed in numpy.  Both give the same bits.
+- :func:`classical_fi`, F from outcome probabilities and derivatives as
+  arrays over points, outcomes first, summed in numpy; and
+  :func:`classical_fi_point`, the same F from the floats of one point,
+  summed as floats with the same bits, which keeps a one-point call cheap.
 - :func:`block_qfi`, the QFI matrices (H, H1, H2) over the tags of a
   :class:`ChainPoints`.  The X structure splits the reduced state into
   two real 2x2 blocks, outer and inner, each summed pair by pair over its
   eigenbasis in closed form; an eigenvalue pair summing to at most
   ``SUPPORT_TOL`` lies outside the support and is dropped.
-- :func:`information`, (F, H, H1, H2, S) for one tag of a ChainPoints.
+- :func:`information`, (F, H, H1, H2, S) for one tag of a ChainPoints,
+  with the blocks it evaluated on the way.
 
 They take populations or ChainPoints and run inside the exported
 functions, so they stay out of ``__all__``.  Instrumentation that wraps
@@ -126,28 +127,12 @@ def block_qfi(points: ChainPoints):
 
 
 def classical_fi(probs, dprobs):
-    """Fisher information of the outcomes ``probs`` with derivatives ``dprobs``.
+    """Fisher information of the outcomes on the first axis; arrays over points.
 
-    Floats of one point, such as :meth:`TwoSpinXState.populations` of a
-    :func:`chain_point`, are summed as floats into a float; arrays over
-    points, outcomes on the first axis, are summed in numpy into an array.
-    Both routes give the same bits: skipping the 0.0 terms outside the
-    support changes no sum from 0.0.  A point where an outcome vanishes
-    with a nonvanishing derivative warns and gets infinite information.
+    A point where an outcome vanishes with a nonvanishing derivative
+    warns and gets infinite information.
     """
-    if isinstance(probs[0], float):
-        fi, divergent = 0.0, False
-        for p, dp in zip(probs, dprobs):
-            if p >= P_TOL:
-                fi += dp * dp / p
-            elif abs(dp) >= DP_TOL:
-                divergent = True
-        if divergent:
-            warnings.warn(_DIVERGENT, DivergentInformationWarning, stacklevel=3)
-            return math.inf
-        return fi
     p = np.maximum(probs, 0.0)
-    dprobs = np.asarray(dprobs)
     inside = p >= P_TOL
     fi = np.divide(dprobs * dprobs, p, out=np.zeros(p.shape),
                    where=inside).sum(axis=0)
@@ -157,17 +142,37 @@ def classical_fi(probs, dprobs):
     return np.where(divergent, math.inf, fi)
 
 
-def information(points: ChainPoints, wrt: str, blocks):
-    """(F, H, H1, H2, S) for the tag ``wrt`` of ``points``, given
-    ``blocks = block_qfi(points)``; S = F/H where H carries information,
-    else NaN."""
+def classical_fi_point(probs, dprobs) -> float:
+    """:func:`classical_fi` of one point from floats, with the same bits:
+    skipping its 0.0 terms outside the support changes no sum from 0.0."""
+    fi, divergent = 0.0, False
+    for p, dp in zip(probs, dprobs):
+        if p >= P_TOL:
+            fi += dp * dp / p
+        elif abs(dp) >= DP_TOL:
+            divergent = True
+    if divergent:
+        warnings.warn(_DIVERGENT, DivergentInformationWarning, stacklevel=3)
+        return math.inf
+    return fi
+
+
+def information(points: ChainPoints, wrt: str):
+    """``(F, H, H1, H2, S), blocks`` for the tag ``wrt`` of ``points``.
+
+    ``blocks = block_qfi(points)`` spans every tag of ``points``, so a
+    caller that also needs the whole matrix evaluates it once.  F takes
+    the array route, for one point too; S = F/H where H carries
+    information, else NaN.
+    """
+    blocks = block_qfi(points)
     k = list(points.dstate).index(wrt)
     h, h1, h2 = (m[k, k] for m in blocks)
-    f = classical_fi(points.state.populations(),
-                     points.dstate[wrt].populations())
+    f = classical_fi(points.state.probabilities(),
+                     points.dstate[wrt].probabilities())
     s = np.divide(f, h, out=np.full(np.shape(h), math.nan),
                   where=np.asarray(h) > P_TOL)
-    return f, h, h1, h2, s
+    return (f, h, h1, h2, s), blocks
 
 
 def magnetization_fi(
@@ -177,8 +182,8 @@ def magnetization_fi(
 ) -> float:
     """Fisher information of the two-spin magnetization measurement."""
     point = chain_point(params, (wrt,), quad)
-    return classical_fi(point.state.populations(),
-                        point.dstate[wrt].populations())
+    return classical_fi_point(point.state.populations(),
+                              point.dstate[wrt].populations())
 
 
 def qfi_xstate(
@@ -207,5 +212,5 @@ def fisher_point(
     quad: QuadratureConfig = DEFAULT_QUAD,
 ) -> FisherPoint:
     """F, H with its block split, and their ratio, from one quadrature pass."""
-    point = chain_point(params, (wrt,), quad)
-    return FisherPoint(*map(float, information(point, wrt, block_qfi(point))))
+    values, _ = information(chain_point(params, (wrt,), quad), wrt)
+    return FisherPoint(*map(float, values))

@@ -24,7 +24,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .chain import ChainParams, chain_point, chain_points, x_state
-from .fisher import classical_fi, magnetization_fi
+from .fisher import classical_fi_point, magnetization_fi
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
 __all__ = [
@@ -323,7 +323,7 @@ def _scoring_step(weights, occupied, probs, dprobs):
               for i in occupied]
     score = (math.nan if math.inf in ratios and -math.inf in ratios
              else float(weights @ ratios))
-    return score, classical_fi(probs, dprobs)
+    return score, classical_fi_point(probs, dprobs)
 
 
 def adaptive_run(config: ProtocolConfig,

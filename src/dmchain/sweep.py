@@ -140,12 +140,12 @@ class SweepTable:
 
 def _columns(points: ChainPoints, spec: SweepSpec) -> Dict[str, np.ndarray]:
     """The requested columns at every point of a batched evaluation."""
-    blocks = block_qfi(points)
-    h = blocks[0]
     cols: Dict[str, np.ndarray] = {}
     if any(q in spec.quantities for q in ("F", "H", "S")):
-        F, H, _, _, S = information(points, spec.wrt, blocks)
+        (F, H, _, _, S), (h, _, _) = information(points, spec.wrt)
         cols.update(F=F, H=H, S=S)
+    else:
+        h = block_qfi(points)[0]
     if "QFIM" in spec.quantities:
         cols.update(zip(QFIM_COLS, h[np.triu_indices(3)]))
     if "U" in spec.quantities:
@@ -179,9 +179,8 @@ def sweep(spec: SweepSpec, quad: QuadratureConfig = DEFAULT_QUAD) -> SweepTable:
 
     Rows with invalid couplings or on a divergence of the derivatives get
     their error first; the other rows are evaluated as one batched
-    quadrature.  If a batch fails, its rows are split in halves and each
-    half is batched again, down to single rows, so only the failing rows
-    become NaN, each with its own message.
+    quadrature.  If that batch fails, each of its rows is evaluated alone,
+    so only the failing rows become NaN.
     """
     values = spec.axis_values()
     tags = PARAM_TAGS if any(q in spec.quantities for q in ("QFIM", "U", "det")) \
@@ -200,22 +199,20 @@ def sweep(spec: SweepSpec, quad: QuadratureConfig = DEFAULT_QUAD) -> SweepTable:
     rows = np.flatnonzero(valid)
     coords = coords[:, rows]
 
-    # the memo holds whole sweeps only; a failed one never enters it
-    pending = [np.arange(rows.size)] if rows.size else []
-    while pending:
-        k = pending.pop()
-        try:
-            points = (_batch(coords.tobytes(), tags, quad) if k.size == rows.size
-                      else chain_points(*coords[:, k], tags, quad))
-        except (QuadratureFailure, PositivityViolation) as exc:
-            if k.size == 1:
-                errors[rows[k[0]]] = _message(exc)
-            else:
-                pending += np.array_split(k, 2)[::-1]
-            continue
+    def evaluate(k, points: ChainPoints) -> None:
         cols = _columns(points, spec)
         for name, column in columns.items():
             column[rows[k]] = cols[name]
+
+    if rows.size:
+        try:
+            evaluate(slice(None), _batch(coords.tobytes(), tags, quad))
+        except (QuadratureFailure, PositivityViolation):
+            for k in range(rows.size):
+                try:
+                    evaluate([k], chain_points(*coords[:, [k]], tags, quad))
+                except (QuadratureFailure, PositivityViolation) as exc:
+                    errors[rows[k]] = _message(exc)
 
     return SweepTable(spec=spec, axis_values=values, columns=columns,
                       errors=tuple(errors))

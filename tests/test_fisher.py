@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from dmchain.chain import ChainParams, chain_point, x_state
 from dmchain.fisher import (DivergentInformationWarning, classical_fi,
-                            fisher_point, magnetization_fi, qfi_xstate)
+                            classical_fi_point, fisher_point,
+                            magnetization_fi, qfi_xstate)
 
 sys.path.insert(0, "tests")
 from _oracles import (classical_fi_direct, drho_fd, qfi_eigen,
@@ -138,6 +139,8 @@ def test_divergence_warning_when_support_shrinks():
     with pytest.warns(DivergentInformationWarning):
         F = classical_fi(np.array(probs), np.array(dprobs))
     assert math.isinf(F)
+    with pytest.warns(DivergentInformationWarning):
+        assert classical_fi_point(probs, dprobs) == math.inf
     # arrays over points: only the point that loses its support diverges
     with pytest.warns(DivergentInformationWarning):
         F = classical_fi(np.array([probs, [0.25] * 4]).T,

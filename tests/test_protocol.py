@@ -251,15 +251,13 @@ def test_interior_round_pass_budget(monkeypatch, max_iter):
     monkeypatch.setattr(protocol, "SCORING_MAX_ITER", max_iter)
     passes = _record_passes(monkeypatch)
     fi_calls = []
-    real_fi = protocol.classical_fi
+    real_fi = protocol.classical_fi_point
 
     def counting_fi(probs, dprobs):
-        # the scoring step feeds F floats, which take the float route
-        assert all(isinstance(x, float) for x in (*probs, *dprobs))
         fi_calls.append(1)
         return real_fi(probs, dprobs)
 
-    monkeypatch.setattr(protocol, "classical_fi", counting_fi)
+    monkeypatch.setattr(protocol, "classical_fi_point", counting_fi)
     res = mle_estimate(counts, 1.0, 0.7, 0.1, GRID)
     monkeypatch.undo()
     assert 1 <= len(passes) <= min(max_iter, 8)
@@ -325,14 +323,13 @@ def same_bits(a, b):
 
 def array_scoring_step(counts, probs, dprobs):
     """The scoring step on arrays: _normalized, the score over the occupied
-    outcomes as numpy computes it, and classical_fi of the raw populations
-    as a one-point column, which takes the array route."""
+    outcomes as numpy computes it, and classical_fi of the raw populations."""
     occupied = counts > 0
     probs, dp = np.array(probs), np.array(dprobs)
     p = protocol._normalized(probs)
     with np.errstate(divide="ignore", invalid="ignore"):
         score = float(counts[occupied] @ (dp[occupied] / p[occupied]))
-    return score, float(fisher.classical_fi(probs[:, None], dp[:, None])[0])
+    return score, float(fisher.classical_fi(probs, dp))
 
 
 def float_scoring_step(counts, probs, dprobs):
@@ -388,16 +385,14 @@ def test_scoring_step_in_floats_equals_the_array_route_bit_for_bit():
         else:
             assert all(map(same_bits, got, want)), (counts, probs, dprobs)
             divergent += math.isinf(want[1])
-        # the float F is the one-point F of magnetization_fi and fisher_point
-        # floats take the float route, a one-point column the array route
-        column = np.array(probs)[:, None], np.array(dprobs)[:, None]
-        f = outcome(fisher.classical_fi, probs, dprobs)
-        assert type(f[0]) is float
-        assert f[1] == outcome(fisher.classical_fi, *column)[1]
+        # the float F of magnetization_fi is the array F of fisher_point
+        f = outcome(fisher.classical_fi_point, probs, dprobs)
+        assert f[1] == outcome(fisher.classical_fi, np.array(probs),
+                               np.array(dprobs))[1]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            array_f = fisher.classical_fi(*column)
-            assert array_f.shape == (1,) and same_bits(f[0], float(array_f[0]))
+            assert same_bits(f[0], float(fisher.classical_fi(
+                np.array(probs), np.array(dprobs))))
     assert 100 < raised < 2000 and divergent > 100
 
 

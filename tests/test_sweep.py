@@ -14,12 +14,13 @@ from dmchain.chain import PARAM_TAGS, ChainParams
 from dmchain.fisher import (BlockDegenerateWarning,
                             DivergentInformationWarning, fisher_point)
 from dmchain.multiparam import qfi_matrix
-from dmchain.quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
+from dmchain.quadrature import DEFAULT_QUAD, QuadratureConfig
 from dmchain.sweep import (FIGURES, CriticalNudgeWarning, SweepSpec,
                            SweepTable, figure_bundle, sweep)
 
 # the package exports a function named sweep over the module's name
 sweep_mod = importlib.import_module("dmchain.sweep")
+fisher_mod = importlib.import_module("dmchain.fisher")
 
 
 def spec_fhs(rng=(0.2, 0.8, 7), gamma=0.5, D=0.1):
@@ -133,48 +134,24 @@ def test_failing_batch_rows_fail_alone(cold_memo):
         assert all(math.isfinite(table.columns[c][i]) for c in ("F", "H", "S"))
 
 
-def test_failing_batch_is_split_in_halves(monkeypatch, cold_memo):
-    # a 12-panel budget fails 5 of 400 rows, next to |J| = 1; halving each
-    # failing batch reaches them in far fewer passes than one per row
-    spec = SweepSpec("J", (-2.0, 2.0, 400), {"gamma": 0.5, "D": 0.1})
-    quad = QuadratureConfig(max_subdivisions=12)
-    real = sweep_mod.chain_points
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(np.size(args[0]))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sweep_mod, "chain_points", counting)
-    table = sweep(spec, quad)
-    assert calls[0] == 400 and len(calls) <= 60
-    assert sum(1 for e in table.errors if e) == 5
-    assert sweep_mod._batch.cache_info().currsize == 0
-
-    # the same bytes, error cells included, as evaluating every row alone
-    def alone(*args, **kwargs):
-        if np.size(args[0]) > 1:
-            raise QuadratureFailure("batch refused", 0)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sweep_mod, "chain_points", alone)
-    assert sweep(spec, quad).to_csv() == table.to_csv()
-
-
 def test_block_algebra_runs_once_per_batch(monkeypatch, cold_memo):
+    # F, H and S reach the blocks through fisher.information
     calls = []
-    real = sweep_mod.block_qfi
+    real = fisher_mod.block_qfi
 
     def counting(points):
         calls.append(points)
         return real(points)
 
     monkeypatch.setattr(sweep_mod, "block_qfi", counting)
+    monkeypatch.setattr(fisher_mod, "block_qfi", counting)
     spec = dataclasses.replace(spec_fhs(),
                                quantities=("F", "H", "S", "QFIM", "det"))
     sweep(spec)
     assert len(calls) == 1 and tuple(calls[0].dstate) == PARAM_TAGS
-    # a failing batch: once per batch that succeeds
+    sweep(dataclasses.replace(spec, quantities=("QFIM", "det")))
+    assert len(calls) == 2 and calls[1] is calls[0]
+    # a failing batch: once per batch that succeeds, each row alone
     batches = []
     real_points = sweep_mod.chain_points
 
