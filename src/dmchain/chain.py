@@ -22,6 +22,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from .errors import CriticalPoint, PositivityViolation
 from .quadrature import (DEFAULT_QUAD, QuadratureConfig, QuadratureFailure,
                          integrate_points)
 
@@ -98,14 +99,6 @@ def _start_tables():
 
 (_START_LO, _START_HI, _START_KEEP, _START_COUNTS, _START_BREAKS,
  _START_ROWS) = _start_tables()
-
-
-class CriticalPoint(ValueError):
-    """Evaluation requested where a coupling derivative integral diverges."""
-
-
-class PositivityViolation(RuntimeError):
-    """Reduced two-spin state fails positivity beyond numerical tolerance."""
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Subcommands map onto the library layers: `state` and `fisher` evaluate a
 single parameter point, `sweep` walks an axis, `qfim` reports the
 multiparameter objects, `protocol` simulates the adaptive estimation run
 (seed required, trace as JSON lines), `features` classifies information
-curves, `figure` regenerates the reference figure data.
+curves, `figure` regenerates the reference figure data.  Each handler
+imports the layers its command runs, so a start loads no other layer.
 
 Exit codes: 0 success, 2 invalid arguments or spec, 3 numerical failure.
 """
@@ -20,22 +21,11 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .chain import (ChainParams, CriticalPoint, PositivityViolation,
-                    chain_point)
-from .features import (FlatProfile, InsufficientResolution, detect_d_loss,
-                       detect_features)
-from .fisher import fisher_point
-from .multiparam import (SingularInformation, matrix_crb, qfi_matrix,
-                         uhlmann_matrix)
-from .protocol import ProtocolConfig, adaptive_run
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
-from .sweep import (FIGURES, QFIM_COLS, U_COLS, SweepSpec, figure_bundle,
-                    sweep)
+from .chain import ChainParams, chain_point
+from .errors import NUMERICAL_ERRORS
+from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
 __all__ = ["main"]
-
-NUMERICAL_ERRORS = (QuadratureFailure, CriticalPoint, PositivityViolation,
-                    SingularInformation, InsufficientResolution, FlatProfile)
 
 
 def _colon_tuple(text: str, types, form: str):
@@ -165,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat.add_argument("--out", default=None)
 
     p_fig = sub.add_parser("figure", help="regenerate reference figure data")
-    p_fig.add_argument("name", choices=FIGURES)
+    p_fig.add_argument("name", help="figure to regenerate, fig1 to fig6")
     p_fig.add_argument("--out", default=".", help="output directory")
     p_fig.add_argument("--tol", type=float, default=None)
 
@@ -194,6 +184,8 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_fisher(args) -> int:
+    from .fisher import fisher_point
+
     params = ChainParams(args.J, args.gamma, args.D)
     fp = fisher_point(params, args.wrt, _quad(args))
     row = {"J": params.J, "gamma": params.gamma, "D": params.D,
@@ -208,6 +200,8 @@ def _cmd_fisher(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .sweep import SweepSpec, sweep
+
     fixed = {}
     for tag in ("J", "gamma", "D"):
         value = getattr(args, tag)
@@ -227,6 +221,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_qfim(args) -> int:
+    from .multiparam import matrix_crb, qfi_matrix, uhlmann_matrix
+
     params = ChainParams(args.J, args.gamma, args.D)
     quad = _quad(args)
     qm = qfi_matrix(params, quad)
@@ -244,6 +240,8 @@ def _cmd_qfim(args) -> int:
         payload["crb"] = [[float(x) for x in row] for row in crb]
         payload["shots"] = args.shots
     if args.format == "csv":
+        from .sweep import QFIM_COLS, U_COLS
+
         text = _csv_row(
             QFIM_COLS + U_COLS + ("det", "condition_ratio"),
             [*qm.matrix[np.triu_indices(3)], *um.matrix[np.triu_indices(3, 1)],
@@ -255,6 +253,8 @@ def _cmd_qfim(args) -> int:
 
 
 def _cmd_protocol(args) -> int:
+    from .protocol import ProtocolConfig, adaptive_run
+
     config = ProtocolConfig(
         J_true=args.J, gamma=args.gamma, D=args.D, J_guess=args.J_guess,
         shots=args.shots, rounds=args.rounds, grid=args.grid,
@@ -272,6 +272,8 @@ def _cmd_protocol(args) -> int:
 
 
 def _cmd_features(args) -> int:
+    from .features import detect_d_loss, detect_features
+
     report = detect_features(args.gamma, args.D, d_scan=args.scan,
                              quad=_quad(args))
     payload = {
@@ -301,6 +303,8 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    from .sweep import figure_bundle
+
     paths = figure_bundle(args.name, args.out, _quad(args))
     sys.stdout.write("\n".join(paths) + "\n")
     return 0

@@ -15,6 +15,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .chain import chain_points
+from .errors import FlatProfile, InsufficientResolution
 from .fisher import block_qfi
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
@@ -39,14 +40,6 @@ PEAK_PROMINENCE = 1e-6
 # Slope extrema (shoulders) need this fraction of the full slope range.
 SLOPE_PROMINENCE = 1e-2
 BRACKET_WIDTH = 1e-3
-
-
-class InsufficientResolution(RuntimeError):
-    """Classification flips under grid refinement; sample finer."""
-
-
-class FlatProfile(RuntimeError):
-    """The integrated information profile varies too little to rank."""
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import PARAM_TAGS, ChainParams, chain_point, derivative_guard
+from .errors import SingularInformation
 from .fisher import block_qfi
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
@@ -36,10 +37,6 @@ CONDITION_FLOOR = 1e-10
 
 _SYM_TOL = 1e-10
 _PSD_TOL = 1e-9
-
-
-class SingularInformation(RuntimeError):
-    """Information matrix too ill-conditioned to invert meaningfully."""
 
 
 def spectrum(eigenvalues: np.ndarray):

@@ -26,24 +26,14 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from .errors import QuadratureFailure
+
 __all__ = [
     "QuadratureConfig",
     "QuadratureFailure",
     "DEFAULT_QUAD",
     "integrate_points",
 ]
-
-
-class QuadratureFailure(RuntimeError):
-    """Requested tolerance not reached within the subdivision budget.
-
-    ``point`` is the index of the failing point in an
-    :func:`integrate_points` family.
-    """
-
-    def __init__(self, message: str, point: int) -> None:
-        super().__init__(message)
-        self.point = point
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,22 @@ def test_figure_command(capsys, tmp_path):
     assert manifest["figure"] == "fig4"
 
 
+def test_unknown_figure_is_invalid_spec(capsys, tmp_path):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "figure", "nope", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert "invalid spec" in err and "nope" in err
+    assert all("fig%d" % i in err for i in range(1, 7))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figure_help_names_the_figures(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "--help"])
+    assert exc.value.code == 0
+    assert "fig1 to fig6" in capsys.readouterr().out
+
+
 # --------------------------------------------------------------- exit codes
 
 def test_numerical_failure_exit(capsys):
@@ -358,20 +374,65 @@ def test_installed_entry_point(tmp_path):
         assert script.stdout == proc.stdout
 
 
+FRESH_START = """
+import json, sys, warnings
+import dmchain.cli
+warnings.simplefilter("ignore")
+
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m.split(".")[0] == prefix)
+
+assert dmchain.cli.main(["state", "--J", "0.3", "--gamma", "0.5"]) == 0
+after_state = loaded("dmchain")
+assert dmchain.cli.main(sys.argv[1:]) == 0
+print(json.dumps([after_state, loaded("dmchain"), loaded("scipy")]))
+"""
+
+
+def fresh_start(tmp_path, *argv):
+    """The ``dmchain*`` modules loaded in a fresh interpreter after
+    ``import dmchain.cli`` and a ``state`` point, the ``dmchain*`` modules
+    loaded once ``argv`` has run as well, and the scipy modules loaded."""
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(dmchain.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run([sys.executable, "-c", FRESH_START] + list(argv),
+                          capture_output=True, text=True, env=env,
+                          cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    after_state, after, scipy = json.loads(proc.stdout.splitlines()[-1])
+    return set(after_state), set(after), scipy
+
+
 def test_cli_imports_no_scipy(tmp_path):
     # every dmchain start pays for what the CLI imports; scipy alone would
     # add over a second, so no command may need it
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(dmchain.__file__)))
-    code = "\n".join([
-        "import sys",
-        "import dmchain.cli",
-        "assert dmchain.cli.main(['state', '--J', '0.3', '--gamma', '0.5']) == 0",
-        "assert dmchain.cli.main(['features', '--gamma', '0.7', '--D', "
-        "'0.1,0.3', '--d-loss']) == 0",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-    ])
-    env = dict(os.environ, PYTHONPATH=src_dir)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, cwd=str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    _, _, scipy = fresh_start(tmp_path, "features", "--gamma", "0.7",
+                              "--D", "0.1,0.3", "--d-loss")
+    assert scipy == []
+
+
+STATE_LAYERS = {"dmchain", "dmchain.cli", "dmchain.chain", "dmchain.errors",
+                "dmchain.quadrature"}
+
+
+@pytest.mark.parametrize("argv, layers", [pytest.param(*case, id=case[0][0]) for case in [
+    (["state", "--J", "0.5", "--gamma", "0.7"], set()),
+    (["fisher", "--J", "0.5", "--gamma", "0.7"], {"fisher"}),
+    (["qfim", "--J", "0.5", "--gamma", "0.7", "--D", "0.1"],
+     {"fisher", "multiparam"}),
+    (["sweep", "--axis", "D", "--range", "0:0.2:3", "--J", "0.5",
+      "--gamma", "0.7"], {"fisher", "multiparam", "sweep"}),
+    (["protocol", "--J", "0.7", "--gamma", "0.7", "--D", "0.1",
+      "--J-guess", "0.6", "--shots", "1000", "--rounds", "2",
+      "--grid=-2.5:2.5:41", "--seed", "1"], {"fisher", "protocol"}),
+    (["features", "--gamma", "0.7", "--D", "0.1,0.3"],
+     {"features", "fisher"}),
+    (["figure", "fig4", "--out", "fig"], {"fisher", "multiparam", "sweep"}),
+]])
+def test_command_loads_only_its_layers(tmp_path, argv, layers):
+    # a start compiles each module it loads, so a command loads the
+    # layers it runs and no other
+    after_state, after, scipy = fresh_start(tmp_path, *argv)
+    assert after_state == STATE_LAYERS
+    assert after == STATE_LAYERS | {"dmchain." + m for m in layers}
+    assert scipy == []

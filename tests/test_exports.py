@@ -1,8 +1,10 @@
-"""The export lists: every exported name exists, and the package imports
-only exported names (instrumentation that walks ``__all__`` skips a name
-it cannot find, so a stale entry would go unnoticed)."""
+"""The export lists: every exported name exists, the package imports no
+layer, and each error class has one definition (instrumentation that
+walks ``__all__`` skips a name it cannot find, so a stale entry would go
+unnoticed)."""
 
 import ast
+import collections
 import importlib
 import json
 import os
@@ -12,22 +14,39 @@ import sys
 
 import dmchain
 
-MODULES = ("chain", "cli", "features", "fisher", "multiparam", "protocol",
-           "quadrature", "sweep")
+MODULES = ("chain", "cli", "errors", "features", "fisher", "multiparam",
+           "protocol", "quadrature", "sweep")
 
 
-def test_exports_exist_and_cover_package_imports():
-    exported = {}
+def test_exports_exist_and_package_imports_no_layer():
+    tree = ast.parse(pathlib.Path(dmchain.__file__).read_text())
+    assert [node for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+    errors = {}
     for name in MODULES:
         mod = importlib.import_module("dmchain." + name)
-        exported[name] = set(mod.__all__)
         assert [a for a in mod.__all__ if not hasattr(mod, a)] == [], name
-    tree = ast.parse(pathlib.Path(dmchain.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert {node.module for node in imports} == set(MODULES) - {"cli"}
-    for node in imports:
-        names = {alias.name for alias in node.names}
-        assert names <= exported[node.module], names - exported[node.module]
+        for attr in mod.__all__:
+            value = getattr(mod, attr)
+            if isinstance(value, type) and issubclass(value, Exception):
+                errors.setdefault(attr, set()).add(value)
+    # a re-exported error is the same class under every module's name ...
+    assert [a for a, classes in errors.items() if len(classes) > 1] == []
+    # ... and its class statement appears once in the package
+    defined = collections.Counter(
+        node.name
+        for path in pathlib.Path(dmchain.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef))
+    assert {a: defined[a] for a in errors if defined[a] != 1} == {}
+
+
+def test_submodules_are_not_shadowed():
+    from dmchain import sweep
+    import dmchain.sweep as m
+
+    assert sweep is m is sys.modules["dmchain.sweep"]
+    assert callable(m.sweep) and m.sweep.__module__ == "dmchain.sweep"
 
 
 def test_module_imports_are_used():
