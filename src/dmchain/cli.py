@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_proto.add_argument("--grid", type=_range_triple, default=(-2.5, 2.5, 801),
                          metavar="lo:hi:n")
     p_proto.add_argument("--seed", type=int, required=True)
-    p_proto.add_argument("--sign-switch", action="store_true")
     p_proto.add_argument("--tol", type=float, default=None)
     p_proto.add_argument("--out", default=None,
                          help="write the JSONL trace here; summary to stdout")
@@ -221,7 +220,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_qfim(args) -> int:
-    from .multiparam import matrix_crb, qfi_matrix, uhlmann_matrix
+    from .multiparam import (QFIM_COLS, U_COLS, matrix_crb, qfi_matrix,
+                             uhlmann_matrix)
 
     params = ChainParams(args.J, args.gamma, args.D)
     quad = _quad(args)
@@ -240,8 +240,6 @@ def _cmd_qfim(args) -> int:
         payload["crb"] = [[float(x) for x in row] for row in crb]
         payload["shots"] = args.shots
     if args.format == "csv":
-        from .sweep import QFIM_COLS, U_COLS
-
         text = _csv_row(
             QFIM_COLS + U_COLS + ("det", "condition_ratio"),
             [*qm.matrix[np.triu_indices(3)], *um.matrix[np.triu_indices(3, 1)],
@@ -257,8 +255,7 @@ def _cmd_protocol(args) -> int:
 
     config = ProtocolConfig(
         J_true=args.J, gamma=args.gamma, D=args.D, J_guess=args.J_guess,
-        shots=args.shots, rounds=args.rounds, grid=args.grid,
-        seed=args.seed, sign_switch=args.sign_switch,
+        shots=args.shots, rounds=args.rounds, grid=args.grid, seed=args.seed,
     )
     trace = adaptive_run(config, _quad(args))
     if args.out:

@@ -38,6 +38,13 @@ CONDITION_FLOOR = 1e-10
 _SYM_TOL = 1e-10
 _PSD_TOL = 1e-9
 
+# CSV columns: QFI matrix upper triangle, Uhlmann matrix strict upper one
+QFIM_COLS = tuple(
+    "QFIM_%s_%s" % (a, b)
+    for i, a in enumerate(PARAM_TAGS) for b in PARAM_TAGS[i:]
+)
+U_COLS = ("U_J_gamma", "U_J_D", "U_gamma_D")
+
 
 def spectrum(eigenvalues: np.ndarray):
     """Clipped eigenvalues, determinant and smallest / largest eigenvalue

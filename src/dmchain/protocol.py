@@ -76,7 +76,6 @@ class ProtocolConfig:
     rounds: int = 3
     grid: Tuple[float, float, int] = (-2.5, 2.5, 801)
     seed: int = 0
-    sign_switch: bool = False
 
     def __post_init__(self) -> None:
         if not all(np.isfinite([self.J_true, self.gamma, self.D, self.J_guess])):
@@ -330,26 +329,18 @@ def adaptive_run(config: ProtocolConfig,
                  quad: QuadratureConfig = DEFAULT_QUAD) -> ProtocolTrace:
     """Run the adaptive field-retuning protocol.
 
-    Round 1 measures at B = J_guess.  Later rounds retune the field to the
-    running estimate (its negative while sign_switch is active and the
-    estimate has not yet stabilized, to work the wide side of the
-    information profile first).  The running estimate is the
-    inverse-variance average of the round MLEs, so its variance proxy is
-    non-increasing by construction; convergence additionally demands every
-    round estimate lands within 3 sigma of the running average.
+    Round 1 measures at B = J_guess and each later round at the running
+    estimate: the inverse-variance average of the round MLEs, or the
+    round MLE while none has a finite variance.  A zero field ends the
+    run unconverged; otherwise it converges with every round run, a
+    finite final variance and no round at a grid edge, of infinite
+    variance after round 1, or more than 3 sigma off the running estimate.
     """
     rng = np.random.default_rng(config.seed)
-
     records = []
-    weight_sum = 0.0
-    weighted_estimate = 0.0
-    running = None          # inverse-variance average so far
-    running_var = math.inf
-    stable = True           # falsified by any 3-sigma break
-    seen_stable = False     # at least one round landed within 3 sigma
-    switched = not config.sign_switch
+    weight = weighted = 0.0     # sums of 1/var and est/var
+    stable = True
     B = config.J_guess
-
     for _ in range(config.rounds):
         # nature answers at the true coupling whatever the estimator grid
         probs = _nature_probabilities(config.J_true / B, config.gamma,
@@ -357,47 +348,27 @@ def adaptive_run(config: ProtocolConfig,
         counts = sample_outcomes(probs, config.shots, rng)
         est, var, at_edge = mle_estimate(
             counts, B, config.gamma, config.D, config.grid, quad)
-        if at_edge:
-            stable = False
-
-        if running is not None and np.isfinite(var) and np.isfinite(running_var):
-            if abs(est - running) > STABLE_SIGMA * math.sqrt(var + running_var):
+        if records:
+            # an infinite running variance passes the 3-sigma test
+            last, last_var = records[-1].estimate, records[-1].variance_est
+            if not math.isfinite(var) or abs(est - last) > (
+                    STABLE_SIGMA * math.sqrt(var + last_var)):
                 stable = False
-            else:
-                seen_stable = True
-        elif running is not None and not np.isfinite(var):
-            stable = False
-
-        if np.isfinite(var) and var > 0.0:
-            weight_sum += 1.0 / var
-            weighted_estimate += est / var
-        if weight_sum > 0.0:
-            running = weighted_estimate / weight_sum
-            running_var = 1.0 / weight_sum
-        else:
-            running = est
-            running_var = math.inf
-
+        stable = stable and not at_edge
+        if 0.0 < var < math.inf:
+            weight += 1.0 / var
+            weighted += est / var
         records.append(RoundRecord(
-            B=B,
-            counts=tuple(int(c) for c in counts),
-            estimate=float(running),
-            variance_est=float(running_var),
-            at_edge=at_edge,
-        ))
-
-        if not switched and seen_stable:
-            switched = True  # refine on the steep side from now on
-        B = running if switched else -running
+            B=B, counts=tuple(int(c) for c in counts), at_edge=at_edge,
+            estimate=float(weighted / weight if weight > 0.0 else est),
+            variance_est=float(1.0 / weight if weight > 0.0 else math.inf)))
+        B = records[-1].estimate
         if B == 0.0:
             stable = False
             break
 
-    converged = bool(
-        stable
-        and len(records) == config.rounds
-        and np.isfinite(records[-1].variance_est)
-    )
+    converged = (stable and len(records) == config.rounds
+                 and math.isfinite(records[-1].variance_est))
     if not converged:
         warnings.warn(
             "adaptive run did not converge; consider a different J_guess",

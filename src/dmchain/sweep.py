@@ -22,7 +22,7 @@ from . import __version__
 from .chain import (PARAM_TAGS, ChainPoints, PositivityViolation, chain_points,
                     refused)
 from .fisher import block_qfi, information
-from .multiparam import spectrum
+from .multiparam import QFIM_COLS, U_COLS, spectrum
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
 
 __all__ = [
@@ -38,11 +38,6 @@ __all__ = [
 SWEEP_QUANTITIES = ("F", "H", "S", "QFIM", "U", "det")
 
 # column layout per quantity
-QFIM_COLS = tuple(
-    "QFIM_%s_%s" % (a, b)
-    for i, a in enumerate(PARAM_TAGS) for b in PARAM_TAGS[i:]
-)
-U_COLS = ("U_J_gamma", "U_J_D", "U_gamma_D")
 _COLUMNS = {
     "F": ("F",),
     "H": ("H",),

@@ -176,6 +176,15 @@ def test_protocol_requires_seed(capsys):
     assert exc.value.code == 2
 
 
+def test_protocol_has_no_sign_switch(capsys):
+    # every later round measures at the running estimate; no flag flips it
+    with pytest.raises(SystemExit) as exc:
+        main(["protocol", "--J", "0.9", "--gamma", "1.0", "--J-guess", "0.9",
+              "--seed", "0", "--sign-switch"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sign-switch" in capsys.readouterr().err
+
+
 def test_protocol_jsonl_and_summary(capsys, tmp_path):
     target = os.path.join(tmp_path, "trace.jsonl")
     code, out, _ = run_cli(capsys, "protocol", "--J", "0.9", "--gamma", "1.0",
@@ -428,7 +437,8 @@ STATE_LAYERS = {"dmchain", "dmchain.cli", "dmchain.chain", "dmchain.errors",
     (["features", "--gamma", "0.7", "--D", "0.1,0.3"],
      {"features", "fisher"}),
     (["figure", "fig4", "--out", "fig"], {"fisher", "multiparam", "sweep"}),
-]])
+]] + [pytest.param(["qfim", "--J", "0.5", "--gamma", "0.7", "--D", "0.1",
+                    "--format", "csv"], {"fisher", "multiparam"}, id="qfim-csv")])
 def test_command_loads_only_its_layers(tmp_path, argv, layers):
     # a start compiles each module it loads, so a command loads the
     # layers it runs and no other

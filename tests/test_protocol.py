@@ -2,7 +2,9 @@
 
 import json
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,20 +462,6 @@ def test_pooled_variance_non_increasing():
         assert finite == sorted(finite, reverse=True)
 
 
-def test_sign_switch_field_pattern():
-    # round 1 at +J_guess, then the negative side until 3-sigma stable,
-    # then back to the steep positive side
-    cfg = ProtocolConfig(J_true=0.9, gamma=1.0, D=0.1, J_guess=0.9,
-                         shots=10_000, rounds=3, grid=GRID, seed=0,
-                         sign_switch=True)
-    tr = adaptive_run(cfg)
-    assert tr.rounds[0].B == 0.9
-    assert tr.rounds[1].B < 0.0
-    assert tr.rounds[2].B > 0.0
-    assert tr.converged
-    assert abs(tr.final_estimate - 0.9) < 0.02
-
-
 def test_zero_truth_never_converges():
     cfg = ProtocolConfig(J_true=0.0, gamma=1.0, D=0.1, J_guess=0.9,
                          shots=100, rounds=3, seed=1)
@@ -493,6 +481,40 @@ def test_dm_term_rescues_poor_guess():
         conv0 += quiet_run(ProtocolConfig(J_true=-0.7, D=0.0, seed=seed, **kw)).converged
         conv1 += quiet_run(ProtocolConfig(J_true=-0.7, D=0.1, seed=seed, **kw)).converged
     assert conv1 >= conv0 + 6
+
+
+# ----------------------------------------------------------- frozen traces
+
+# Whole adaptive runs, one per case of the retuning and convergence rules
+# (converged runs at D = 0.1 and 0.3, check 09's one-sided grid, an edge
+# round, uninformative rounds, a 3-sigma break, J_true = 0, a field
+# retuned to zero).  D = 0 runs on a symmetric grid are left out: their
+# sign is roundoff.
+FROZEN = json.loads((Path(__file__).parent / "protocol_traces.json").read_text())
+
+
+def frozen_config(case):
+    return ProtocolConfig(**dict(case["config"],
+                                 grid=tuple(case["config"]["grid"])))
+
+
+@pytest.mark.parametrize("case", FROZEN, ids=[c["name"] for c in FROZEN])
+def test_adaptive_run_matches_frozen_trace(case):
+    # counts, edges and convergence exactly; floats to 1e-9 so that a
+    # change of quadrature roundoff needs no new file
+    cfg = frozen_config(case)
+    tr = quiet_run(cfg)
+    assert tr.converged is case["converged"]
+    assert len(tr.rounds) == len(case["rounds"])
+    B = cfg.J_guess
+    for got, want in zip(tr.rounds, case["rounds"]):
+        assert got.counts == tuple(want["counts"])
+        assert got.at_edge is want["at_edge"]
+        # each field is the running estimate before it, bit for bit
+        assert got.B == B
+        for name in ("B", "estimate", "variance_est"):
+            assert getattr(got, name) == pytest.approx(want[name], rel=1e-9)
+        B = got.estimate
 
 
 # ------------------------------------------------------------------ traces
@@ -537,3 +559,18 @@ def test_protocol_constants():
     assert EDGE_CLAMP == 1e-6
     assert STABLE_SIGMA == 3.0
     assert FISHER_FLOOR == 1e-8
+
+
+if __name__ == "__main__":
+    # python tests/test_protocol.py tests/protocol_traces.json > new.json
+    # reruns the frozen configurations; refreeze only when the retuning
+    # or convergence rule changes on purpose
+    lines = []
+    for case in json.loads(Path(sys.argv[1]).read_text()):
+        tr = quiet_run(frozen_config(case))
+        rounds = [json.loads(line) for line in tr.jsonl().splitlines()]
+        lines.append('{"name": %s, "config": %s, "converged": %s, "rounds": [\n'
+                     % (json.dumps(case["name"]), json.dumps(case["config"]),
+                        json.dumps(tr.converged))
+                     + ",\n".join(" " + json.dumps(r) for r in rounds) + "]}")
+    print("[\n" + ",\n".join(lines) + "\n]")
