@@ -11,7 +11,9 @@ the same refinement loop, so a point gets the same bits from either.
 A coupling derivative is held in the type of the quantity it differentiates:
 :class:`Correlators` for the correlators, :class:`TwoSpinXState` for the
 state.  Every pass starts on a mesh graded toward the endpoint where the
-integrands peak near criticality (see :func:`chain_point`).
+integrands peak near criticality (see :func:`chain_point`), whose panels
+are rows of one node table built at import: sin and cos tabulated at
+the Kronrod nodes of each distinct start panel.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import CriticalPoint, PositivityViolation
-from .quadrature import (DEFAULT_QUAD, QuadratureConfig, QuadratureFailure,
-                         integrate_points)
+from .quadrature import (DEFAULT_QUAD, NodeTable, QuadratureConfig,
+                         QuadratureFailure, integrate_points)
 
 __all__ = [
     "PARAM_TAGS",
@@ -60,13 +62,27 @@ _LADDER_FLOOR = 1e-5
 _MAX_RUNGS = int(math.log2(_RUNG / _LADDER_FLOOR))
 
 
+def _phi_factors(phi: np.ndarray) -> np.ndarray:
+    """sin and cos of the nodes phi, stacked on a new first axis: the
+    factors of the integrands that cost a libm call per node.  Their
+    products, such as sin^2 or -cos/pi, stay in the integrand: a multiply
+    there costs about what gathering a tabulated product would, and a
+    table of five factors instead of two measured more peak memory."""
+    out = np.empty((2,) + phi.shape)
+    np.sin(phi, out=out[0])
+    np.cos(phi, out=out[1])
+    return out
+
+
 def _start_tables():
     """Start panels of every end and ladder depth, and where along J each
-    row starts.  Row ``k + end * (_MAX_RUNGS + 1)`` holds in its ``keep``
-    entries the ladder of depth k toward phi = 0 (end 0, J >= 0) or pi,
-    innermost first.  The depth rint(log2(_RUNG / max(||J| - 1|,
-    _LADDER_FLOOR))), held to [0, _MAX_RUNGS], changes within an ulp or two
-    of |J| = 1 -+ _RUNG 2^-(k + 1/2), so each ``breaks`` entry, the first J
+    row starts.  Row ``k + end * (_MAX_RUNGS + 1)`` of ``panels`` holds in
+    its ``keep`` entries the ladder of depth k toward phi = 0 (end 0,
+    J >= 0) or pi, innermost first, as ids into the node table of the
+    distinct start panels, ``table``.  The depth
+    rint(log2(_RUNG / max(||J| - 1|, _LADDER_FLOOR))), held to
+    [0, _MAX_RUNGS], changes within an ulp or two of
+    |J| = 1 -+ _RUNG 2^-(k + 1/2), so each ``breaks`` entry, the first J
     of a stretch of one row, is found exactly on the ulps around that
     guess; ``rows[cap]`` is each stretch's row with the depth at most cap."""
     edges = np.concatenate([[0.0], _RUNG * 2.0 ** -np.arange(_MAX_RUNGS, 0, -1),
@@ -79,6 +95,17 @@ def _start_tables():
         hi[k, :n] = edges[_MAX_RUNGS - k + 1:]
         lo[down, :n], hi[down, :n] = _PI - hi[k, :n], _PI - lo[k, :n]
         keep[k, :n] = keep[down, :n] = True
+    # Number the distinct panels, which the rows share.  Every bound is an
+    # entry of ``bounds``, so a panel is keyed by the first entries equal
+    # to its bounds (no sort: its code would be paged in for this alone).
+    bounds = np.concatenate([edges, _PI - edges])
+    key = ((lo[keep][:, None] == bounds).argmax(axis=1),
+           (hi[keep][:, None] == bounds).argmax(axis=1))
+    seen = np.zeros((bounds.size, bounds.size), dtype=bool)
+    seen[key] = True
+    panels = np.zeros(keep.shape, dtype=np.intp)
+    panels[keep] = (seen.cumsum() - 1).reshape(seen.shape)[key]
+    lo, hi = (bounds[i] for i in np.nonzero(seen))
 
     def depth(J):
         near = np.maximum(np.abs(np.abs(J) - 1.0), _LADDER_FLOOR)
@@ -94,10 +121,12 @@ def _start_tables():
     first = np.concatenate([[breaks[0] - 1.0], breaks])
     rows = (np.minimum(depth(first), np.arange(_MAX_RUNGS + 1)[:, None])
             + (first < 0.0) * (_MAX_RUNGS + 1))
-    return lo, hi, keep, keep.sum(axis=1), breaks, rows.astype(np.intp)
+    table = NodeTable(lo, hi, _phi_factors)
+    return (table, panels, keep, keep.sum(axis=1), breaks,
+            rows.astype(np.intp))
 
 
-(_START_LO, _START_HI, _START_KEEP, _START_COUNTS, _START_BREAKS,
+(_START_TABLE, _START_PANELS, _START_KEEP, _START_COUNTS, _START_BREAKS,
  _START_ROWS) = _start_tables()
 
 
@@ -201,17 +230,21 @@ def refused(J, gamma, D, tags: Tuple[str, ...]):
             yield int(i), exc
 
 
-def _integrand_rows(J, g, D, tags: Tuple[str, ...], phi: np.ndarray) -> np.ndarray:
-    """Integrand stack at nodes phi; J, g, D are scalars or per-node arrays.
+def _integrand_rows(J, g, D, tags: Tuple[str, ...], rows: np.ndarray) -> np.ndarray:
+    """Integrand stack at the nodes of some panels, from their node-table
+    rows: the :func:`_phi_factors` of those nodes, shape (2, panels, 15).
+    J, g, D are scalars or per-panel columns of shape (panels, 1).
 
-    The rows are written in place into one output array, and the node
-    arrays are reused, so a call allocates a few node-sized temporaries
-    instead of one per operation; every value is the same product, in the
-    same order, as the plain expression in its comment.
+    sin and cos come from the table, the same libm call on the same node
+    as when taken here, and each coupling factor is the same product of
+    the couplings, per panel instead of per node; so every value is the
+    same product, in the same order, as the plain expression in its
+    comment, whatever the couplings' shape.  The rows are written in
+    place into one output array, and the node arrays are reused, so a call
+    allocates a few node-sized temporaries instead of one per operation.
     """
-    out = np.empty((3 + 3 * len(tags), phi.size))
-    s = np.sin(phi)
-    cp = np.cos(phi)
+    s, cp = rows
+    out = np.empty((3 + 3 * len(tags),) + s.shape)
     u = 2.0 * D * s                        # u = J (cp - 2 D s) - 1
     np.subtract(cp, u, out=u)
     u *= J
@@ -261,7 +294,8 @@ def _integrand_rows(J, g, D, tags: Tuple[str, ...], phi: np.ndarray) -> np.ndarr
 
 
 def _start_mesh(J: np.ndarray, max_subdivisions: int):
-    """Start panels ``(lo, hi, counts)`` of the points with couplings J.
+    """Start panels ``(panels, counts)`` of the points with couplings J, as
+    row ids into ``_START_TABLE``.
 
     Near |J| = 1 the integrands peak within about ||J| - 1| of phi = 0
     (J > 0) or phi = pi (J < 0), where Delta vanishes at criticality.
@@ -273,8 +307,7 @@ def _start_mesh(J: np.ndarray, max_subdivisions: int):
     """
     cap = min(_MAX_RUNGS, max_subdivisions - _UNIFORM_PANELS)
     row = _START_ROWS[cap][np.searchsorted(_START_BREAKS, J, side="right")]
-    keep = _START_KEEP[row]
-    return _START_LO[row][keep], _START_HI[row][keep], _START_COUNTS[row]
+    return _START_PANELS[row][_START_KEEP[row]], _START_COUNTS[row]
 
 
 def _assemble(mz: float, even: float, odd: float) -> Correlators:
@@ -369,15 +402,15 @@ def _evaluated(tags: Tuple[str, ...], vals) -> ChainPoints:
 
 
 def _integrals(f, J, gamma, D, quad: QuadratureConfig) -> np.ndarray:
-    """Integrals of the stack ``f(phi, owner)`` at the points J, gamma, D.
+    """Integrals of the stack ``f(rows, owner)`` at the points J, gamma, D.
 
     J is an array; gamma and D only name a failing point's couplings.
     Each point's pass starts on its graded mesh (see :func:`chain_point`);
     a QuadratureFailure names the couplings of the point that failed.
     """
     try:
-        vals, _ = integrate_points(f, *_start_mesh(J, quad.max_subdivisions),
-                                   quad)
+        vals, _ = integrate_points(f, _START_TABLE,
+                                   *_start_mesh(J, quad.max_subdivisions), quad)
     except QuadratureFailure as exc:
         i = exc.point
         raise QuadratureFailure(
@@ -410,8 +443,8 @@ def chain_point(
         derivative_guard(params)
     J, g, D = params.J, params.gamma, params.D
 
-    def f(phi: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return _integrand_rows(J, g, D, tags, phi)
+    def f(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return _integrand_rows(J, g, D, tags, rows)
 
     vals = _integrals(f, np.array([J]), [g], [D], quad)
     return _evaluated(tags, vals[:, 0].tolist())
@@ -440,8 +473,10 @@ def chain_points(
     for _, exc in refused(J, gamma, D, tags):
         raise exc
 
-    def f(phi: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return _integrand_rows(J[owner], gamma[owner], D[owner], tags, phi)
+    Jc, gc, Dc = J[:, None], gamma[:, None], D[:, None]
+
+    def f(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return _integrand_rows(Jc[owner], gc[owner], Dc[owner], tags, rows)
 
     return _evaluated(tags, _integrals(f, J, gamma, D, quad))
 

@@ -13,10 +13,22 @@ of parameter points at once, a single point being a family of one: each
 point keeps its own panels, tolerance and budget, and the panels of all
 unconverged points share each rule call.
 
+A panel is an integer id into a :class:`NodeTable`: a row per panel with
+its bounds and the integrand's factors that depend on the node alone,
+tabulated at its 15 Kronrod nodes.  The integrand gets the gathered rows
+of the panels it evaluates, so a factor such as sin(phi) is computed once
+per distinct panel, not once per point and panel.  A pass bisects by id:
+the halves of a panel are tabulated the first time some point of the
+family splits it, kept for the rest of the pass and then dropped, so the
+memory of a pass is bounded by the pass.  A tabulated factor is the same
+function of the same node as one computed at evaluation time, so the
+table changes the cost of a value, never its bits.
+
 The engine does not choose where a pass starts: the caller passes the
-start panels, which count against ``max_subdivisions`` like any later panel.
-The chain layer starts each pass on a mesh graded toward the endpoint
-where its integrands peak (see :func:`dmchain.chain.chain_point`).
+table and the start panels, which count against ``max_subdivisions`` like
+any later panel.  The chain layer starts each pass on the rows of its
+table of start panels, graded toward the endpoint where its integrands
+peak (see :func:`dmchain.chain.chain_point`).
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureFailure",
     "DEFAULT_QUAD",
+    "NodeTable",
     "integrate_points",
 ]
 
@@ -100,19 +113,56 @@ _WG = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 _W = np.stack([_WK, _WG], axis=1)   # (15, 2): Kronrod, Gauss
 
 
-def _panel_rule(
-    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """Kronrod values and error estimates per integrand per panel, stacked
-    as (2, k, panels); f maps nodes of shape (m,) to a (k, m) stack."""
+def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Kronrod nodes of the panels [lo, hi], shape (panels, 15)."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    x = mid[:, None] + half[:, None] * _XK[None, :]
-    y = f(x.ravel())
-    y = y.reshape(y.shape[0], lo.size, _XK.size)
+    return mid[:, None] + half[:, None] * _XK
+
+
+class NodeTable:
+    """Panels, and the node factors of an integrand at their Kronrod nodes.
+
+    Row i is the panel [lo[i], hi[i]] and ``rows[:, i]``, the stack
+    ``factors(nodes)`` at its 15 Kronrod nodes: ``factors`` maps nodes of
+    shape (n, 15) to factors of shape (m, n, 15), each node's from that
+    node alone.  The rows are tabulated once, here; a pass of
+    :func:`integrate_points` tabulates the halves of the panels it bisects
+    on its own copy, so the table does not grow.
+    """
+
+    __slots__ = ("lo", "hi", "half", "rows", "factors")
+
+    def __init__(
+        self,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        factors: Callable[[np.ndarray], np.ndarray],
+    ) -> None:
+        lo = np.asarray(lo, dtype=float).ravel()
+        hi = np.asarray(hi, dtype=float).ravel()
+        if lo.shape != hi.shape or not (hi > lo).all():
+            raise ValueError("panels need matching lo, hi with hi > lo")
+        self.lo, self.hi, self.factors = lo, hi, factors
+        self.half = 0.5 * (hi - lo)
+        self.rows = factors(_kronrod_nodes(lo, hi))
+
+
+def _panel_rule(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    panels: np.ndarray,
+    owner: np.ndarray,
+    half: np.ndarray,
+    rows: np.ndarray,
+) -> np.ndarray:
+    """Kronrod values and error estimates per integrand at the table rows
+    ``panels``, stacked as (2, k, panels); ``f(rows[:, panels], owner)``
+    is the (k, panels, 15) stack of the integrands at their nodes."""
+    y = f(rows.take(panels, axis=1), owner)
     # One product with the stacked weights: no full-size weighted copy of y.
-    sums = (y.reshape(-1, _XK.size) @ _W).reshape(y.shape[0], lo.size, 2)
-    kron, err = est = np.empty((2, y.shape[0], lo.size))
+    sums = (y.reshape(-1, _XK.size) @ _W).reshape(y.shape[0], panels.size, 2)
+    half = half[panels]
+    kron, err = est = np.empty((2, y.shape[0], panels.size))
     np.multiply(sums[..., 0], half, out=kron)
     gauss = sums[..., 1] * half
     diff = np.abs(kron - gauss)
@@ -124,44 +174,50 @@ def _panel_rule(
 
 def _family_rule(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
+    panels: np.ndarray,
     owner: np.ndarray,
+    half: np.ndarray,
+    rows: np.ndarray,
 ) -> np.ndarray:
     """:func:`_panel_rule` over panels of several points, in capped chunks."""
     per_call = _MAX_RULE_NODES // _XK.size
-    if lo.size > per_call:
+    if panels.size > per_call:
         return np.concatenate(
-            [_family_rule(f, lo[s:s + per_call], hi[s:s + per_call],
-                          owner[s:s + per_call])
-             for s in range(0, lo.size, per_call)], axis=2)
+            [_panel_rule(f, panels[s:s + per_call], owner[s:s + per_call],
+                         half, rows)
+             for s in range(0, panels.size, per_call)], axis=2)
     # Even an empty family makes this one call, so it learns its stack size.
-    node_owner = owner.repeat(_XK.size)
-    return _panel_rule(lambda x: f(x, node_owner), lo, hi)
+    return _panel_rule(f, panels, owner, half, rows)
 
 
 def integrate_points(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
+    table: NodeTable,
+    panels: np.ndarray,
     counts: np.ndarray,
     config: QuadratureConfig = DEFAULT_QUAD,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Integrate the integrand stacks of n = len(counts) parameter points.
 
-    Point i starts from its ``counts[i]`` (at least one) panels [lo, hi],
-    which follow those of point i - 1.  ``f(x, owner)`` maps flat nodes x
-    of shape (m,), and the index of the point each node belongs to, to
-    values of shape (k, m): the k integrands of a point are evaluated on
-    one shared adaptive grid.  Nodes are strictly interior, so integrable
-    endpoint singularities never get evaluated.  Every point has its own
-    panels, its own test ``max(abs_tol, rel_tol * |integral|)`` and its
-    own budget of ``max_subdivisions`` panels, and a point leaves the
-    family once it converges.  An unconverged point with c panels bisects,
-    in place, each panel whose error reaches 1/c of its tolerance in some
-    integrand.  A point's panels, sums and split choices involve no other
-    point, so its values do not depend on which points share its call.
-    Returns ``(values, errors)``, both of shape (k, n).
+    Point i starts on its ``counts[i]`` (at least one) panels, the rows
+    ``panels`` of ``table`` that follow those of point i - 1.
+    ``f(rows, owner)`` maps the table rows of p panels, shape (m, p, 15),
+    and the index of the point each panel belongs to, shape (p,), to the
+    values of shape (k, p, 15) at their nodes: the k integrands of a point
+    are evaluated on one shared adaptive grid.  Nodes are strictly
+    interior, so integrable endpoint singularities never get evaluated.
+    Every point has its own panels, its own test
+    ``max(abs_tol, rel_tol * |integral|)`` and its own budget of
+    ``max_subdivisions`` panels, and a point leaves the family once it
+    converges.  An unconverged point with c panels bisects, in place, each
+    panel whose error reaches 1/c of its tolerance in some integrand.  A
+    point's panels, sums and split choices involve no other point, so its
+    values do not depend on which points share its call.  Returns
+    ``(values, errors)``, both of shape (k, n).
+
+    The halves of a bisected panel are tabulated once per pass, by the
+    table's ``factors``, however many points split that panel, and are
+    dropped when the pass returns.
 
     Raises ValueError if some point starts on more than
     ``max_subdivisions`` panels, and QuadratureFailure if some unconverged
@@ -170,21 +226,25 @@ def integrate_points(
     splitting them.  A NaN error estimate is unconverged, so a point
     whose integral is not finite raises instead of returning NaN.
     """
-    lo = np.asarray(lo, dtype=float).ravel()
-    hi = np.asarray(hi, dtype=float).ravel()
-    if lo.shape != hi.shape or not (hi > lo).all():
-        raise ValueError("start panels need matching lo, hi with hi > lo")
+    panels = np.asarray(panels, dtype=np.intp).ravel()
     counts = np.asarray(counts, dtype=np.int64).ravel()
     c = counts.tolist()
-    if (min(c, default=1) < 1 or sum(c) != lo.size
+    if (min(c, default=1) < 1 or sum(c) != panels.size
             or max(c, default=1) > config.max_subdivisions):
         raise ValueError("every point needs 1 to max_subdivisions start "
                          "panels, and counts must sum to the number of panels")
+    # The pass's table: the given rows, then the two halves of each row the
+    # pass bisects, at left_half[row] and the row after it once halved[row]
+    # (a mask, not left_half < 0: an integer comparison pages in numpy code
+    # that no other step runs, about 0.1 MB of resident memory).
+    lo, hi, half, rows = table.lo, table.hi, table.half, table.rows
+    left_half = np.zeros(lo.size, dtype=np.intp)
+    halved = np.zeros(lo.size, dtype=bool)
     # points: family index of each point still being refined, ascending;
     # its counts[i] panels follow those of the point before it.
     points = np.arange(counts.size)
     owner = points.repeat(counts)
-    est = _family_rule(f, lo, hi, owner)
+    est = _family_rule(f, panels, owner, half, rows)
     out = None
 
     while True:
@@ -202,7 +262,7 @@ def integrate_points(
 
         unconverged = ~met.all(axis=0)
         keep = unconverged.repeat(counts)
-        lo, hi, owner, est = lo[keep], hi[keep], owner[keep], est[:, :, keep]
+        panels, owner, est = panels[keep], owner[keep], est[:, :, keep]
         points, counts = points[unconverged], counts[unconverged]
         tol = tol[:, unconverged]
         seg = np.arange(points.size).repeat(counts)
@@ -226,12 +286,30 @@ def integrate_points(
                 point)
         counts = counts + n_split
 
+        # Tabulate the halves of the split rows that have none yet, each
+        # row once however many points split it.
+        parents = panels[split]
+        new = np.zeros(lo.size, dtype=bool)
+        new[parents] = True
+        new = np.flatnonzero(new & ~halved)
+        if new.size:
+            new_lo, new_hi = lo[new].repeat(2), hi[new].repeat(2)
+            new_lo[1::2] = new_hi[::2] = 0.5 * (new_lo[::2] + new_hi[::2])
+            left_half[new] = np.arange(lo.size, lo.size + new_lo.size, 2)
+            halved[new] = True
+            left_half = np.concatenate([left_half, np.zeros_like(new_lo, np.intp)])
+            halved = np.concatenate([halved, np.zeros_like(new_lo, bool)])
+            lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
+            half = np.concatenate([half, 0.5 * (new_hi - new_lo)])
+            rows = np.concatenate(
+                [rows, table.factors(_kronrod_nodes(new_lo, new_hi))], axis=1)
+
         # Bisect in place: a split panel becomes its left and right halves,
         # so each point's panels stay contiguous and in order.
         halves = split.repeat(split + 1)
-        lo, hi, owner = (a.repeat(split + 1) for a in (lo, hi, owner))
+        panels, owner = panels.repeat(split + 1), owner.repeat(split + 1)
         est = est.repeat(split + 1, axis=2)
-        left, right = np.flatnonzero(halves).reshape(-1, 2).T
-        hi[left] = lo[right] = 0.5 * (lo[left] + hi[left])
-        est[:, :, halves] = _family_rule(f, lo[halves], hi[halves],
-                                         owner[halves])
+        children = left_half[parents].repeat(2)
+        children[1::2] += 1
+        panels[halves] = children
+        est[:, :, halves] = _family_rule(f, children, owner[halves], half, rows)

@@ -19,6 +19,11 @@ grid of ``tests/critical_oracle.json`` (about 20 s) are regenerated by
 ``start_mesh`` builds the graded start panels of each point the direct
 way: the ladder depth from its formula per point, and the rows from
 padded tables of every depth with a mask of the panels each one uses.
+
+``integrand_rows`` is the chain's integrand stack evaluated per node,
+with each node's sin and cos taken at that node and the couplings given
+per node: the bit oracle for the library's integrand, which takes its
+phi-only factors from a table of panels and its couplings per panel.
 """
 
 import json
@@ -198,6 +203,62 @@ def start_mesh(J, max_subdivisions):
     keep = keep_table[rungs]
     return (lo_table[end, rungs][keep], hi_table[end, rungs][keep],
             rungs + 8)
+
+
+def integrand_rows(J, g, D, tags, phi):
+    """Integrand stack of the chain at nodes phi, shape (3 + 3 len(tags),
+    phi.size); J, g, D are scalars or per-node arrays.  Rows: mz, the even
+    and odd parts of the pair correlator, then per tag their derivatives.
+    Every value is the same product, in the same order, as the library's,
+    so the two agree bit for bit."""
+    out = np.empty((3 + 3 * len(tags), phi.size))
+    s = np.sin(phi)
+    cp = np.cos(phi)
+    u = 2.0 * D * s                        # u = J (cp - 2 D s) - 1
+    np.subtract(cp, u, out=u)
+    u *= J
+    u -= 1.0
+    inv = J * g * s                        # 1 / Delta
+    np.square(inv, out=inv)
+    inv += u * u
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    inv3 = inv * inv
+    inv3 *= inv
+    s2 = s * s
+    np.multiply(-1.0 / np.pi, u, out=out[0])
+    out[0] *= inv
+    np.multiply(-1.0 / np.pi, cp, out=out[1])
+    out[1] *= u
+    out[1] *= inv
+    np.multiply((g / np.pi) * J, s2, out=out[2])
+    out[2] *= inv
+    for i, tag in enumerate(tags):
+        # du = d(u/Delta)/dtag and dq = d(gamma J/Delta)/dtag
+        du, row, dq = out[3 + 3 * i:6 + 3 * i]
+        if tag == "J":
+            np.multiply(J * g * g, s2, out=du)            # J g^2 s2 inv3
+            np.multiply(-g, u, out=dq)                    # -g u inv3
+        elif tag == "gamma":
+            np.negative(u, out=du)                        # -u J J g s2 inv3
+            du *= J
+            du *= J
+            du *= g
+            du *= s2
+            np.multiply(J, u, out=dq)                     # J u u inv3
+            dq *= u
+        else:
+            np.multiply(-2.0 * J * J * J * g * g, s2, out=du)  # ... s2 s inv3
+            du *= s
+            np.multiply(2.0 * J * J * g, s, out=dq)       # ... s u inv3
+            dq *= u
+        du *= inv3
+        dq *= inv3
+        np.multiply(-1.0 / np.pi, cp, out=row)
+        row *= du
+        du *= -1.0 / np.pi
+        dq *= (1.0 / np.pi) * s2
+    return out
 
 
 def critical_integrals(J, gamma, D, dps=30):

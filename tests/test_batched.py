@@ -4,14 +4,18 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dmchain.chain as chain_mod
 from dmchain.chain import (PARAM_TAGS, ChainParams, CriticalPoint,
                            PositivityViolation, chain_point, chain_points)
 from dmchain.features import WINDOW
 from dmchain.fisher import block_qfi, qfi_xstate
-from dmchain.quadrature import (DEFAULT_QUAD, QuadratureConfig,
+from dmchain.quadrature import (DEFAULT_QUAD, NodeTable, QuadratureConfig,
                                 QuadratureFailure, integrate_points)
+
+from _oracles import integrand_rows
 
 
 def batched_h(js, gamma, D):
@@ -24,18 +28,25 @@ def scalar_h(js, gamma, D):
 
 # ------------------------------------------------------------ quadrature
 
-def start(n, a, b):
-    """Start panels (lo, hi, counts) of n points, 8 uniform ones on [a, b]."""
+def nodes(x):
+    """Node-table factors of a plain integrand: the nodes themselves."""
+    return x[None]
+
+
+def start(n, a, b, factors=nodes):
+    """The node table of 8 uniform panels on [a, b], and the start panels
+    (its rows) and counts of n points that each start on all of them."""
     edges = np.linspace(a, b, 9)
-    return np.tile(edges[:-1], n), np.tile(edges[1:], n), np.full(n, 8)
+    return (NodeTable(edges[:-1], edges[1:], factors),
+            np.tile(np.arange(8), n), np.full(n, 8))
 
 
 def lorentzians(widths):
     """Peaks at 0.3 whose sharpness and size both vary by point."""
     widths = np.asarray(widths)
 
-    def f(x, owner):
-        a = widths[owner]
+    def f(rows, owner):
+        x, a = rows[0], widths[owner][:, None]
         return np.stack([a * a / (a * a + (x - 0.3) ** 2), np.cos(x) * a])
 
     def exact(a):
@@ -75,7 +86,8 @@ def test_points_agree_with_single_stack_engine():
     vals, errs = integrate_points(f, *start(widths.size, 0.0, 2.0))
     for i in range(widths.size):
         ref, ref_err = integrate_points(
-            lambda x, owner: f(x, np.full(x.size, i)), *start(1, 0.0, 2.0))
+            lambda rows, owner: f(rows, np.full(owner.size, i)),
+            *start(1, 0.0, 2.0))
         assert np.array_equal(vals[:, i], ref[:, 0])
         assert np.array_equal(errs[:, i], ref_err[:, 0])
 
@@ -83,20 +95,20 @@ def test_points_agree_with_single_stack_engine():
 def test_exhausted_point_fails_the_family():
     widths = np.array([1.0, 1e-6, 0.5])
     f, _ = lorentzians(widths)
-    nodes = np.zeros(widths.size, dtype=int)
+    evaluated = np.zeros(widths.size, dtype=int)
 
-    def recording(x, owner):
-        np.add.at(nodes, owner, 1)
-        return f(x, owner)
+    def recording(rows, owner):
+        np.add.at(evaluated, owner, rows.shape[2])
+        return f(rows, owner)
 
     config = QuadratureConfig(1e-10, 1e-10, 16)
-    lo, hi, counts = start(widths.size, 0.0, 2.0)
+    table, first, counts = start(widths.size, 0.0, 2.0)
     with pytest.raises(QuadratureFailure, match="point 1") as info:
-        integrate_points(recording, lo, hi, counts, config)
+        integrate_points(recording, table, first, counts, config)
     # every split adds one panel and evaluates its two halves:
     # nodes = 15 (start + 2 splits) and panels = start + splits
-    splits, rest = np.divmod(nodes // 15 - counts, 2)
-    assert np.all(nodes % 15 == 0) and np.all(rest == 0)
+    splits, rest = np.divmod(evaluated // 15 - counts, 2)
+    assert np.all(evaluated % 15 == 0) and np.all(rest == 0)
     panels = counts + splits
     assert panels.max() <= config.max_subdivisions
     assert f"with {panels[1]} panels" in str(info.value)
@@ -110,22 +122,45 @@ def test_empty_family():
     vals, errs = integrate_points(f, *start(0, 0.0, 2.0))
     assert vals.shape == errs.shape == (2, 0)
     with pytest.raises(ValueError):
-        integrate_points(f, *start(1, 2.0, 0.0))
-    lo, hi, _ = start(2, 0.0, 2.0)
+        start(1, 2.0, 0.0)
+    table, panels, _ = start(2, 0.0, 2.0)
     for counts in ([16, 0], [8, 7], [8, 9]):
         with pytest.raises(ValueError, match="counts must sum"):
-            integrate_points(f, lo, hi, counts)
+            integrate_points(f, table, panels, counts)
+
+
+def test_halves_are_tabulated_once_per_pass():
+    # identical points split the same panels: their halves are tabulated
+    # once, as for one point, and the table keeps only its own rows
+    tabulated = []
+
+    def factors(x):
+        tabulated.append(x.shape[0])
+        return x[None]
+
+    f, _ = lorentzians(np.full(13, 1e-3))
+    table, panels, counts = start(13, 0.0, 2.0, factors)
+    family, _ = integrate_points(f, table, panels, counts)
+    halves = sum(tabulated[1:])
+    assert halves > 0 and table.lo.size == table.rows.shape[1] == 8
+    g, _ = lorentzians([1e-3])
+    tabulated.clear()
+    alone, _ = integrate_points(g, table, *start(1, 0.0, 2.0)[1:])
+    assert sum(tabulated) == halves
+    assert np.array_equal(family, np.repeat(alone, 13, axis=1))
 
 
 def test_chain_points_meet_their_own_tolerance():
     # the real integrand on the detection window, down to 2e-3 from J = -1
     js = np.linspace(WINDOW[0], WINDOW[1], 561)
 
-    def f(phi, owner):
-        return chain_mod._integrand_rows(js[owner], 0.2, 0.3, ("J",), phi)
+    def f(rows, owner):
+        return chain_mod._integrand_rows(js[owner][:, None], 0.2, 0.3,
+                                         ("J",), rows)
 
     vals, errs = integrate_points(
-        f, *chain_mod._start_mesh(js, DEFAULT_QUAD.max_subdivisions))
+        f, chain_mod._START_TABLE,
+        *chain_mod._start_mesh(js, DEFAULT_QUAD.max_subdivisions))
     assert np.all(errs <= np.maximum(DEFAULT_QUAD.abs_tol,
                                      DEFAULT_QUAD.rel_tol * np.abs(vals)))
 
@@ -209,6 +244,96 @@ def test_chain_points_raise_positivity_at_first_bad_point(monkeypatch):
     monkeypatch.setattr(chain_mod, "_assemble", corrupted)
     with pytest.raises(PositivityViolation, match="negative diagonal"):
         chain_points(np.linspace(0.1, 0.5, 5), 0.7, 0.1)
+
+
+# ------------------------------------------------------------ node table
+
+def per_node(J, gamma, D, tags, quad):
+    """The values of :func:`chain_point` (float couplings) or
+    :func:`chain_points` (arrays) from the per-node integrand oracle, on a
+    node table of the start panels whose rows are the nodes themselves; a
+    QuadratureFailure carries the library's message."""
+    one = np.ndim(J) == 0
+    J, gamma, D = (np.atleast_1d(np.asarray(a, dtype=float))
+                   for a in (J, gamma, D))
+    table = NodeTable(chain_mod._START_TABLE.lo, chain_mod._START_TABLE.hi,
+                      nodes)
+
+    def f(rows, owner):
+        if one:
+            return integrand_rows(float(J[0]), float(gamma[0]), float(D[0]),
+                                  tags, rows[0].ravel())
+        node = owner.repeat(rows.shape[2])
+        return integrand_rows(J[node], gamma[node], D[node], tags,
+                              rows[0].ravel())
+
+    try:
+        vals, _ = integrate_points(
+            f, table, *chain_mod._start_mesh(J, quad.max_subdivisions), quad)
+    except QuadratureFailure as exc:
+        i = exc.point
+        raise QuadratureFailure(
+            f"{exc} (J = {J[i]:g}, gamma = {gamma[i]:g}, D = {D[i]:g})", i
+        ) from None
+    return chain_mod._evaluated(tags, vals[:, 0].tolist() if one else vals)
+
+
+def outcome(evaluate):
+    """The bits of every value of a ChainPoints, or a failure's message."""
+    try:
+        pts = evaluate()
+    except QuadratureFailure as exc:
+        return str(exc)
+    return np.array(fields_of(pts), dtype=float).view(np.uint64).tolist()
+
+
+TIGHT = QuadratureConfig(1e-13, 1e-13, 4096)
+near_critical = st.builds(lambda sign, off: sign * (1.0 + off),
+                          st.sampled_from([1.0, -1.0]),
+                          st.floats(2e-9, 1e-6) | st.floats(-1e-6, -2e-9))
+couplings = st.tuples(
+    near_critical | st.floats(-2.0, 2.0).filter(lambda j: abs(abs(j) - 1.0) > 1e-8),
+    st.floats(0.05, 1.0), st.floats(-0.5, 0.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(couplings, min_size=1, max_size=4),
+       tags=st.sampled_from([(), ("J",), PARAM_TAGS]),
+       quad=st.sampled_from([DEFAULT_QUAD, TIGHT,
+                             QuadratureConfig(1e-10, 1e-10, 9),
+                             QuadratureConfig(1e-12, 1e-12, 24)]))
+@example(points=[(-(1.0 - 5e-7), 0.3, 0.2), (1.0 + 1e-6, 0.7, -0.1),
+                 (0.4, 0.5, 0.3)], tags=PARAM_TAGS, quad=TIGHT)
+@example(points=[(0.3, 0.7, 0.1), (0.99999, 0.01, 0.3)], tags=("J",),
+         quad=QuadratureConfig(1e-10, 1e-10, 9))
+@example(points=[(1.0 + 3e-7, 0.2, -0.4)], tags=(), quad=TIGHT)
+def test_chain_points_equal_the_per_node_oracle(points, tags, quad):
+    # the node table changes where sin and cos are taken, not one bit
+    J, gamma, D = (np.array(a) for a in zip(*points))
+    assert outcome(lambda: chain_points(J, gamma, D, tags, quad)) == outcome(
+        lambda: per_node(J, gamma, D, tags, quad))
+    for p in points:
+        assert outcome(lambda: chain_point(ChainParams(*p), tags, quad)) == \
+            outcome(lambda: per_node(*p, tags, quad))
+
+
+def test_node_table_holds_only_the_start_panels(monkeypatch):
+    # a deep family tabulates many halves, all dropped when its pass returns
+    table = chain_mod._START_TABLE
+    before = table.lo.copy(), table.hi.copy(), table.rows.copy()
+    factors, tabulated = table.factors, []
+
+    def recording(x):
+        tabulated.append(x.shape[0])
+        return factors(x)
+
+    monkeypatch.setattr(table, "factors", recording)
+    js = -1.0 + np.linspace(-1e-3, 1e-3, 400)
+    chain_points(js, 0.7, 0.1, ("J",), TIGHT)
+    assert sum(tabulated) > 0
+    assert table.lo.size == table.hi.size == table.rows.shape[1] == 68
+    for got, want in zip((table.lo, table.hi, table.rows), before):
+        assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------------ information

@@ -394,30 +394,34 @@ def loaded(prefix):
 assert dmchain.cli.main(["state", "--J", "0.3", "--gamma", "0.5"]) == 0
 after_state = loaded("dmchain")
 assert dmchain.cli.main(sys.argv[1:]) == 0
-print(json.dumps([after_state, loaded("dmchain"), loaded("scipy")]))
+masked = [m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")]
+print(json.dumps([after_state, loaded("dmchain"), loaded("scipy"), masked]))
 """
 
 
 def fresh_start(tmp_path, *argv):
     """The ``dmchain*`` modules loaded in a fresh interpreter after
     ``import dmchain.cli`` and a ``state`` point, the ``dmchain*`` modules
-    loaded once ``argv`` has run as well, and the scipy modules loaded."""
+    loaded once ``argv`` has run as well, and the scipy and ``numpy.ma``
+    modules loaded."""
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(dmchain.__file__)))
     env = dict(os.environ, PYTHONPATH=src_dir)
     proc = subprocess.run([sys.executable, "-c", FRESH_START] + list(argv),
                           capture_output=True, text=True, env=env,
                           cwd=str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    after_state, after, scipy = json.loads(proc.stdout.splitlines()[-1])
-    return set(after_state), set(after), scipy
+    after_state, after, scipy, masked = json.loads(proc.stdout.splitlines()[-1])
+    return set(after_state), set(after), scipy, masked
 
 
 def test_cli_imports_no_scipy(tmp_path):
     # every dmchain start pays for what the CLI imports; scipy alone would
-    # add over a second, so no command may need it
-    _, _, scipy = fresh_start(tmp_path, "features", "--gamma", "0.7",
-                              "--D", "0.1,0.3", "--d-loss")
+    # add over a second, so no command may need it.  numpy loads numpy.ma
+    # lazily, from np.unique among others, for about 1.3 MB of peak memory
+    _, _, scipy, masked = fresh_start(tmp_path, "features", "--gamma", "0.7",
+                                      "--D", "0.1,0.3", "--d-loss")
     assert scipy == []
+    assert masked == []
 
 
 STATE_LAYERS = {"dmchain", "dmchain.cli", "dmchain.chain", "dmchain.errors",
@@ -442,7 +446,8 @@ STATE_LAYERS = {"dmchain", "dmchain.cli", "dmchain.chain", "dmchain.errors",
 def test_command_loads_only_its_layers(tmp_path, argv, layers):
     # a start compiles each module it loads, so a command loads the
     # layers it runs and no other
-    after_state, after, scipy = fresh_start(tmp_path, *argv)
+    after_state, after, scipy, masked = fresh_start(tmp_path, *argv)
     assert after_state == STATE_LAYERS
     assert after == STATE_LAYERS | {"dmchain." + m for m in layers}
     assert scipy == []
+    assert masked == []

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import dmchain.quadrature as quad_mod
-from dmchain.chain import (ChainParams, _LADDER_FLOOR, _start_mesh,
-                           chain_point, chain_points)
+from dmchain.chain import (ChainParams, _LADDER_FLOOR, _START_TABLE,
+                           _start_mesh, chain_point, chain_points)
 from dmchain.quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
 
 from _oracles import start_mesh
@@ -37,10 +37,17 @@ def within_tolerance(got, ref, quad=DEFAULT_QUAD):
 
 # ----------------------------------------------------------- start mesh
 
+def start_panels(J, max_subdivisions):
+    """The start mesh as ``(lo, hi, counts)``: the bounds of the node-table
+    rows that ``_start_mesh`` hands out, and their counts per point."""
+    panels, counts = _start_mesh(J, max_subdivisions)
+    return _START_TABLE.lo[panels], _START_TABLE.hi[panels], counts
+
+
 @pytest.mark.parametrize("J", [0.0, 0.5, -0.9, 0.99, -0.9999, 1.0, -1.0,
                                1.0 + 1e-3, -3.0, 1.0 - 1e-12])
 def test_start_mesh_partitions_the_interval(J):
-    lo, hi, counts = _start_mesh(np.array([J]), DEFAULT_QUAD.max_subdivisions)
+    lo, hi, counts = start_panels(np.array([J]), DEFAULT_QUAD.max_subdivisions)
     assert counts[0] == lo.size == hi.size
     order = np.argsort(lo)
     assert lo[order][0] == 0.0 and hi[order][-1] == math.pi
@@ -62,22 +69,32 @@ def rung_points():
 @pytest.mark.parametrize("max_subdivisions", range(8, 24))
 def test_start_mesh_equals_the_padded_table_oracle(max_subdivisions):
     J = rung_points()
-    for got, want in zip(_start_mesh(J, max_subdivisions),
+    for got, want in zip(start_panels(J, max_subdivisions),
                          start_mesh(J, max_subdivisions)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
     # a one-point family, as chain_point starts it, gets the same rows
     for j in J[::7]:
-        for got, want in zip(_start_mesh(np.array([j]), max_subdivisions),
+        for got, want in zip(start_panels(np.array([j]), max_subdivisions),
                              start_mesh(np.array([j]), max_subdivisions)):
             assert np.array_equal(got, want)
+
+
+def test_node_table_rows_are_the_distinct_start_panels():
+    # each row is one of the 68 distinct panels of the start meshes
+    lo, hi = _START_TABLE.lo, _START_TABLE.hi
+    assert lo.size == len(set(zip(lo.tolist(), hi.tolist()))) == 68
+    rows, _ = _start_mesh(rung_points(), DEFAULT_QUAD.max_subdivisions)
+    used = np.zeros(lo.size, dtype=bool)
+    used[rows] = True
+    assert used.all()
 
 
 def test_ladder_reaches_the_rung_nearest_the_distance_to_criticality():
     eps = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     for sign in (1.0, -1.0):
-        lo, hi, counts = _start_mesh(sign * (1.0 - eps),
-                                     DEFAULT_QUAD.max_subdivisions)
+        lo, hi, counts = start_panels(sign * (1.0 - eps),
+                                      DEFAULT_QUAD.max_subdivisions)
         # each point's innermost panel comes first and touches the critical end
         first = np.r_[0, np.cumsum(counts)[:-1]]
         if sign > 0:
@@ -88,18 +105,18 @@ def test_ladder_reaches_the_rung_nearest_the_distance_to_criticality():
             width = math.pi - lo[first]
         assert np.all((width > eps / 2 ** 0.5) & (width < eps * 2 ** 0.5))
     # far from criticality, the uniform start alone
-    assert _start_mesh(np.array([0.3, -2.5]), 4096)[2].tolist() == [8, 8]
+    assert _start_mesh(np.array([0.3, -2.5]), 4096)[1].tolist() == [8, 8]
 
 
 def test_ladder_stops_at_its_floor_and_within_the_budget():
     J = np.array([1.0, -1.0, 1.0 - 1e-9])
-    lo, hi, counts = _start_mesh(J, DEFAULT_QUAD.max_subdivisions)
+    lo, hi, counts = start_panels(J, DEFAULT_QUAD.max_subdivisions)
     widths = hi - lo
     assert widths.min() >= _LADDER_FLOOR
     assert widths.min() < 2.0 * _LADDER_FLOOR
     # the rungs count against max_subdivisions
-    assert _start_mesh(J, 8)[2].tolist() == [8, 8, 8]
-    assert _start_mesh(J, 11)[2].tolist() == [11, 11, 11]
+    assert _start_mesh(J, 8)[1].tolist() == [8, 8, 8]
+    assert _start_mesh(J, 11)[1].tolist() == [11, 11, 11]
     assert np.all(counts <= DEFAULT_QUAD.max_subdivisions)
 
 
@@ -107,9 +124,9 @@ def test_graded_start_converges_near_criticality_in_few_rule_calls(monkeypatch):
     calls = []
     real = quad_mod._panel_rule
 
-    def counting(f, lo, hi):
-        calls.append(lo.size)
-        return real(f, lo, hi)
+    def counting(f, panels, *table):
+        calls.append(panels.size)
+        return real(f, panels, *table)
 
     monkeypatch.setattr(quad_mod, "_panel_rule", counting)
     for J in (1.0 - 1e-4, -(1.0 - 1e-4)):

@@ -3,25 +3,32 @@
 import numpy as np
 import pytest
 
-from dmchain.quadrature import (DEFAULT_QUAD, QuadratureConfig,
+from dmchain.quadrature import (DEFAULT_QUAD, NodeTable, QuadratureConfig,
                                 QuadratureFailure, integrate_points)
 
 
+def nodes(x):
+    """Node-table factors of a plain integrand: the nodes themselves."""
+    return x[None]
+
+
 def uniform(a, b, panels=8):
-    """Start panels (lo, hi, counts) of one point: a uniform mesh on [a, b]."""
+    """The node table of a uniform mesh on [a, b], and one point's start
+    panels (its rows) and counts."""
     edges = np.linspace(a, b, panels + 1)
-    return edges[:-1], edges[1:], [panels]
+    return NodeTable(edges[:-1], edges[1:], nodes), np.arange(panels), [panels]
 
 
 def integrate_stack(f, a, b, config=DEFAULT_QUAD):
-    """A stack f(x) of shape (k, m) integrated as a one-point family."""
-    vals, errs = integrate_points(lambda x, owner: f(x), *uniform(a, b), config)
+    """A stack f(x) of shape (k, panels, 15) integrated as a one-point family."""
+    vals, errs = integrate_points(lambda rows, owner: f(rows[0]),
+                                  *uniform(a, b), config)
     return vals[:, 0], errs[:, 0]
 
 
 def integrate(f, a, b, config=DEFAULT_QUAD):
     """One integrand as a one-row stack."""
-    vals, errs = integrate_stack(lambda x: f(x)[None, :], a, b, config)
+    vals, errs = integrate_stack(lambda x: f(x)[None], a, b, config)
     return vals[0], errs[0]
 
 
@@ -84,7 +91,7 @@ def test_start_panels_count_against_the_budget():
     # a point that starts over budget is refused, even if it would converge
     cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=16)
     with pytest.raises(ValueError, match="max_subdivisions"):
-        integrate_points(lambda x, owner: np.cos(x)[None, :],
+        integrate_points(lambda rows, owner: np.cos(rows),
                          *uniform(0.0, 2.0, panels=20), cfg)
     val, _ = integrate(np.cos, 0.0, 2.0, cfg)
     assert val == pytest.approx(np.sin(2.0), rel=1e-12)
@@ -92,10 +99,22 @@ def test_start_panels_count_against_the_budget():
 
 def test_vectorized_rows_match_scalar():
     vals, _ = integrate_stack(
-        lambda x: np.vstack([np.sin(x), np.cos(x), x**3]), 0.0, 1.2)
+        lambda x: np.stack([np.sin(x), np.cos(x), x**3]), 0.0, 1.2)
     singles = [integrate(np.sin, 0.0, 1.2)[0], integrate(np.cos, 0.0, 1.2)[0],
                integrate(lambda x: x**3, 0.0, 1.2)[0]]
     assert np.allclose(vals, singles, rtol=1e-12, atol=1e-13)
+
+
+def test_node_table_rows_are_the_factors_at_the_kronrod_nodes():
+    table = NodeTable([0.0, 1.0], [1.0, 3.0], lambda x: np.stack([x, x * x]))
+    assert table.rows.shape == (2, 2, 15)
+    x = table.rows[0]
+    # nodes symmetric about each panel's midpoint, strictly inside it
+    assert np.allclose(x + x[:, ::-1], [[1.0], [4.0]], rtol=0, atol=1e-15)
+    assert np.all((x > table.lo[:, None]) & (x < table.hi[:, None]))
+    assert np.array_equal(table.rows[1], x * x)
+    with pytest.raises(ValueError, match="hi > lo"):
+        NodeTable([0.0, 1.0], [1.0, 1.0], nodes)
 
 
 def test_default_config_frozen():
