@@ -5,9 +5,10 @@ Couplings are measured in units of the transverse field, so the chain is
 critical at J = +/-1.  Nearest-neighbour correlators are closed-form
 momentum integrals over [0, pi]; both the correlators and their derivatives
 with respect to the couplings are obtained by integrating analytic
-integrands with the adaptive Gauss-Kronrod engine.  The two entry points,
+integrands with the adaptive Gauss-Kronrod engine.  The entry points,
 :func:`chain_point` (one point) and :func:`chain_points` (a family), run
-the same refinement loop, so a point gets the same bits from either.
+the same refinement loop, so a point gets the same bits from either;
+:func:`chain_outcome` is a family with a failure per point.
 A coupling derivative is held in the type of the quantity it differentiates:
 :class:`Correlators` for the correlators, :class:`TwoSpinXState` for the
 state.  Every pass starts on a mesh graded toward the endpoint where the
@@ -40,6 +41,7 @@ __all__ = [
     "x_state",
     "chain_point",
     "chain_points",
+    "chain_outcome",
 ]
 
 PARAM_TAGS = ("J", "gamma", "D")
@@ -210,7 +212,7 @@ def derivative_guard(params: ChainParams) -> None:
         )
 
 
-def refused(J, gamma, D, tags: Tuple[str, ...]):
+def _refused(J, gamma, D, tags: Tuple[str, ...]):
     """Yield ``(index, exception)`` for each point :func:`chain_point`
     would refuse, in order; J, gamma and D are 1-D float arrays."""
     # Cheap superset of the points the scalar checks could reject; only
@@ -336,9 +338,7 @@ def _state_from(corr: Correlators) -> TwoSpinXState:
     c = 0.25 * (1.0 - corr.gzz)
     b_plus = 0.25 * (corr.gxx + corr.gyy)
     b_minus = 0.25 * (corr.gxx - corr.gyy)
-    state = TwoSpinXState(a_plus, a_minus, c, b_plus, b_minus)
-    _check_positivity(state)
-    return state
+    return TwoSpinXState(a_plus, a_minus, c, b_plus, b_minus)
 
 
 def _dstate_from(dcorr: Correlators) -> TwoSpinXState:
@@ -351,10 +351,10 @@ def _dstate_from(dcorr: Correlators) -> TwoSpinXState:
     )
 
 
-def _check_positivity(state: TwoSpinXState) -> None:
-    """Raise PositivityViolation; a state of arrays reports its first bad point."""
+def _defects(state: TwoSpinXState):
+    """Each positivity defect, and whether the state (or each point) has it."""
     tol = POSITIVITY_TOL
-    defects = (
+    return (
         ("negative diagonal entry",
          (state.a_plus < -tol) | (state.a_minus < -tol) | (state.c < -tol)),
         ("outer coherence exceeds its diagonal bound",
@@ -362,18 +362,28 @@ def _check_positivity(state: TwoSpinXState) -> None:
         ("inner coherence exceeds its diagonal bound",
          abs(state.b_plus) > state.c + tol),
     )
-    if isinstance(state.a_plus, np.ndarray):
-        bad_points = np.flatnonzero(np.any([hit for _, hit in defects], axis=0))
-        if bad_points.size:
-            i = bad_points[0]
-            _check_positivity(TwoSpinXState(*(
-                float(getattr(state, f.name)[i]) for f in fields(state))))
-        return
-    bad = [message for message, hit in defects if hit]
+
+
+def _check_positivity(state: TwoSpinXState) -> None:
+    """Raise PositivityViolation if a state of floats is not positive."""
+    bad = [message for message, hit in _defects(state) if hit]
     if bad:
         raise PositivityViolation(
-            "; ".join(bad) + f" (beyond {tol:g}; likely quadrature inaccuracy): {state!r}"
+            "; ".join(bad) + f" (beyond {POSITIVITY_TOL:g}; likely quadrature "
+            f"inaccuracy): {state!r}"
         )
+
+
+def _violations(state: TwoSpinXState):
+    """Yield ``(k, PositivityViolation)`` for each point k of a state of
+    arrays that is not positive, in order."""
+    bad = np.flatnonzero(np.any([hit for _, hit in _defects(state)], axis=0))
+    for k in bad.tolist():
+        try:
+            _check_positivity(TwoSpinXState(*(
+                float(getattr(state, f.name)[k]) for f in fields(state))))
+        except PositivityViolation as exc:
+            yield k, exc
 
 
 @dataclass(frozen=True)
@@ -401,22 +411,25 @@ def _evaluated(tags: Tuple[str, ...], vals) -> ChainPoints:
     return ChainPoints(corr, _state_from(corr), dcorr, dstate)
 
 
-def _integrals(f, J, gamma, D, quad: QuadratureConfig) -> np.ndarray:
-    """Integrals of the stack ``f(rows, owner)`` at the points J, gamma, D.
+def _take(points: ChainPoints, keep: np.ndarray) -> ChainPoints:
+    """The points ``keep`` (a mask) of a family."""
+    def take(part):
+        return type(part)(*(getattr(part, f.name)[keep] for f in fields(part)))
 
-    J is an array; gamma and D only name a failing point's couplings.
-    Each point's pass starts on its graded mesh (see :func:`chain_point`);
-    a QuadratureFailure names the couplings of the point that failed.
-    """
-    try:
-        vals, _ = integrate_points(f, _START_TABLE,
-                                   *_start_mesh(J, quad.max_subdivisions), quad)
-    except QuadratureFailure as exc:
-        i = exc.point
-        raise QuadratureFailure(
-            f"{exc} (J = {J[i]:g}, gamma = {gamma[i]:g}, D = {D[i]:g})", i
-        ) from None
-    return vals
+    return ChainPoints(take(points.corr), take(points.state),
+                       {t: take(d) for t, d in points.dcorr.items()},
+                       {t: take(d) for t, d in points.dstate.items()})
+
+
+def _integrals(f, J, gamma, D, quad: QuadratureConfig):
+    """Integrals of the stack ``f(rows, owner)`` at the points J (an array),
+    gamma, D, and a ``(k, QuadratureFailure)`` naming the couplings per
+    point k that did not converge; each pass starts on its graded mesh."""
+    vals, _, stuck = integrate_points(
+        f, _START_TABLE, *_start_mesh(J, quad.max_subdivisions), quad)
+    return vals, [(k, QuadratureFailure(
+        f"{exc} (J = {J[k]:g}, gamma = {gamma[k]:g}, D = {D[k]:g})"))
+        for k, exc in stuck]
 
 
 def chain_point(
@@ -446,39 +459,57 @@ def chain_point(
     def f(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return _integrand_rows(J, g, D, tags, rows)
 
-    vals = _integrals(f, np.array([J]), [g], [D], quad)
-    return _evaluated(tags, vals[:, 0].tolist())
+    vals, failures = _integrals(f, np.array([J]), [g], [D], quad)
+    for _, exc in failures:
+        raise exc
+    points = _evaluated(tags, vals[:, 0].tolist())
+    _check_positivity(points.state)
+    return points
 
 
-def chain_points(
-    J,
-    gamma,
-    D,
-    tags: Sequence[str] = (),
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> ChainPoints:
+def chain_outcome(J, gamma, D, tags: Sequence[str] = (),
+                  quad: QuadratureConfig = DEFAULT_QUAD):
     """:func:`chain_point` for a family of points in one batched quadrature.
 
     J, gamma and D broadcast against each other to a 1-D family.  Each
     point starts on the same graded mesh as in :func:`chain_point` and is
     refined on its own panels to the same tolerance, so its values equal
-    those of :func:`chain_point` bit for bit and do not depend on the rest
-    of the family.  Raises what :func:`chain_point` raises at the first
-    offending point; a QuadratureFailure names the couplings of the point
-    that failed.
+    those of :func:`chain_point` bit for bit, whatever the rest of the
+    family does.  Returns ``(points, failures)``: the ChainPoints of the
+    points that succeeded, and an ``(index, exception)`` pair per point
+    that failed, in order of index, with what :func:`chain_point` raises
+    there (a QuadratureFailure names the couplings).
     """
     tags = _validate_tags(tags)
     J, gamma, D = (np.array(a, dtype=float).ravel()
                    for a in np.broadcast_arrays(J, gamma, D))
-    for _, exc in refused(J, gamma, D, tags):
-        raise exc
-
+    failures = dict(_refused(J, gamma, D, tags))
+    if failures:    # refused points run at zero couplings, and are dropped
+        for a in (J, gamma, D):
+            a[list(failures)] = 0.0
     Jc, gc, Dc = J[:, None], gamma[:, None], D[:, None]
 
     def f(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return _integrand_rows(Jc[owner], gc[owner], Dc[owner], tags, rows)
 
-    return _evaluated(tags, _integrals(f, J, gamma, D, quad))
+    vals, stuck = _integrals(f, J, gamma, D, quad)
+    points = _evaluated(tags, vals)
+    for k, exc in stuck + list(_violations(points.state)):
+        failures.setdefault(k, exc)     # a point fails with its first failure
+    if failures:
+        keep = np.ones(J.size, dtype=bool)
+        keep[list(failures)] = False
+        points = _take(points, keep)
+    return points, tuple(sorted(failures.items()))
+
+
+def chain_points(J, gamma, D, tags: Sequence[str] = (),
+                 quad: QuadratureConfig = DEFAULT_QUAD) -> ChainPoints:
+    """The points of :func:`chain_outcome`, or its first failure raised."""
+    points, failures = chain_outcome(J, gamma, D, tags, quad)
+    for _, exc in failures:
+        raise exc
+    return points
 
 
 def x_state(params: ChainParams, quad: QuadratureConfig = DEFAULT_QUAD) -> TwoSpinXState:

@@ -19,15 +19,8 @@ __all__ = [
 
 
 class QuadratureFailure(RuntimeError):
-    """Requested tolerance not reached within the subdivision budget.
-
-    ``point`` is the index of the failing point in an
-    :func:`dmchain.quadrature.integrate_points` family.
-    """
-
-    def __init__(self, message: str, point: int) -> None:
-        super().__init__(message)
-        self.point = point
+    """Requested tolerance not reached within the subdivision budget; the
+    quadrature engine returns one per point that stopped unconverged."""
 
 
 class CriticalPoint(ValueError):

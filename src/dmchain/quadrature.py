@@ -11,7 +11,10 @@ panel budget runs out.
 :func:`integrate_points` is the one refinement loop.  It refines a family
 of parameter points at once, a single point being a family of one: each
 point keeps its own panels, tolerance and budget, and the panels of all
-unconverged points share each rule call.
+unconverged points share each rule call.  A point that runs out of panels
+to split or of budget leaves the family as a converged point does, and is
+returned as a failure next to the values (as in QUADPACK, Piessens et
+al. 1983, which reports per interval).
 
 A panel is an integer id into a :class:`NodeTable`: a row per panel with
 its bounds and the integrand's factors that depend on the node alone,
@@ -34,7 +37,7 @@ peak (see :func:`dmchain.chain.chain_point`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -196,7 +199,7 @@ def integrate_points(
     panels: np.ndarray,
     counts: np.ndarray,
     config: QuadratureConfig = DEFAULT_QUAD,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, QuadratureFailure]]]:
     """Integrate the integrand stacks of n = len(counts) parameter points.
 
     Point i starts on its ``counts[i]`` (at least one) panels, the rows
@@ -212,19 +215,16 @@ def integrate_points(
     converges.  An unconverged point with c panels bisects, in place, each
     panel whose error reaches 1/c of its tolerance in some integrand.  A
     point's panels, sums and split choices involve no other point, so its
-    values do not depend on which points share its call.  Returns
-    ``(values, errors)``, both of shape (k, n).
+    values do not depend on which points share its call.
 
-    The halves of a bisected panel are tabulated once per pass, by the
-    table's ``factors``, however many points split that panel, and are
-    dropped when the pass returns.
-
+    Returns ``(values, errors, failures)``: values and errors of shape
+    (k, n), and an ``(i, QuadratureFailure)`` pair per point i that stopped
+    unconverged, in order of i.  A point stops, keeping its last sums, when it has no
+    panel to split or would hold more than ``max_subdivisions`` panels,
+    its start panels included, after splitting them.  A NaN error estimate
+    is unconverged, so a point whose integral is not finite stops at once.
     Raises ValueError if some point starts on more than
-    ``max_subdivisions`` panels, and QuadratureFailure if some unconverged
-    point has no panel to split, or would hold more than
-    ``max_subdivisions`` panels, its start panels included, after
-    splitting them.  A NaN error estimate is unconverged, so a point
-    whose integral is not finite raises instead of returning NaN.
+    ``max_subdivisions`` panels.
     """
     panels = np.asarray(panels, dtype=np.intp).ravel()
     counts = np.asarray(counts, dtype=np.int64).ravel()
@@ -246,6 +246,7 @@ def integrate_points(
     owner = points.repeat(counts)
     est = _family_rule(f, panels, owner, half, rows)
     out = None
+    failures = []
 
     while True:
         sums = np.add.reduceat(est, counts.cumsum() - counts, axis=2)
@@ -258,7 +259,7 @@ def integrate_points(
         # A NaN error estimate is no convergence.
         met = total_err <= tol
         if met.all():
-            return out[0], out[1]
+            break
 
         unconverged = ~met.all(axis=0)
         keep = unconverged.repeat(counts)
@@ -275,15 +276,20 @@ def integrate_points(
         # Nothing to split can only be roundoff in the sums, or an integral
         # that is not finite; stop there too.
         stuck = (counts + n_split > config.max_subdivisions) | (n_split == 0)
-        if stuck.any():
-            i = int(np.flatnonzero(stuck)[0])
-            point = int(points[i])
-            worst = float((total_err[:, unconverged][:, i] / tol[:, i]).max())
-            raise QuadratureFailure(
-                f"no convergence at point {point} with {counts[i]} panels; "
-                + (f"worst error exceeds tolerance by factor {worst:.3g}"
-                   if np.isfinite(worst) else "the integral is not finite"),
-                point)
+        if stuck.any():                  # stuck points leave the family
+            worst = (total_err[:, unconverged] / tol).max(axis=0)
+            for i in np.flatnonzero(stuck).tolist():
+                failures.append((int(points[i]), QuadratureFailure(
+                    f"no convergence with {counts[i]} panels; " + (
+                        f"worst error exceeds tolerance by factor {worst[i]:.3g}"
+                        if np.isfinite(worst[i]) else "the integral is not finite"))))
+            go = ~stuck
+            keep = go.repeat(counts)
+            panels, owner, est, split = (panels[keep], owner[keep],
+                                         est[:, :, keep], split[keep])
+            points, counts, n_split = points[go], counts[go], n_split[go]
+            if not points.size:
+                break
         counts = counts + n_split
 
         # Tabulate the halves of the split rows that have none yet, each
@@ -313,3 +319,5 @@ def integrate_points(
         children[1::2] += 1
         panels[halves] = children
         est[:, :, halves] = _family_rule(f, children, owner[halves], half, rows)
+
+    return out[0], out[1], sorted(failures, key=lambda p: p[0])

@@ -19,11 +19,10 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .chain import (PARAM_TAGS, ChainPoints, PositivityViolation, chain_points,
-                    refused)
+from .chain import PARAM_TAGS, ChainPoints, chain_outcome
 from .fisher import block_qfi, information
 from .multiparam import QFIM_COLS, U_COLS, spectrum
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
+from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
 __all__ = [
     "SWEEP_QUANTITIES",
@@ -153,29 +152,25 @@ def _columns(points: ChainPoints, spec: SweepSpec) -> Dict[str, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _batch(coords: bytes, tags: Tuple[str, ...],
-           quad: QuadratureConfig) -> ChainPoints:
-    """Read-only :func:`chain_points` at the float64 (J, gamma, D) rows of
-    ``coords``; 8 entries keep fig1's sweeps for fig2 and fig3, fig4's for fig5."""
-    points = chain_points(*np.frombuffer(coords).reshape(3, -1), tags, quad)
+def _batch(coords: bytes, tags: Tuple[str, ...], quad: QuadratureConfig):
+    """Read-only :func:`chain_outcome` at the float64 (J, gamma, D) rows of
+    ``coords``, failures included; 8 entries keep fig1's sweeps for fig2
+    and fig3, fig4's for fig5."""
+    points, failures = chain_outcome(*np.frombuffer(coords).reshape(3, -1),
+                                     tags, quad)
     for part in (points.corr, points.state, *points.dcorr.values(),
                  *points.dstate.values()):
         for array in vars(part).values():
             array.flags.writeable = False
-    return points
-
-
-def _message(exc: Exception) -> str:
-    return "%s: %s" % (type(exc).__name__, exc)
+    return points, failures
 
 
 def sweep(spec: SweepSpec, quad: QuadratureConfig = DEFAULT_QUAD) -> SweepTable:
     """Evaluate the requested quantities along the axis; never aborts.
 
-    Rows with invalid couplings or on a divergence of the derivatives get
-    their error first; the other rows are evaluated as one batched
-    quadrature.  If that batch fails, each of its rows is evaluated alone,
-    so only the failing rows become NaN.
+    All rows are evaluated as one batched quadrature.  A row that fails
+    in it gets NaN entries and the failure's message; every other row
+    keeps the values it has alone.
     """
     values = spec.axis_values()
     tags = PARAM_TAGS if any(q in spec.quantities for q in ("QFIM", "U", "det")) \
@@ -187,27 +182,14 @@ def sweep(spec: SweepSpec, quad: QuadratureConfig = DEFAULT_QUAD) -> SweepTable:
     coords = np.array([values if t == spec.axis
                        else np.full(values.size, spec.fixed[t], dtype=float)
                        for t in PARAM_TAGS])
-    valid = np.ones(values.size, dtype=bool)
-    for i, exc in refused(*coords, tags):
-        errors[i] = _message(exc)
-        valid[i] = False
-    rows = np.flatnonzero(valid)
-    coords = coords[:, rows]
-
-    def evaluate(k, points: ChainPoints) -> None:
-        cols = _columns(points, spec)
-        for name, column in columns.items():
-            column[rows[k]] = cols[name]
-
-    if rows.size:
-        try:
-            evaluate(slice(None), _batch(coords.tobytes(), tags, quad))
-        except (QuadratureFailure, PositivityViolation):
-            for k in range(rows.size):
-                try:
-                    evaluate([k], chain_points(*coords[:, [k]], tags, quad))
-                except (QuadratureFailure, PositivityViolation) as exc:
-                    errors[rows[k]] = _message(exc)
+    points, failures = _batch(coords.tobytes(), tags, quad)
+    ok = np.ones(values.size, dtype=bool)
+    for i, exc in failures:
+        errors[i] = "%s: %s" % (type(exc).__name__, exc)
+        ok[i] = False
+    cols = _columns(points, spec)
+    for name, column in columns.items():
+        column[ok] = cols[name]
 
     return SweepTable(spec=spec, axis_values=values, columns=columns,
                       errors=tuple(errors))

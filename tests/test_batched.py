@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import dmchain.chain as chain_mod
 from dmchain.chain import (PARAM_TAGS, ChainParams, CriticalPoint,
-                           PositivityViolation, chain_point, chain_points)
+                           PositivityViolation, chain_outcome, chain_point,
+                           chain_points)
 from dmchain.features import WINDOW
 from dmchain.fisher import block_qfi, qfi_xstate
 from dmchain.quadrature import (DEFAULT_QUAD, NodeTable, QuadratureConfig,
@@ -59,7 +60,7 @@ def test_points_meet_their_own_tolerance():
     widths = np.geomspace(1e-4, 1.0, 13)
     f, exact = lorentzians(widths)
     config = QuadratureConfig(1e-12, 1e-10, 4096)
-    vals, errs = integrate_points(f, *start(widths.size, 0.0, 2.0), config)
+    vals, errs, _ = integrate_points(f, *start(widths.size, 0.0, 2.0), config)
     assert vals.shape == errs.shape == (2, widths.size)
     assert np.all(errs <= np.maximum(config.abs_tol, config.rel_tol * np.abs(vals)))
     assert np.allclose(vals[0], exact(widths), rtol=1e-9, atol=0.0)
@@ -71,10 +72,10 @@ def test_point_values_do_not_depend_on_the_family():
     widths = np.geomspace(1e-4, 1.0, 13)
     f, _ = lorentzians(widths)
     relative = QuadratureConfig(1e-300, 1e-10, 4096)  # no absolute floor
-    vals, errs = integrate_points(f, *start(widths.size, 0.0, 2.0), relative)
+    vals, errs, _ = integrate_points(f, *start(widths.size, 0.0, 2.0), relative)
     for subset in ([0], [5], [12], [2, 3, 4], [11, 0, 7]):
         g, _ = lorentzians(widths[subset])
-        v, e = integrate_points(g, *start(len(subset), 0.0, 2.0), relative)
+        v, e, _ = integrate_points(g, *start(len(subset), 0.0, 2.0), relative)
         assert np.array_equal(v, vals[:, subset])
         assert np.array_equal(e, errs[:, subset])
 
@@ -83,9 +84,9 @@ def test_points_agree_with_single_stack_engine():
     # each point of the family against that point integrated alone
     widths = np.geomspace(1e-4, 1.0, 7)
     f, _ = lorentzians(widths)
-    vals, errs = integrate_points(f, *start(widths.size, 0.0, 2.0))
+    vals, errs, _ = integrate_points(f, *start(widths.size, 0.0, 2.0))
     for i in range(widths.size):
-        ref, ref_err = integrate_points(
+        ref, ref_err, _ = integrate_points(
             lambda rows, owner: f(rows, np.full(owner.size, i)),
             *start(1, 0.0, 2.0))
         assert np.array_equal(vals[:, i], ref[:, 0])
@@ -103,24 +104,39 @@ def test_exhausted_point_fails_the_family():
 
     config = QuadratureConfig(1e-10, 1e-10, 16)
     table, first, counts = start(widths.size, 0.0, 2.0)
-    with pytest.raises(QuadratureFailure, match="point 1") as info:
-        integrate_points(recording, table, first, counts, config)
+    vals, errs, failures = integrate_points(recording, table, first, counts,
+                                            config)
     # every split adds one panel and evaluates its two halves:
     # nodes = 15 (start + 2 splits) and panels = start + splits
     splits, rest = np.divmod(evaluated // 15 - counts, 2)
     assert np.all(evaluated % 15 == 0) and np.all(rest == 0)
     panels = counts + splits
     assert panels.max() <= config.max_subdivisions
-    assert f"with {panels[1]} panels" in str(info.value)
-    # the easy points alone fit in the same budget
-    g, _ = lorentzians(widths[[0, 2]])
-    integrate_points(g, *start(2, 0.0, 2.0), config)
+    # point 1 is the only failure, and stops where it ran out of budget
+    assert [i for i, _ in failures] == [1]
+    assert isinstance(failures[0][1], QuadratureFailure)
+    assert panels[1] == 16
+    assert str(failures[0][1]).startswith(f"no convergence with {panels[1]} "
+                                          "panels; worst error exceeds")
+    # the easy points get the bits they get alone
+    for i in (0, 2):
+        g, _ = lorentzians(widths[[i]])
+        v, e, alone = integrate_points(g, *start(1, 0.0, 2.0), config)
+        assert alone == []
+        assert np.array_equal(v[:, 0], vals[:, i])
+        assert np.array_equal(e[:, 0], errs[:, i])
+    # a family whose points all get stuck, at different passes, reports
+    # every one of them in order
+    g, _ = lorentzians([1e-3, 1e-6, 1e-4, 1e-5])
+    _, _, failures = integrate_points(g, *start(4, 0.0, 2.0), config)
+    assert [i for i, _ in failures] == [0, 1, 2, 3]
+    assert all(isinstance(exc, QuadratureFailure) for _, exc in failures)
 
 
 def test_empty_family():
     f, _ = lorentzians([])
-    vals, errs = integrate_points(f, *start(0, 0.0, 2.0))
-    assert vals.shape == errs.shape == (2, 0)
+    vals, errs, failures = integrate_points(f, *start(0, 0.0, 2.0))
+    assert vals.shape == errs.shape == (2, 0) and failures == []
     with pytest.raises(ValueError):
         start(1, 2.0, 0.0)
     table, panels, _ = start(2, 0.0, 2.0)
@@ -140,12 +156,12 @@ def test_halves_are_tabulated_once_per_pass():
 
     f, _ = lorentzians(np.full(13, 1e-3))
     table, panels, counts = start(13, 0.0, 2.0, factors)
-    family, _ = integrate_points(f, table, panels, counts)
+    family, _, _ = integrate_points(f, table, panels, counts)
     halves = sum(tabulated[1:])
     assert halves > 0 and table.lo.size == table.rows.shape[1] == 8
     g, _ = lorentzians([1e-3])
     tabulated.clear()
-    alone, _ = integrate_points(g, table, *start(1, 0.0, 2.0)[1:])
+    alone, _, _ = integrate_points(g, table, *start(1, 0.0, 2.0)[1:])
     assert sum(tabulated) == halves
     assert np.array_equal(family, np.repeat(alone, 13, axis=1))
 
@@ -158,9 +174,10 @@ def test_chain_points_meet_their_own_tolerance():
         return chain_mod._integrand_rows(js[owner][:, None], 0.2, 0.3,
                                          ("J",), rows)
 
-    vals, errs = integrate_points(
+    vals, errs, failures = integrate_points(
         f, chain_mod._START_TABLE,
         *chain_mod._start_mesh(js, DEFAULT_QUAD.max_subdivisions))
+    assert failures == []
     assert np.all(errs <= np.maximum(DEFAULT_QUAD.abs_tol,
                                      DEFAULT_QUAD.rel_tol * np.abs(vals)))
 
@@ -232,6 +249,33 @@ def test_chain_points_raise_the_scalar_errors():
                      QuadratureConfig(1e-10, 1e-10, 8))
 
 
+def test_chain_outcome_reports_every_failure_in_order():
+    # a refused coupling, a divergence and two points short of budget: the
+    # points that succeed keep the bits they get alone
+    J = [0.5, -0.9999, 0.3, 1.0, 0.99999, np.nan]
+    quad = QuadratureConfig(1e-10, 1e-10, 9)
+    points, failures = chain_outcome(J, 0.2, 0.1, ("J",), quad)
+    assert [(i, type(exc)) for i, exc in failures] == [
+        (1, QuadratureFailure), (3, CriticalPoint), (4, QuadratureFailure),
+        (5, ValueError)]
+    assert "(J = -0.9999, gamma = 0.2, D = 0.1)" in str(failures[0][1])
+    family = fields_of(points)
+    for k, j in enumerate((0.5, 0.3)):
+        ref = fields_of(chain_point(ChainParams(j, 0.2, 0.1), ("J",), quad))
+        assert [v[k] for v in family] == list(ref)
+    # chain_points raises the failure of the lowest index
+    with pytest.raises(QuadratureFailure, match=r"J = -0\.9999"):
+        chain_points(J, 0.2, 0.1, ("J",), quad)
+    with pytest.raises(CriticalPoint):
+        chain_points(J[2:], 0.2, 0.1, ("J",), quad)
+    # a refused point keeps its refusal, even where a pass at its stand-in
+    # couplings would not converge either
+    _, failures = chain_outcome([np.nan, 1.0, 0.5], 0.2, 0.1, ("J",),
+                                QuadratureConfig(1e-30, 1e-30, 16))
+    assert [(i, type(exc)) for i, exc in failures] == [
+        (0, ValueError), (1, CriticalPoint), (2, QuadratureFailure)]
+
+
 def test_chain_points_raise_positivity_at_first_bad_point(monkeypatch):
     assemble = chain_mod._assemble
 
@@ -242,8 +286,14 @@ def test_chain_points_raise_positivity_at_first_bad_point(monkeypatch):
         return chain_mod.Correlators(corr.mz, corr.gxx, corr.gyy, gzz)
 
     monkeypatch.setattr(chain_mod, "_assemble", corrupted)
-    with pytest.raises(PositivityViolation, match="negative diagonal"):
+    with pytest.raises(PositivityViolation, match="negative diagonal") as info:
         chain_points(np.linspace(0.1, 0.5, 5), 0.7, 0.1)
+    assert "c=-0.125" in str(info.value)
+    # the outcome reports both bad points and keeps the other three
+    points, failures = chain_outcome(np.linspace(0.1, 0.5, 5), 0.7, 0.1)
+    assert [i for i, _ in failures] == [2, 4]
+    assert all(isinstance(exc, PositivityViolation) for _, exc in failures)
+    assert points.state.c.shape == (3,) and np.all(points.state.c > 0.0)
 
 
 # ------------------------------------------------------------ node table
@@ -251,8 +301,9 @@ def test_chain_points_raise_positivity_at_first_bad_point(monkeypatch):
 def per_node(J, gamma, D, tags, quad):
     """The values of :func:`chain_point` (float couplings) or
     :func:`chain_points` (arrays) from the per-node integrand oracle, on a
-    node table of the start panels whose rows are the nodes themselves; a
-    QuadratureFailure carries the library's message."""
+    node table of the start panels whose rows are the nodes themselves.
+    The first point that does not converge raises a QuadratureFailure with
+    the library's message."""
     one = np.ndim(J) == 0
     J, gamma, D = (np.atleast_1d(np.asarray(a, dtype=float))
                    for a in (J, gamma, D))
@@ -267,14 +318,11 @@ def per_node(J, gamma, D, tags, quad):
         return integrand_rows(J[node], gamma[node], D[node], tags,
                               rows[0].ravel())
 
-    try:
-        vals, _ = integrate_points(
-            f, table, *chain_mod._start_mesh(J, quad.max_subdivisions), quad)
-    except QuadratureFailure as exc:
-        i = exc.point
+    vals, _, failures = integrate_points(
+        f, table, *chain_mod._start_mesh(J, quad.max_subdivisions), quad)
+    for i, exc in failures:
         raise QuadratureFailure(
-            f"{exc} (J = {J[i]:g}, gamma = {gamma[i]:g}, D = {D[i]:g})", i
-        ) from None
+            f"{exc} (J = {J[i]:g}, gamma = {gamma[i]:g}, D = {D[i]:g})")
     return chain_mod._evaluated(tags, vals[:, 0].tolist() if one else vals)
 
 

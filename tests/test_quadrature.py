@@ -20,9 +20,12 @@ def uniform(a, b, panels=8):
 
 
 def integrate_stack(f, a, b, config=DEFAULT_QUAD):
-    """A stack f(x) of shape (k, panels, 15) integrated as a one-point family."""
-    vals, errs = integrate_points(lambda rows, owner: f(rows[0]),
-                                  *uniform(a, b), config)
+    """A stack f(x) of shape (k, panels, 15) integrated as a one-point
+    family; raises the point's failure if it has one."""
+    vals, errs, failures = integrate_points(lambda rows, owner: f(rows[0]),
+                                            *uniform(a, b), config)
+    for _, exc in failures:
+        raise exc
     return vals[:, 0], errs[:, 0]
 
 

@@ -10,11 +10,13 @@ import warnings
 import numpy as np
 import pytest
 
-from dmchain.chain import PARAM_TAGS, ChainParams
+import dmchain.chain as chain_mod
+from dmchain.chain import PARAM_TAGS, ChainParams, chain_points
 from dmchain.fisher import (BlockDegenerateWarning,
                             DivergentInformationWarning, fisher_point)
 from dmchain.multiparam import qfi_matrix
-from dmchain.quadrature import DEFAULT_QUAD, QuadratureConfig
+from dmchain.quadrature import (DEFAULT_QUAD, QuadratureConfig,
+                                QuadratureFailure)
 from dmchain.sweep import (FIGURES, CriticalNudgeWarning, SweepSpec,
                            SweepTable, figure_bundle, sweep)
 
@@ -33,6 +35,19 @@ def cold_memo():
     sweep_mod._batch.cache_clear()
     yield
     sweep_mod._batch.cache_clear()
+
+
+def counted_chain_calls(monkeypatch):
+    """The arguments of each chain call the sweeps make from now on."""
+    calls = []
+    real = sweep_mod.chain_outcome
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "chain_outcome", counting)
+    return calls
 
 
 # ------------------------------------------------------------------- specs
@@ -115,23 +130,72 @@ def test_sweep_matrix_quantities():
     assert np.abs(table.columns["U_J_D"]).max() < 1e-8
 
 
-def test_failing_batch_rows_fail_alone(cold_memo):
+def test_failing_batch_rows_fail_alone(monkeypatch, cold_memo):
     # a tight budget: rows 0-4 converge, rows 5-6 (J near 1) do not
+    calls = counted_chain_calls(monkeypatch)
     spec = SweepSpec("J", (0.1, 0.99, 7), {"gamma": 0.5, "D": 0.1})
     table = sweep(spec, QuadratureConfig(1e-10, 1e-10, 8))
-    # the failed batch is not kept: a second sweep fails it again
+    # the batch is kept with its failures: a second sweep makes no new
+    # chain call and gives the same table
     assert sweep(spec, QuadratureConfig(1e-10, 1e-10, 8)).to_csv() \
         == table.to_csv()
-    assert sweep_mod._batch.cache_info().currsize == 0
+    assert len(calls) == 1
     for i in (5, 6):
-        assert table.errors[i].startswith("QuadratureFailure: ")
+        assert table.errors[i].startswith("QuadratureFailure: no convergence "
+                                          "with ")
         assert all(math.isnan(table.columns[c][i]) for c in ("F", "H", "S"))
-    # the message names the row's couplings, not its index in the re-run
+    # the message names the row's couplings, not an index
+    assert "point" not in table.errors[5]
     assert "J = 0.841667, gamma = 0.5, D = 0.1" in table.errors[5]
     assert "J = 0.99, gamma = 0.5, D = 0.1" in table.errors[6]
     for i in range(5):
         assert table.errors[i] == ""
         assert all(math.isfinite(table.columns[c][i]) for c in ("F", "H", "S"))
+
+
+def test_failing_rows_come_from_the_one_batch(monkeypatch, cold_memo):
+    # the 400-row J grid near |J| = 1 with a budget of 12 panels: one chain
+    # call, and each row as evaluated alone (the error cell, or the bits)
+    calls = counted_chain_calls(monkeypatch)
+    spec = SweepSpec("J", (-2.0, 2.0, 400), {"gamma": 0.5, "D": 0.1})
+    quad = QuadratureConfig(max_subdivisions=12)
+    table = sweep(spec, quad)
+    assert len(calls) == 1
+    failed = [i for i, msg in enumerate(table.errors) if msg]
+    assert failed == [99, 100, 101, 299, 300]
+    for i, v in enumerate(table.axis_values):
+        try:
+            alone = sweep_mod._columns(
+                chain_points(float(v), 0.5, 0.1, ("J",), quad), spec)
+        except QuadratureFailure as exc:
+            assert table.errors[i] == "QuadratureFailure: %s" % exc
+            assert all(math.isnan(c[i]) for c in table.columns.values())
+        else:
+            assert table.errors[i] == ""
+            for name, column in table.columns.items():
+                assert column[i:i + 1].tobytes() == alone[name].tobytes()
+
+
+def test_rows_with_a_state_that_is_not_positive_fail_alone(monkeypatch,
+                                                           cold_memo):
+    assemble = chain_mod._assemble
+
+    def corrupted(mz, even, odd):
+        corr = assemble(mz, even, odd)
+        gzz = corr.gzz.copy()
+        gzz[[2, 4]] = 1.5  # inner block weight (1 - gzz)/4 < 0
+        return chain_mod.Correlators(corr.mz, corr.gxx, corr.gyy, gzz)
+
+    monkeypatch.setattr(chain_mod, "_assemble", corrupted)
+    table = sweep(spec_fhs((0.1, 0.5, 5), gamma=0.7))
+    for i in range(5):
+        if i in (2, 4):
+            assert table.errors[i].startswith(
+                "PositivityViolation: negative diagonal entry")
+            assert all(math.isnan(c[i]) for c in table.columns.values())
+        else:
+            assert table.errors[i] == ""
+            assert all(math.isfinite(c[i]) for c in table.columns.values())
 
 
 def test_block_algebra_runs_once_per_batch(monkeypatch, cold_memo):
@@ -151,25 +215,26 @@ def test_block_algebra_runs_once_per_batch(monkeypatch, cold_memo):
     assert len(calls) == 1 and tuple(calls[0].dstate) == PARAM_TAGS
     sweep(dataclasses.replace(spec, quantities=("QFIM", "det")))
     assert len(calls) == 2 and calls[1] is calls[0]
-    # a failing batch: once per batch that succeeds, each row alone
+    # a batch with failing rows: once, on the rows that succeeded
     batches = []
-    real_points = sweep_mod.chain_points
+    real_outcome = sweep_mod.chain_outcome
 
     def recording(*args, **kwargs):
-        points = real_points(*args, **kwargs)
-        batches.append(points)
-        return points
+        outcome = real_outcome(*args, **kwargs)
+        batches.append(outcome)
+        return outcome
 
-    monkeypatch.setattr(sweep_mod, "chain_points", recording)
+    monkeypatch.setattr(sweep_mod, "chain_outcome", recording)
     calls.clear()
-    sweep(dataclasses.replace(spec, range=(0.1, 0.99, 7)),
-          QuadratureConfig(1e-10, 1e-10, 8))
-    assert len(calls) == len(batches) >= 2
-    assert all(c is b for c, b in zip(calls, batches))
+    table = sweep(dataclasses.replace(spec, range=(0.1, 0.99, 7)),
+                  QuadratureConfig(1e-10, 1e-10, 8))
+    assert [i for i, msg in enumerate(table.errors) if msg] == [5, 6]
+    assert len(calls) == len(batches) == 1
+    assert calls[0] is batches[0][0] and calls[0].state.c.shape == (5,)
 
 
 def test_row_whose_integrals_are_not_finite_gets_an_error_cell():
-    # D = 1e308 is refused as out of range before the batch; row 0 survives
+    # D = 1e308 is refused as out of range in the batch; row 0 survives
     spec = SweepSpec("D", (0.1, 1e308, 2), {"J": 0.5, "gamma": 0.5})
     table = sweep(spec)
     assert table.errors[0] == ""
@@ -179,22 +244,19 @@ def test_row_whose_integrals_are_not_finite_gets_an_error_cell():
 
 
 def test_one_batch_per_spec(monkeypatch, cold_memo):
-    calls = []
-    real = sweep_mod.chain_points
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sweep_mod, "chain_points", counting)
+    calls = counted_chain_calls(monkeypatch)
     first = sweep(spec_fhs())
     sweep(SweepSpec("D", (-0.2, 0.2, 5), {"J": 0.5, "gamma": 0.7},
                     quantities=("QFIM", "U", "det")))
     assert [len(c[0]) for c in calls] == [7, 5]
-    # rows rejected before the batch stay out of it
+    # rows rejected by the chain layer share the batch and get only an
+    # error cell
     with pytest.warns(CriticalNudgeWarning):
-        sweep(SweepSpec("J", (0.5, 1.5, 3), {"gamma": 0.0, "D": 0.0}))
-    assert len(calls) == 3 and len(calls[2][0]) == 2
+        refused = sweep(SweepSpec("J", (0.5, 1.5, 3), {"gamma": 0.0, "D": 0.0}))
+    assert len(calls) == 3 and len(calls[2][0]) == 3
+    assert [msg.split(":")[0] for msg in refused.errors] == \
+        ["", "", "CriticalPoint"]
+    assert np.isfinite(refused.columns["H"][:2]).all()
     # the same rows over the same tags, for other quantities, reuse a batch
     again = sweep(SweepSpec("J", (0.2, 0.8, 7), {"gamma": 0.5, "D": 0.1},
                             quantities=("H",)))
@@ -245,8 +307,10 @@ def test_batched_columns_match_per_point(spec):
 
 def test_batch_arrays_are_read_only(cold_memo):
     coords = np.array([[0.3, 0.5], [0.5, 0.5], [0.1, 0.1]]).tobytes()
-    points = sweep_mod._batch(coords, PARAM_TAGS, DEFAULT_QUAD)
-    assert sweep_mod._batch(coords, PARAM_TAGS, DEFAULT_QUAD) is points
+    points, failures = batch = sweep_mod._batch(coords, PARAM_TAGS,
+                                                DEFAULT_QUAD)
+    assert sweep_mod._batch(coords, PARAM_TAGS, DEFAULT_QUAD) is batch
+    assert failures == ()
     parts = [points.corr, points.state, *points.dcorr.values(),
              *points.dstate.values()]
     assert len(parts) == 8
@@ -261,15 +325,15 @@ def test_warnings_are_raised_again_on_a_hit(monkeypatch, cold_memo):
     # the memo holds chain output only; the information algebra, and its
     # warnings, run on every sweep.  A doctored derivative makes the dead
     # outcome ud of the J = 0 row (up-up state) carry information.
-    real = sweep_mod.chain_points
+    real = sweep_mod.chain_outcome
 
     def doctored(*args, **kwargs):
-        points = real(*args, **kwargs)
+        points, failures = real(*args, **kwargs)
         bumped = dataclasses.replace(points.dstate["J"],
                                      c=np.ones_like(points.dstate["J"].c))
-        return dataclasses.replace(points, dstate={"J": bumped})
+        return dataclasses.replace(points, dstate={"J": bumped}), failures
 
-    monkeypatch.setattr(sweep_mod, "chain_points", doctored)
+    monkeypatch.setattr(sweep_mod, "chain_outcome", doctored)
     spec = SweepSpec("J", (-0.01, 0.01, 3), {"gamma": 0.7, "D": 0.0})
     for _ in range(2):
         with warnings.catch_warnings(record=True) as caught:
