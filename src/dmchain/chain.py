@@ -232,17 +232,30 @@ def _refused(J, gamma, D, tags: Tuple[str, ...]):
             yield int(i), exc
 
 
+def _product(*factors):
+    """The factors multiplied left to right: a float if they are floats,
+    else one array, updated in place, with no temporary besides it."""
+    p = factors[0] * factors[1]
+    for factor in factors[2:]:
+        p *= factor
+    return p
+
+
 def _integrand_rows(J, g, D, tags: Tuple[str, ...], rows: np.ndarray) -> np.ndarray:
     """Integrand stack at the nodes of some panels, from their node-table
     rows: the :func:`_phi_factors` of those nodes, shape (2, panels, 15).
-    J, g, D are scalars or per-panel columns of shape (panels, 1).
+    J, g, D are floats, or arrays that broadcast against a row: a float
+    for a coupling the whole family shares, and a node-shaped
+    (panels, 15) array for one that varies, so each product is one flat
+    loop over the nodes.
 
     sin and cos come from the table, the same libm call on the same node
     as when taken here, and each coupling factor is the same product of
-    the couplings, per panel instead of per node; so every value is the
-    same product, in the same order, as the plain expression in its
-    comment, whatever the couplings' shape.  The rows are written in
-    place into one output array, and the node arrays are reused, so a call
+    the couplings, per family or per node; so every value is the same
+    product, in the same order, as the plain expression in its comment,
+    whatever the couplings' shape.  The rows are written in place into one
+    output array, the node arrays are reused and a product of couplings
+    that vary is built in one array (:func:`_product`), so a call
     allocates a few node-sized temporaries instead of one per operation.
     """
     s, cp = rows
@@ -256,8 +269,6 @@ def _integrand_rows(J, g, D, tags: Tuple[str, ...], rows: np.ndarray) -> np.ndar
     inv += u * u
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
-    inv3 = inv * inv
-    inv3 *= inv
     s2 = s * s
     # magnetization, even part of the pair correlator, odd (anisotropy) part
     np.multiply(-1.0 / _PI, u, out=out[0])
@@ -267,11 +278,15 @@ def _integrand_rows(J, g, D, tags: Tuple[str, ...], rows: np.ndarray) -> np.ndar
     out[1] *= inv
     np.multiply((g / _PI) * J, s2, out=out[2])
     out[2] *= inv
+    if tags:
+        inv3 = inv * inv
+        inv3 *= inv
+    del inv                 # the derivative rows need only inv3
     for i, tag in enumerate(tags):
         # du = d(u/Delta)/dtag and dq = d(gamma J/Delta)/dtag
         du, row, dq = out[3 + 3 * i:6 + 3 * i]
         if tag == "J":
-            np.multiply(J * g * g, s2, out=du)            # J g^2 s2 inv3
+            np.multiply(_product(J, g, g), s2, out=du)    # J g^2 s2 inv3
             np.multiply(-g, u, out=dq)                    # -g u inv3
         elif tag == "gamma":
             np.negative(u, out=du)                        # -u J J g s2 inv3
@@ -282,9 +297,9 @@ def _integrand_rows(J, g, D, tags: Tuple[str, ...], rows: np.ndarray) -> np.ndar
             np.multiply(J, u, out=dq)                     # J u u inv3
             dq *= u
         else:
-            np.multiply(-2.0 * J * J * J * g * g, s2, out=du)  # ... s2 s inv3
-            du *= s
-            np.multiply(2.0 * J * J * g, s, out=dq)       # ... s u inv3
+            np.multiply(_product(-2.0, J, J, J, g, g), s2, out=du)
+            du *= s                                       # ... s2 s inv3
+            np.multiply(_product(2.0, J, J, g), s, out=dq)  # ... s u inv3
             dq *= u
         du *= inv3
         dq *= inv3
@@ -421,6 +436,13 @@ def _take(points: ChainPoints, keep: np.ndarray) -> ChainPoints:
                        {t: take(d) for t, d in points.dstate.items()})
 
 
+def _shared(a: np.ndarray):
+    """A coupling of a family as :func:`_integrand_rows` takes it: a float
+    when every point has the same bits, else the array of the points."""
+    bits = a.view(np.int64)
+    return float(a[0]) if a.size and (bits == bits[0]).all() else a
+
+
 def _integrals(f, J, gamma, D, quad: QuadratureConfig):
     """Integrals of the stack ``f(rows, owner)`` at the points J (an array),
     gamma, D, and a ``(k, QuadratureFailure)`` naming the couplings per
@@ -484,22 +506,28 @@ def chain_outcome(J, gamma, D, tags: Sequence[str] = (),
     J, gamma, D = (np.array(a, dtype=float).ravel()
                    for a in np.broadcast_arrays(J, gamma, D))
     failures = dict(_refused(J, gamma, D, tags))
-    if failures:    # refused points run at zero couplings, and are dropped
-        for a in (J, gamma, D):
-            a[list(failures)] = 0.0
-    Jc, gc, Dc = J[:, None], gamma[:, None], D[:, None]
+    index = np.arange(J.size)       # family index of each integrated point
+    if failures:                    # only the admitted points are integrated
+        index = np.delete(index, list(failures))
+        J, gamma, D = J[index], gamma[index], D[index]
+    couplings = [_shared(a) for a in (J, gamma, D)]
 
     def f(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return _integrand_rows(Jc[owner], gc[owner], Dc[owner], tags, rows)
+        shape = rows.shape[1:]
+        return _integrand_rows(*[c if type(c) is float
+                                 else c[owner].repeat(shape[1]).reshape(shape)
+                                 for c in couplings], tags, rows)
 
     vals, stuck = _integrals(f, J, gamma, D, quad)
     points = _evaluated(tags, vals)
+    failed = {}
     for k, exc in stuck + list(_violations(points.state)):
-        failures.setdefault(k, exc)     # a point fails with its first failure
-    if failures:
+        failed.setdefault(k, exc)       # a point fails with its first failure
+    if failed:
         keep = np.ones(J.size, dtype=bool)
-        keep[list(failures)] = False
+        keep[list(failed)] = False
         points = _take(points, keep)
+        failures.update((int(index[k]), exc) for k, exc in failed.items())
     return points, tuple(sorted(failures.items()))
 
 

@@ -37,7 +37,7 @@ peak (see :func:`dmchain.chain.chain_point`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -106,9 +106,18 @@ _WG_HALF = np.array(
     ]
 )
 
-# Nodes per rule call in integrate_points: bounds the (integrands x nodes)
-# temporaries of the integrand, and so the memory of a large family.
-_MAX_RULE_NODES = 1 << 11
+# Floats a rule call of integrate_points may hold: (stack height +
+# _SCRATCH_ROWS) x nodes, the integrand's output and its node-shaped
+# scratch.  For the chain's stack the scratch is at most ten rows (the two
+# gathered table rows, three couplings that vary across the family, three
+# work arrays and two temporaries of a product) plus the call's estimates.
+# This bounds the memory of a large family: it is what a stack of
+# _FIRST_HEIGHT integrands (the chain's tallest, the values and three
+# derivatives) holds at 2048 nodes, and the first call of a pass, made
+# before the engine knows the height, is sized for such a stack.
+_SCRATCH_ROWS = 12
+_FIRST_HEIGHT = 12
+_MAX_RULE_FLOATS = (_FIRST_HEIGHT + _SCRATCH_ROWS) * 2048
 
 _XK = np.concatenate([-_XK_HALF[:-1], _XK_HALF[::-1]])
 _WK = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
@@ -175,22 +184,40 @@ def _panel_rule(
     return est
 
 
+def _rule_panels(height: int) -> int:
+    """Panels per rule call for a stack of ``height`` integrands."""
+    return max(1, _MAX_RULE_FLOATS // ((height + _SCRATCH_ROWS) * _XK.size))
+
+
 def _family_rule(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     panels: np.ndarray,
     owner: np.ndarray,
     half: np.ndarray,
     rows: np.ndarray,
+    est: Optional[np.ndarray] = None,
+    at: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """:func:`_panel_rule` over panels of several points, in capped chunks."""
-    per_call = _MAX_RULE_NODES // _XK.size
-    if panels.size > per_call:
-        return np.concatenate(
-            [_panel_rule(f, panels[s:s + per_call], owner[s:s + per_call],
-                         half, rows)
-             for s in range(0, panels.size, per_call)], axis=2)
-    # Even an empty family makes this one call, so it learns its stack size.
-    return _panel_rule(f, panels, owner, half, rows)
+    """:func:`_panel_rule` over panels of several points, in chunks of at
+    most _MAX_RULE_FLOATS floats for the stack height of ``est``; a panel's
+    rule does not depend on its chunk.  The rule of ``panels[j]`` goes to
+    ``est[:, :, at[j]]``.  With no ``est``, returns a new one in the order
+    of the panels, whose first chunk, sized for a stack of _FIRST_HEIGHT
+    integrands, tells the height (even an empty family makes that call)."""
+    done = 0
+    if est is None:
+        done = _rule_panels(_FIRST_HEIGHT)
+        first = _panel_rule(f, panels[:done], owner[:done], half, rows)
+        if panels.size <= done:
+            return first
+        est = np.empty(first.shape[:2] + panels.shape)
+        est[:, :, :done] = first
+    step = _rule_panels(est.shape[1])
+    for s in range(done, panels.size, step):
+        e = s + step
+        est[:, :, slice(s, e) if at is None else at[s:e]] = _panel_rule(
+            f, panels[s:e], owner[s:e], half, rows)
+    return est
 
 
 def integrate_points(
@@ -312,12 +339,12 @@ def integrate_points(
 
         # Bisect in place: a split panel becomes its left and right halves,
         # so each point's panels stay contiguous and in order.
-        halves = split.repeat(split + 1)
+        halves = np.flatnonzero(split.repeat(split + 1))
         panels, owner = panels.repeat(split + 1), owner.repeat(split + 1)
         est = est.repeat(split + 1, axis=2)
         children = left_half[parents].repeat(2)
         children[1::2] += 1
         panels[halves] = children
-        est[:, :, halves] = _family_rule(f, children, owner[halves], half, rows)
+        _family_rule(f, children, owner[halves], half, rows, est, halves)
 
     return out[0], out[1], sorted(failures, key=lambda p: p[0])

@@ -23,7 +23,8 @@ padded tables of every depth with a mask of the panels each one uses.
 ``integrand_rows`` is the chain's integrand stack evaluated per node,
 with each node's sin and cos taken at that node and the couplings given
 per node: the bit oracle for the library's integrand, which takes its
-phi-only factors from a table of panels and its couplings per panel.
+phi-only factors from a table of panels and each coupling as a float (when
+the family shares it) or an array of the nodes' shape.
 """
 
 import json

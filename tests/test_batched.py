@@ -1,5 +1,6 @@
 """Batched evaluation of parameter families against the per-point path."""
 
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dmchain.chain as chain_mod
+import dmchain.quadrature as quad_mod
 from dmchain.chain import (PARAM_TAGS, ChainParams, CriticalPoint,
                            PositivityViolation, chain_outcome, chain_point,
                            chain_points)
@@ -197,14 +199,26 @@ def test_chain_points_match_chain_point():
     points = [(-1.998, 0.7, 0.1), (-0.5, 0.7, 0.1), (0.3, 0.7, 0.1),
               (0.999, 0.7, 0.1), (1.5, 0.7, 0.1), (1.45, 0.7, 0.1),
               (-0.9852378297674188, -0.4603264289983997, 0.3631202041893178)]
-    for tags in ((), ("J",), PARAM_TAGS):
-        pts = chain_points(*zip(*points), tags)
-        assert set(pts.dcorr) == set(tags)
-        family = fields_of(pts)
-        for i, p in enumerate(points):
-            ref = fields_of(chain_point(ChainParams(*p), tags))
-            assert all(type(v) is float for v in ref)
-            assert [v[i] for v in family] == list(ref)
+    # A family passes a shared coupling as a float and a varying one per
+    # node: a J curve up to 0.999 that shares gamma and D, over several
+    # rule calls; a D axis that shares J and gamma; and a family where all
+    # three couplings vary.
+    curve = [(j, 0.7, 0.1) for j in np.linspace(-0.9, 0.999, 64)]
+    assert (chain_mod._start_mesh(np.array(curve)[:, 0], 4096)[0].size
+            > 2 * quad_mod._rule_panels(quad_mod._FIRST_HEIGHT))
+    d_axis = [(0.6, 0.7, d) for d in np.linspace(-0.4, 0.4, 9)]
+    rng = np.random.default_rng(23)
+    varied = list(zip(rng.uniform(-1.9, -1.05, 12), rng.uniform(0.1, 1.0, 12),
+                      rng.uniform(-0.4, 0.4, 12)))
+    for family in (points, curve, d_axis, varied):
+        for tags in ((), ("J",), PARAM_TAGS):
+            pts = chain_points(*zip(*family), tags)
+            assert set(pts.dcorr) == set(tags)
+            values = fields_of(pts)
+            for i, p in enumerate(family):
+                ref = fields_of(chain_point(ChainParams(*map(float, p)), tags))
+                assert all(type(v) is float for v in ref)
+                assert [v[i] for v in values] == list(ref)
 
 
 def test_chain_point_failure_names_the_couplings():
@@ -268,12 +282,77 @@ def test_chain_outcome_reports_every_failure_in_order():
         chain_points(J, 0.2, 0.1, ("J",), quad)
     with pytest.raises(CriticalPoint):
         chain_points(J[2:], 0.2, 0.1, ("J",), quad)
-    # a refused point keeps its refusal, even where a pass at its stand-in
-    # couplings would not converge either
-    _, failures = chain_outcome([np.nan, 1.0, 0.5], 0.2, 0.1, ("J",),
-                                QuadratureConfig(1e-30, 1e-30, 16))
+
+
+def test_refused_points_are_not_integrated(monkeypatch):
+    # refused points stay out of the pass, even at a tolerance that no
+    # point reaches: only point 2 is refined, on the panels it gets alone
+    evaluated = []
+    real = quad_mod._panel_rule
+
+    def spy(f, panels, owner, *table):
+        evaluated.append(panels.copy())
+        return real(f, panels, owner, *table)
+
+    monkeypatch.setattr(quad_mod, "_panel_rule", spy)
+    quad = QuadratureConfig(1e-30, 1e-30, 64)
+    _, failures = chain_outcome([np.nan, 1.0, 0.5], 0.2, 0.1, ("J",), quad)
     assert [(i, type(exc)) for i, exc in failures] == [
         (0, ValueError), (1, CriticalPoint), (2, QuadratureFailure)]
+    assert "J = 0.5, gamma = 0.2, D = 0.1" in str(failures[2][1])
+    family = np.concatenate(evaluated)
+    evaluated.clear()
+    _, alone = chain_outcome([0.5], 0.2, 0.1, ("J",), quad)
+    assert [type(exc) for _, exc in alone] == [QuadratureFailure]
+    assert np.array_equal(family, np.concatenate(evaluated))
+    # a family with every point refused makes no pass beyond the one call
+    # that learns the stack
+    evaluated.clear()
+    points, failures = chain_outcome([np.nan, 1.0], 0.2, 0.1, ("J",), quad)
+    assert [i for i, _ in failures] == [0, 1] and points.corr.mz.size == 0
+    assert sum(p.size for p in evaluated) == 0
+
+
+@pytest.mark.parametrize("J, gamma, D, tags", [
+    # the d_loss profile of features: 81 J by 17 D, gamma shared
+    (np.tile(np.linspace(1.2, 2.0, 81), 17), 0.7,
+     np.repeat(np.linspace(0.0, 0.3, 17), 81), ("J",)),
+    # the tallest stack, all three couplings varying
+    (np.linspace(-0.99, 0.99, 401), np.linspace(0.1, 0.9, 401),
+     np.linspace(-0.3, 0.3, 401), PARAM_TAGS),
+])
+def test_rule_calls_hold_at_most_the_float_bound(monkeypatch, J, gamma, D,
+                                                 tags):
+    # every rule call, counted by its stack and nodes and measured by the
+    # memory it allocates, stays within the engine's bound
+    calls = []
+    real = quad_mod._panel_rule
+
+    def spy(f, panels, *rest):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        est = real(f, panels, *rest)
+        peak = tracemalloc.get_traced_memory()[1] - held
+        calls.append((est.shape[1], panels.size * 15, peak / 8))
+        return est
+
+    monkeypatch.setattr(quad_mod, "_panel_rule", spy)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        chain_points(J, gamma, D, tags)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    bound = quad_mod._MAX_RULE_FLOATS
+    assert len(calls) > 1 and {k for k, _, _ in calls} == {3 + 3 * len(tags)}
+    for k, nodes, held in calls:
+        assert (k + quad_mod._SCRATCH_ROWS) * nodes <= bound
+        assert held <= bound
+    # the calls are as large as the bound allows, not capped below it
+    k = calls[0][0]
+    assert max(n for _, n, _ in calls) == 15 * quad_mod._rule_panels(k)
 
 
 def test_chain_points_raise_positivity_at_first_bad_point(monkeypatch):
