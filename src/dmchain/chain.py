@@ -19,6 +19,7 @@ the Kronrod nodes of each distinct start panel.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, fields
 from typing import Dict, Sequence, Tuple
@@ -130,6 +131,17 @@ def _start_tables():
 
 (_START_TABLE, _START_PANELS, _START_KEEP, _START_COUNTS, _START_BREAKS,
  _START_ROWS) = _start_tables()
+# The same table for one point, in Python: the breaks and rows as lists,
+# and per row its panel ids and count, read-only since every pass shares
+# them.
+_START_BREAK_LIST = _START_BREAKS.tolist()
+_START_ROW_LISTS = _START_ROWS.tolist()
+_START_MESHES = tuple(
+    (_START_PANELS[r][_START_KEEP[r]], _START_COUNTS[r:r + 1])
+    for r in range(_START_PANELS.shape[0]))
+for _panels, _counts in _START_MESHES:
+    _panels.flags.writeable = _counts.flags.writeable = False
+del _panels, _counts
 
 
 @dataclass(frozen=True)
@@ -258,7 +270,7 @@ def _integrand_rows(J, g, D, tags: Tuple[str, ...], rows: np.ndarray) -> np.ndar
     that vary is built in one array (:func:`_product`), so a call
     allocates a few node-sized temporaries instead of one per operation.
     """
-    s, cp = rows
+    s, cp = rows[0], rows[1]      # indexing: iterating an array costs more
     out = np.empty((3 + 3 * len(tags),) + s.shape)
     u = 2.0 * D * s                        # u = J (cp - 2 D s) - 1
     np.subtract(cp, u, out=u)
@@ -284,7 +296,7 @@ def _integrand_rows(J, g, D, tags: Tuple[str, ...], rows: np.ndarray) -> np.ndar
     del inv                 # the derivative rows need only inv3
     for i, tag in enumerate(tags):
         # du = d(u/Delta)/dtag and dq = d(gamma J/Delta)/dtag
-        du, row, dq = out[3 + 3 * i:6 + 3 * i]
+        du, row, dq = out[3 + 3 * i], out[4 + 3 * i], out[5 + 3 * i]
         if tag == "J":
             np.multiply(_product(J, g, g), s2, out=du)    # J g^2 s2 inv3
             np.multiply(-g, u, out=dq)                    # -g u inv3
@@ -310,9 +322,9 @@ def _integrand_rows(J, g, D, tags: Tuple[str, ...], rows: np.ndarray) -> np.ndar
     return out
 
 
-def _start_mesh(J: np.ndarray, max_subdivisions: int):
-    """Start panels ``(panels, counts)`` of the points with couplings J, as
-    row ids into ``_START_TABLE``.
+def _start_mesh(J, max_subdivisions: int):
+    """Start panels ``(panels, counts)`` of the points with couplings J, an
+    array, or a number for one point, as row ids into ``_START_TABLE``.
 
     Near |J| = 1 the integrands peak within about ||J| - 1| of phi = 0
     (J > 0) or phi = pi (J < 0), where Delta vanishes at criticality.
@@ -321,8 +333,15 @@ def _start_mesh(J: np.ndarray, max_subdivisions: int):
     at most ``max_subdivisions - _UNIFORM_PANELS`` of them, since the
     start panels count against the budget.  Panels are grouped by point,
     the innermost first.
+
+    A number's row is found by ``bisect`` on the table's breaks as a list,
+    an array's by one ``np.searchsorted``: the same binary search for the
+    same row, without numpy calls on a 1-element array.
     """
     cap = min(_MAX_RUNGS, max_subdivisions - _UNIFORM_PANELS)
+    if not isinstance(J, np.ndarray):
+        return _START_MESHES[_START_ROW_LISTS[cap][
+            bisect.bisect_right(_START_BREAK_LIST, J)]]
     row = _START_ROWS[cap][np.searchsorted(_START_BREAKS, J, side="right")]
     return _START_PANELS[row][_START_KEEP[row]], _START_COUNTS[row]
 
@@ -444,13 +463,15 @@ def _shared(a: np.ndarray):
 
 
 def _integrals(f, J, gamma, D, quad: QuadratureConfig):
-    """Integrals of the stack ``f(rows, owner)`` at the points J (an array),
-    gamma, D, and a ``(k, QuadratureFailure)`` naming the couplings per
-    point k that did not converge; each pass starts on its graded mesh."""
+    """Integrals of the stack ``f(rows, owner)`` at the points J, gamma, D
+    (arrays, or floats for one point), and a ``(k, QuadratureFailure)``
+    naming the couplings per point k that did not converge; each pass
+    starts on its graded mesh."""
     vals, _, stuck = integrate_points(
         f, _START_TABLE, *_start_mesh(J, quad.max_subdivisions), quad)
     return vals, [(k, QuadratureFailure(
-        f"{exc} (J = {J[k]:g}, gamma = {gamma[k]:g}, D = {D[k]:g})"))
+        f"{exc} (J = {np.atleast_1d(J)[k]:g}, "
+        f"gamma = {np.atleast_1d(gamma)[k]:g}, D = {np.atleast_1d(D)[k]:g})"))
         for k, exc in stuck]
 
 
@@ -481,7 +502,7 @@ def chain_point(
     def f(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return _integrand_rows(J, g, D, tags, rows)
 
-    vals, failures = _integrals(f, np.array([J]), [g], [D], quad)
+    vals, failures = _integrals(f, J, g, D, quad)
     for _, exc in failures:
         raise exc
     points = _evaluated(tags, vals[:, 0].tolist())

@@ -224,19 +224,21 @@ def mle_estimate(
     where F comes from the last scoring pass.
     """
     counts = np.asarray(counts)
-    shots = int(counts.sum())
+    c = counts.tolist()
+    shots = sum(c)
     if shots < 1:
         raise ValueError("counts must contain at least one shot")
     js, _, log_table = _probability_curve(float(gamma), float(D),
                                           tuple(grid), quad)
-    occupied = counts > 0
-    ll = log_table[:, occupied] @ counts[occupied]
-    k = int(np.argmax(ll))
+    occupied = [i for i, n in enumerate(c) if n > 0]
+    weights = counts[occupied]
+    ll = log_table[:, occupied] @ weights
+    k = int(ll.argmax())
     ll_max = ll[k]
 
     at_edge = k == 0 or k == len(js) - 1
     j_hat, refine = float(js[k]), not at_edge
-    if int(occupied.sum()) == 1 and not at_edge:
+    if len(occupied) == 1 and not at_edge:
         # single-cell counts can leave the likelihood flat over a stretch
         plateau = np.flatnonzero(ll >= ll_max - 1e-9 * max(1.0, abs(ll_max)))
         if plateau.size > 1:
@@ -249,41 +251,42 @@ def mle_estimate(
             at_edge = bool(plateau[0] == 0 or plateau[-1] == len(js) - 1)
 
     if refine:
-        j_hat, fisher = _score_refine(counts, gamma, D, js[k - 1:k + 2],
-                                      ll[k - 1:k + 2], quad)
+        j_hat, fisher = _score_refine(weights, occupied, shots, gamma, D,
+                                      js[k - 1:k + 2].tolist(),
+                                      ll[k - 1:k + 2].tolist(), quad)
     else:
         j_hat = _clamp_critical(j_hat)
         fisher = magnetization_fi(ChainParams(j_hat, gamma, D), "J", quad)
     # below the floor the round is uninformative; the B^2 factor would
     # otherwise fake arbitrarily small variances as the field collapses
-    if fisher > FISHER_FLOOR and np.isfinite(fisher):
+    if fisher > FISHER_FLOOR and math.isfinite(fisher):
         variance = B * B / (shots * fisher)
     else:
         variance = math.inf
     return MleResult(estimate=j_hat * B, variance_est=variance, at_edge=at_edge)
 
 
-def _score_refine(counts, gamma, D, cell, ll, quad):
+def _score_refine(weights, occupied, shots, gamma, D, cell, ll, quad):
     """Likelihood maximizer in the grid cell [cell[0], cell[2]] around the
-    grid maximizer cell[1], by Fisher scoring on the analytic score.
+    grid maximizer cell[1], by Fisher scoring on the analytic score, for
+    a round of ``shots`` with counts ``weights`` (an array) on the
+    ``occupied`` outcomes.
 
     Starts at the vertex of the parabola through the log-likelihoods ``ll``
-    at the three grid points.  Each iterate costs one derivative pass,
-    which gives the score sum n_i p_i'/p_i and F; the bracket shrinks on
-    the sign of the score, and a step that leaves it, or an information
-    M F that is not finite and positive, is replaced by bisection.
+    at the three grid points (floats, as is the cell).  Each iterate costs
+    one derivative pass, which gives the score sum n_i p_i'/p_i and F; the
+    bracket shrinks on the sign of the score, and a step that leaves it, or
+    an information M F that is not finite and positive, is replaced by
+    bisection.
     Returns the last evaluated iterate and its F, also when the
     SCORING_MAX_ITER passes run out.
     """
-    occupied = np.flatnonzero(counts).tolist()
-    weights = counts[occupied]
-    shots = int(counts.sum())
-    lo, j, hi = (float(x) for x in cell)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = float(j + 0.25 * (hi - lo) * (ll[0] - ll[2])
-                       / (ll[0] - 2.0 * ll[1] + ll[2]))
-    if lo < vertex < hi:                 # false for nan from flat or -inf ll
-        j = vertex
+    lo, j, hi = cell
+    curvature = ll[0] - 2.0 * ll[1] + ll[2]
+    if curvature:                        # a zero denominator has no vertex
+        vertex = j + 0.25 * (hi - lo) * (ll[0] - ll[2]) / curvature
+        if lo < vertex < hi:             # false for nan from -inf ll
+            j = vertex
     nxt = _clamp_critical(j)
     for _ in range(SCORING_MAX_ITER):
         j = nxt
@@ -359,7 +362,7 @@ def adaptive_run(config: ProtocolConfig,
             weight += 1.0 / var
             weighted += est / var
         records.append(RoundRecord(
-            B=B, counts=tuple(int(c) for c in counts), at_edge=at_edge,
+            B=B, counts=tuple(counts.tolist()), at_edge=at_edge,
             estimate=float(weighted / weight if weight > 0.0 else est),
             variance_est=float(1.0 / weight if weight > 0.0 else math.inf)))
         B = records[-1].estimate

@@ -125,9 +125,10 @@ _WG = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 _W = np.stack([_WK, _WG], axis=1)   # (15, 2): Kronrod, Gauss
 
 
-def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Kronrod nodes of the panels [lo, hi], shape (panels, 15)."""
-    half = 0.5 * (hi - lo)
+def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray,
+                   half: np.ndarray) -> np.ndarray:
+    """Kronrod nodes of the panels [lo, hi] of half-widths
+    ``half = 0.5 * (hi - lo)``, shape (panels, 15)."""
     mid = 0.5 * (hi + lo)
     return mid[:, None] + half[:, None] * _XK
 
@@ -157,7 +158,7 @@ class NodeTable:
             raise ValueError("panels need matching lo, hi with hi > lo")
         self.lo, self.hi, self.factors = lo, hi, factors
         self.half = 0.5 * (hi - lo)
-        self.rows = factors(_kronrod_nodes(lo, hi))
+        self.rows = factors(_kronrod_nodes(lo, hi, self.half))
 
 
 def _panel_rule(
@@ -173,11 +174,11 @@ def _panel_rule(
     y = f(rows.take(panels, axis=1), owner)
     # One product with the stacked weights: no full-size weighted copy of y.
     sums = (y.reshape(-1, _XK.size) @ _W).reshape(y.shape[0], panels.size, 2)
-    half = half[panels]
-    kron, err = est = np.empty((2, y.shape[0], panels.size))
-    np.multiply(sums[..., 0], half, out=kron)
-    gauss = sums[..., 1] * half
-    diff = np.abs(kron - gauss)
+    # and one with the half-widths, for the Kronrod sums in est[0] and the
+    # Gauss sums in est[1], where their error estimate then goes
+    est = np.multiply(sums.transpose(2, 0, 1), half[panels], order="C")
+    kron, err = est[0], est[1]
+    diff = np.abs(kron - err)
     # QUADPACK-style sharpening: trust the (200 d)^1.5 estimate only where it
     # is smaller than the raw discrepancy.
     np.minimum(diff, (200.0 * diff) ** 1.5, out=err)
@@ -187,6 +188,9 @@ def _panel_rule(
 def _rule_panels(height: int) -> int:
     """Panels per rule call for a stack of ``height`` integrands."""
     return max(1, _MAX_RULE_FLOATS // ((height + _SCRATCH_ROWS) * _XK.size))
+
+
+_FIRST_PANELS = _rule_panels(_FIRST_HEIGHT)
 
 
 def _family_rule(
@@ -206,10 +210,10 @@ def _family_rule(
     integrands, tells the height (even an empty family makes that call)."""
     done = 0
     if est is None:
-        done = _rule_panels(_FIRST_HEIGHT)
-        first = _panel_rule(f, panels[:done], owner[:done], half, rows)
+        done = _FIRST_PANELS
         if panels.size <= done:
-            return first
+            return _panel_rule(f, panels, owner, half, rows)
+        first = _panel_rule(f, panels[:done], owner[:done], half, rows)
         est = np.empty(first.shape[:2] + panels.shape)
         est[:, :, :done] = first
     step = _rule_panels(est.shape[1])
@@ -263,10 +267,11 @@ def integrate_points(
     # The pass's table: the given rows, then the two halves of each row the
     # pass bisects, at left_half[row] and the row after it once halved[row]
     # (a mask, not left_half < 0: an integer comparison pages in numpy code
-    # that no other step runs, about 0.1 MB of resident memory).
+    # that no other step runs, about 0.1 MB of resident memory).  It is
+    # made at the pass's first split, so a pass that converges on its
+    # start panels reads the given table only.
     lo, hi, half, rows = table.lo, table.hi, table.half, table.rows
-    left_half = np.zeros(lo.size, dtype=np.intp)
-    halved = np.zeros(lo.size, dtype=bool)
+    left_half = halved = None
     # points: family index of each point still being refined, ascending;
     # its counts[i] panels follow those of the point before it.
     points = np.arange(counts.size)
@@ -276,36 +281,41 @@ def integrate_points(
     failures = []
 
     while True:
-        sums = np.add.reduceat(est, counts.cumsum() - counts, axis=2)
-        totals, total_err = sums
+        starts = counts.cumsum() - counts
+        sums = np.add.reduceat(est, starts, axis=2)
+        totals, total_err = sums[0], sums[1]
         tol = np.maximum(config.abs_tol, config.rel_tol * np.abs(totals))
         if out is None:                  # first pass: every point, in order
             out = sums
         else:
             out[:, :, points] = sums
-        # A NaN error estimate is no convergence.
+        # A NaN error estimate is no convergence.  (count_nonzero is the
+        # cheapest test of a small mask: all() dispatches through Python.)
         met = total_err <= tol
-        if met.all():
+        if np.count_nonzero(met) == met.size:
             break
-
-        unconverged = ~met.all(axis=0)
-        keep = unconverged.repeat(counts)
-        panels, owner, est = panels[keep], owner[keep], est[:, :, keep]
-        points, counts = points[unconverged], counts[unconverged]
-        tol = tol[:, unconverged]
-        seg = np.arange(points.size).repeat(counts)
+        met = met.all(axis=0)
+        if met.any():                    # converged points leave the family
+            go = ~met
+            keep = go.repeat(counts)
+            panels, owner, est = panels[keep], owner[keep], est[:, :, keep]
+            points, counts = points[go], counts[go]
+            tol, total_err = tol[:, go], total_err[:, go]
+            starts = counts.cumsum() - counts
 
         # Split every panel whose error reaches an equal share of its
         # point's tolerance in some integrand: if no panel did, the point's
         # summed error would be below its tolerance.
-        split = (est[1] * counts[seg] >= tol[:, seg]).any(axis=0)
-        n_split = np.add.reduceat(split, counts.cumsum() - counts)
+        split = (est[1] * counts.repeat(counts)
+                 >= tol.repeat(counts, axis=1)).any(axis=0)
+        n_split = np.add.reduceat(split, starts)
+        grown = counts + n_split
         # Nothing to split can only be roundoff in the sums, or an integral
         # that is not finite; stop there too.
-        stuck = (counts + n_split > config.max_subdivisions) | (n_split == 0)
+        stuck = (grown > config.max_subdivisions) | (n_split == 0)
         if stuck.any():                  # stuck points leave the family
-            worst = (total_err[:, unconverged] / tol).max(axis=0)
-            for i in np.flatnonzero(stuck).tolist():
+            worst = (total_err / tol).max(axis=0)
+            for i in stuck.nonzero()[0].tolist():
                 failures.append((int(points[i]), QuadratureFailure(
                     f"no convergence with {counts[i]} panels; " + (
                         f"worst error exceeds tolerance by factor {worst[i]:.3g}"
@@ -314,34 +324,43 @@ def integrate_points(
             keep = go.repeat(counts)
             panels, owner, est, split = (panels[keep], owner[keep],
                                          est[:, :, keep], split[keep])
-            points, counts, n_split = points[go], counts[go], n_split[go]
+            points, grown = points[go], grown[go]
             if not points.size:
                 break
-        counts = counts + n_split
+        counts = grown
 
         # Tabulate the halves of the split rows that have none yet, each
         # row once however many points split it.
         parents = panels[split]
         new = np.zeros(lo.size, dtype=bool)
         new[parents] = True
-        new = np.flatnonzero(new & ~halved)
+        if halved is not None:
+            new &= ~halved
+        new = new.nonzero()[0]
         if new.size:
             new_lo, new_hi = lo[new].repeat(2), hi[new].repeat(2)
             new_lo[1::2] = new_hi[::2] = 0.5 * (new_lo[::2] + new_hi[::2])
-            left_half[new] = np.arange(lo.size, lo.size + new_lo.size, 2)
+            new_half = 0.5 * (new_hi - new_lo)
+            size = lo.size + new_lo.size
+            if halved is None:           # the pass's first split
+                left_half = np.zeros(size, dtype=np.intp)
+                halved = np.zeros(size, dtype=bool)
+            else:
+                left_half = np.concatenate([left_half, np.zeros_like(new_lo, np.intp)])
+                halved = np.concatenate([halved, np.zeros_like(new_lo, bool)])
+            left_half[new] = np.arange(lo.size, size, 2)
             halved[new] = True
-            left_half = np.concatenate([left_half, np.zeros_like(new_lo, np.intp)])
-            halved = np.concatenate([halved, np.zeros_like(new_lo, bool)])
             lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
-            half = np.concatenate([half, 0.5 * (new_hi - new_lo)])
-            rows = np.concatenate(
-                [rows, table.factors(_kronrod_nodes(new_lo, new_hi))], axis=1)
+            half = np.concatenate([half, new_half])
+            rows = np.concatenate([rows, table.factors(
+                _kronrod_nodes(new_lo, new_hi, new_half))], axis=1)
 
         # Bisect in place: a split panel becomes its left and right halves,
         # so each point's panels stay contiguous and in order.
-        halves = np.flatnonzero(split.repeat(split + 1))
-        panels, owner = panels.repeat(split + 1), owner.repeat(split + 1)
-        est = est.repeat(split + 1, axis=2)
+        parts = split + 1
+        halves = split.repeat(parts).nonzero()[0]
+        panels, owner = panels.repeat(parts), owner.repeat(parts)
+        est = est.repeat(parts, axis=2)
         children = left_half[parents].repeat(2)
         children[1::2] += 1
         panels[halves] = children

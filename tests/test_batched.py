@@ -168,6 +168,131 @@ def test_halves_are_tabulated_once_per_pass():
     assert np.array_equal(family, np.repeat(alone, 13, axis=1))
 
 
+def test_row_split_again_at_a_later_step_is_not_tabulated_again():
+    # the narrow peak splits a row that the wide one splits a step later:
+    # its halves are the pass's rows already, and each is tabulated once
+    tabulated = []
+
+    def factors(x):
+        tabulated.extend(map(tuple, x.tolist()))
+        return x[None]
+
+    widths, centers = np.array([0.0275, 0.005]), np.array([1.6, 1.85])
+
+    def f(rows, owner):
+        x, a = rows[0], widths[owner][:, None]
+        return np.stack([a * a / (a * a + (x - centers[owner][:, None]) ** 2),
+                         np.cos(x) * a])
+
+    table, panels, counts = start(2, 0.0, 2.0, factors)
+    tabulated.clear()
+    family = integrate_points(f, table, panels, counts)
+    assert len(tabulated) == len(set(tabulated)) == 28
+    for i in range(2):
+        alone = integrate_points(lambda rows, owner: f(rows, owner + i),
+                                 table, *start(1, 0.0, 2.0)[1:])
+        assert np.array_equal(alone[0][:, 0], family[0][:, i])
+
+
+def smooth_wiggle_peak(kinds):
+    """Point i integrates cos(x) (kind 0), cos(200 x) (kind 1) or a peak of
+    width 0.1 at 0.3 (kind 2), with half of it as a second integrand."""
+    kinds = np.asarray(kinds)
+
+    def f(rows, owner):
+        x, k = rows[0], kinds[owner][:, None]
+        y = np.where(k == 0, np.cos(x), np.where(
+            k == 1, np.cos(200.0 * x), 1e-2 / (1e-2 + (x - 0.3) ** 2)))
+        return np.stack([y, 0.5 * y])
+
+    return f
+
+
+def recorded(f, owners):
+    """f, appending the sorted points of each rule call to ``owners``."""
+    def g(rows, owner):
+        owners.append(sorted(set(owner.tolist())))
+        return f(rows, owner)
+
+    return g
+
+
+def assert_each_point_as_alone(f_of, n, config, family):
+    """Each point of ``family`` (values, errors, failures) has the bits
+    and the failure message of the point integrated alone."""
+    vals, errs, failures = family
+    failed = dict(failures)
+    for i in range(n):
+        v, e, alone = integrate_points(f_of(i), *start(1, 0.0, 2.0), config)
+        assert np.array_equal(v[:, 0], vals[:, i])
+        assert np.array_equal(e[:, 0], errs[:, i])
+        assert [str(exc) for _, exc in alone] == (
+            [str(failed[i])] if i in failed else [])
+
+
+def test_pass_converging_on_its_start_panels_builds_no_split_table():
+    tabulated = []
+
+    def factors(x):
+        tabulated.append(x.shape[0])
+        return x[None]
+
+    table, panels, counts = start(1, 0.0, 2.0, factors)
+    tabulated.clear()
+    owners = []
+    integrate_points(recorded(smooth_wiggle_peak([0]), owners), table,
+                     panels, counts)
+    assert owners == [[0]] and tabulated == []
+    # a pass that splits tabulates the halves of what it splits
+    integrate_points(smooth_wiggle_peak([2]), table, panels, counts)
+    assert tabulated
+
+
+def test_step_on_which_no_point_converged():
+    widths = np.array([0.1, 0.05, 0.02])
+    f, _ = lorentzians(widths)
+    owners = []
+    family = integrate_points(recorded(f, owners),
+                              *start(widths.size, 0.0, 2.0))
+    # the second rule call refines every point of the family
+    assert owners[1] == [0, 1, 2]
+
+    def alone(i):
+        return lambda rows, owner: f(rows, np.full(owner.size, i))
+
+    assert_each_point_as_alone(alone, widths.size, DEFAULT_QUAD, family)
+
+
+def test_step_mixing_converged_stuck_and_splitting_points():
+    # at the first step point 0 converges, point 1 would need all 16
+    # halves of its 8 panels against a budget of 15 and stops, and points
+    # 2 and 3 split the same rows
+    kinds = [0, 1, 2, 2]
+    config = QuadratureConfig(1e-9, 1e-9, 15)
+    tabulated = []
+
+    def factors(x):
+        tabulated.append(x.shape[0])
+        return x[None]
+
+    table, panels, counts = start(len(kinds), 0.0, 2.0, factors)
+    tabulated.clear()
+    owners = []
+    family = integrate_points(recorded(smooth_wiggle_peak(kinds), owners),
+                              table, panels, counts, config)
+    assert owners[0] == [0, 1, 2, 3] and owners[1] == [2, 3]
+    assert [i for i, _ in family[2]] == [1]
+    assert str(family[2][0][1]).startswith("no convergence with 8 panels")
+    # the rows that points 2 and 3 split are tabulated once, as for one
+    twice = sum(tabulated)
+    tabulated.clear()
+    integrate_points(smooth_wiggle_peak([2]), table, *start(1, 0.0, 2.0)[1:],
+                     config)
+    assert twice == sum(tabulated) > 0
+    assert_each_point_as_alone(lambda i: smooth_wiggle_peak([kinds[i]]),
+                               len(kinds), config, family)
+
+
 def test_chain_points_meet_their_own_tolerance():
     # the real integrand on the detection window, down to 2e-3 from J = -1
     js = np.linspace(WINDOW[0], WINDOW[1], 561)

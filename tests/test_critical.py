@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import dmchain.quadrature as quad_mod
-from dmchain.chain import (ChainParams, _LADDER_FLOOR, _START_TABLE,
-                           _start_mesh, chain_point, chain_points)
+from dmchain.chain import (ChainParams, _LADDER_FLOOR, _MAX_RUNGS,
+                           _START_BREAKS, _START_TABLE, _start_mesh,
+                           chain_point, chain_points)
 from dmchain.quadrature import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure
 
 from _oracles import start_mesh
@@ -78,6 +79,35 @@ def test_start_mesh_equals_the_padded_table_oracle(max_subdivisions):
         for got, want in zip(start_panels(np.array([j]), max_subdivisions),
                              start_mesh(np.array([j]), max_subdivisions)):
             assert np.array_equal(got, want)
+
+
+def near_breaks():
+    """Every start-row break and the two floats either side of it, and
+    J = +-0, +-1 and +-1e99."""
+    J = [_START_BREAKS]
+    for toward in (-np.inf, np.inf):
+        step = _START_BREAKS
+        for _ in range(2):
+            step = np.nextafter(step, toward)
+            J.append(step)
+    J.append([0.0, -0.0, 1.0, -1.0, 1e99, -1e99])
+    return np.concatenate(J).tolist()
+
+
+@pytest.mark.parametrize("max_subdivisions",
+                         [*range(8, 8 + _MAX_RUNGS + 1), 4096])
+def test_one_point_start_row_equals_the_family_search(max_subdivisions):
+    # a float's row comes from bisect on lists, an array's from
+    # np.searchsorted: the same panels and count, as the same arrays
+    for J in near_breaks():
+        panels, counts = _start_mesh(J, max_subdivisions)
+        want_panels, want_counts = _start_mesh(np.array([J]), max_subdivisions)
+        assert panels.dtype == want_panels.dtype, J
+        assert counts.dtype == want_counts.dtype, J
+        assert np.array_equal(panels, want_panels), J
+        assert np.array_equal(counts, want_counts), J
+        # shared by every pass, so nothing may write to them
+        assert not (panels.flags.writeable or counts.flags.writeable)
 
 
 def test_node_table_rows_are_the_distinct_start_panels():

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from dmchain import fisher, protocol
+import dmchain.chain as chain_mod
+from dmchain import fisher, protocol, quadrature
 from dmchain.chain import ChainParams, x_state
 from dmchain.protocol import (EDGE_CLAMP, FISHER_FLOOR, STABLE_SIGMA,
                               DegenerateLikelihoodWarning, MleResult,
@@ -301,6 +302,44 @@ def test_maximizer_inside_the_critical_band_stops(monkeypatch, gamma, D, j0):
     assert math.isfinite(res.variance_est)
 
 
+def numpy_vertex(cell, ll):
+    """The scoring start as numpy computed it: the parabola's vertex, in
+    float64 scalars with division warnings off, if inside the cell."""
+    lo, j, hi = (float(x) for x in cell)
+    ll = np.asarray(ll, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = float(j + 0.25 * (hi - lo) * (ll[0] - ll[2])
+                       / (ll[0] - 2.0 * ll[1] + ll[2]))
+    return vertex if lo < vertex < hi else j
+
+
+@pytest.mark.parametrize("ll", [
+    [-1234.5, -1234.5, -1234.5],            # flat: 0 / 0
+    [-math.inf, -12.0, -math.inf],          # -inf ends: nan
+    [-math.inf, -12.0, -13.5],
+    [-3.0, -2.0, -1.0],                     # zero denominator only
+    [-1234.75, -1234.5, -1234.625],         # ordinary
+], ids=["flat", "inf_ends", "inf_end", "zero_denominator", "ordinary"])
+def test_first_scoring_iterate_is_the_numpy_vertex(monkeypatch, ll):
+    first = []
+
+    class Stop(Exception):
+        pass
+
+    def stop(params, tags=(), quad=DEFAULT_QUAD):
+        first.append(params.J)
+        raise Stop
+
+    monkeypatch.setattr(protocol, "chain_point", stop)
+    cell = [0.6, 0.60625, 0.6125]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Stop):
+            protocol._score_refine(np.array([6000, 3000, 1000]), [0, 1, 3],
+                                   10_000, 0.7, 0.1, cell, ll, DEFAULT_QUAD)
+    assert first == [protocol._clamp_critical(numpy_vertex(cell, ll))]
+
+
 def test_mle_uninformative_point_gets_infinite_variance():
     # all-up counts at gamma=1, D=0.1 pin j_hat ~ 0 where F vanishes;
     # without the floor the B^2 mapping would fake a tiny variance
@@ -515,6 +554,45 @@ def test_adaptive_run_matches_frozen_trace(case):
         for name in ("B", "estimate", "variance_est"):
             assert getattr(got, name) == pytest.approx(want[name], rel=1e-9)
         B = got.estimate
+
+
+# The work of each frozen run from cold caches: chain_point calls (from
+# any module) and Gauss-Kronrod rule calls, probability tables included.
+# A change that adds or drops a pass fails here by name.
+FROZEN_WORK = {
+    "converged_d0.1": (14, 46),
+    "converged_d0.3": (14, 49),
+    "one_sided_grid_seed0": (15, 49),
+    "one_sided_grid_seed1": (16, 49),
+    "edge_round": (11, 43),
+    "uninformative_last_round": (44, 77),
+    "uninformative_first_round": (32, 65),
+    "three_sigma_break": (13, 54),
+    "zero_truth": (76, 109),
+    "field_retuned_to_zero": (2, 29),
+}
+
+
+@pytest.mark.parametrize("case", FROZEN, ids=[c["name"] for c in FROZEN])
+def test_frozen_trace_work(monkeypatch, case):
+    work = {"chain_point": 0, "rule": 0}
+    real_point, real_rule = chain_mod.chain_point, quadrature._panel_rule
+
+    def counting_point(*args, **kwargs):
+        work["chain_point"] += 1
+        return real_point(*args, **kwargs)
+
+    def counting_rule(*args, **kwargs):
+        work["rule"] += 1
+        return real_rule(*args, **kwargs)
+
+    for module in (chain_mod, fisher, protocol):
+        monkeypatch.setattr(module, "chain_point", counting_point)
+    monkeypatch.setattr(quadrature, "_panel_rule", counting_rule)
+    protocol._probability_curve.cache_clear()
+    protocol._nature_probabilities.cache_clear()
+    quiet_run(frozen_config(case))
+    assert (work["chain_point"], work["rule"]) == FROZEN_WORK[case["name"]]
 
 
 # ------------------------------------------------------------------ traces
