@@ -11,18 +11,20 @@ the same refinement loop, so a point gets the same bits from either;
 :func:`chain_outcome` is a family with a failure per point.
 A coupling derivative is held in the type of the quantity it differentiates:
 :class:`Correlators` for the correlators, :class:`TwoSpinXState` for the
-state.  Every pass starts on a mesh graded toward the endpoint where the
-integrands peak near criticality (see :func:`chain_point`), whose panels
-are rows of one node table built at import: sin and cos tabulated at
-the Kronrod nodes of each distinct start panel.
+state.  These records, and the :class:`ChainPoints` that holds them, are
+named tuples: immutable, iterated in field order.  Every pass starts on a
+mesh graded toward the endpoint where the integrands peak near
+criticality (see :func:`chain_point`), whose panels are rows of one node
+table built at import: sin and cos tabulated at the Kronrod nodes of each
+distinct start panel.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, fields
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -163,8 +165,7 @@ class ChainParams:
             raise ValueError(f"couplings must satisfy (1 + |J|)(1 + 2|D|) <= 1e100, got {self!r}")
 
 
-@dataclass(frozen=True)
-class Correlators:
+class Correlators(NamedTuple):
     """Single-site magnetization and nearest-neighbour correlators.
 
     Also reused for their coupling derivatives, in which case each field
@@ -177,12 +178,12 @@ class Correlators:
     gzz: float
 
 
-@dataclass(frozen=True)
-class TwoSpinXState:
+class TwoSpinXState(NamedTuple):
     """Reduced state of two neighbouring spins in the magnetization basis.
 
     Also reused for its coupling derivatives, in which case each field
-    holds the derivative of the corresponding entry.
+    holds the derivative of the corresponding entry.  As a tuple it is the
+    five fields in this order; :meth:`populations` is the diagonal.
     """
 
     a_plus: float
@@ -346,45 +347,6 @@ def _start_mesh(J, max_subdivisions: int):
     return _START_PANELS[row][_START_KEEP[row]], _START_COUNTS[row]
 
 
-def _assemble(mz: float, even: float, odd: float) -> Correlators:
-    gxx = even - odd
-    gyy = even + odd
-    gzz = mz * mz - gyy * gxx
-    return Correlators(mz=mz, gxx=gxx, gyy=gyy, gzz=gzz)
-
-
-def _assemble_derivative(corr: Correlators, dmz: float, deven: float, dodd: float) -> Correlators:
-    dgxx = deven - dodd
-    dgyy = deven + dodd
-    dgzz = 2.0 * corr.mz * dmz - (dgyy * corr.gxx + corr.gyy * dgxx)
-    return Correlators(mz=dmz, gxx=dgxx, gyy=dgyy, gzz=dgzz)
-
-
-def _state_from(corr: Correlators) -> TwoSpinXState:
-    # gzz = mz^2 - gxx gyy; written out, the small entries near J = 0
-    # (a_minus ~ J^2) keep their digits instead of cancelling against 1.
-    # Squares are products: float ** 2 (libm pow) and an array's ** 2 can
-    # round differently, and a point must get the same bits either way.
-    gxy = corr.gxx * corr.gyy
-    up, down = 1.0 + corr.mz, 1.0 - corr.mz
-    a_plus = 0.25 * (up * up - gxy)
-    a_minus = 0.25 * (down * down - gxy)
-    c = 0.25 * (1.0 - corr.gzz)
-    b_plus = 0.25 * (corr.gxx + corr.gyy)
-    b_minus = 0.25 * (corr.gxx - corr.gyy)
-    return TwoSpinXState(a_plus, a_minus, c, b_plus, b_minus)
-
-
-def _dstate_from(dcorr: Correlators) -> TwoSpinXState:
-    return TwoSpinXState(
-        a_plus=0.25 * (2.0 * dcorr.mz + dcorr.gzz),
-        a_minus=0.25 * (-2.0 * dcorr.mz + dcorr.gzz),
-        c=-0.25 * dcorr.gzz,
-        b_plus=0.25 * (dcorr.gxx + dcorr.gyy),
-        b_minus=0.25 * (dcorr.gxx - dcorr.gyy),
-    )
-
-
 def _defects(state: TwoSpinXState):
     """Each positivity defect, and whether the state (or each point) has it."""
     tol = POSITIVITY_TOL
@@ -414,14 +376,12 @@ def _violations(state: TwoSpinXState):
     bad = np.flatnonzero(np.any([hit for _, hit in _defects(state)], axis=0))
     for k in bad.tolist():
         try:
-            _check_positivity(TwoSpinXState(*(
-                float(getattr(state, f.name)[k]) for f in fields(state))))
+            _check_positivity(state._make(float(a[k]) for a in state))
         except PositivityViolation as exc:
             yield k, exc
 
 
-@dataclass(frozen=True)
-class ChainPoints:
+class ChainPoints(NamedTuple):
     """Correlators, X states and requested derivatives of a family of points.
 
     From :func:`chain_points`, every field of ``corr``, ``state`` and each
@@ -437,18 +397,40 @@ class ChainPoints:
 
 
 def _evaluated(tags: Tuple[str, ...], vals) -> ChainPoints:
-    """Correlators, state and derivatives from the integrals of the stack."""
-    corr = _assemble(vals[0], vals[1], vals[2])
-    dcorr = {tag: _assemble_derivative(corr, *vals[3 + 3 * i : 6 + 3 * i])
-             for i, tag in enumerate(tags)}
-    dstate = {tag: _dstate_from(d) for tag, d in dcorr.items()}
-    return ChainPoints(corr, _state_from(corr), dcorr, dstate)
+    """Correlators, state and derivatives from the integrals of the stack:
+    per tag, the derivatives of mz and of the even and odd pair integrals,
+    rows 3 + 3i to 5 + 3i after the values themselves."""
+    mz, even, odd = vals[0], vals[1], vals[2]
+    gxx = even - odd
+    gyy = even + odd
+    gzz = mz * mz - gyy * gxx
+    corr = Correlators(mz, gxx, gyy, gzz)
+    dcorr, dstate = {}, {}
+    for i, tag in enumerate(tags):
+        dmz, deven, dodd = vals[3 + 3 * i], vals[4 + 3 * i], vals[5 + 3 * i]
+        dgxx = deven - dodd
+        dgyy = deven + dodd
+        dgzz = 2.0 * mz * dmz - (dgyy * gxx + gyy * dgxx)
+        dcorr[tag] = Correlators(dmz, dgxx, dgyy, dgzz)
+        dstate[tag] = TwoSpinXState(
+            0.25 * (2.0 * dmz + dgzz), 0.25 * (-2.0 * dmz + dgzz),
+            -0.25 * dgzz, 0.25 * (dgxx + dgyy), 0.25 * (dgxx - dgyy))
+    # gzz = mz^2 - gxx gyy; written out, the small entries near J = 0
+    # (a_minus ~ J^2) keep their digits instead of cancelling against 1.
+    # Squares are products: float ** 2 (libm pow) and an array's ** 2 can
+    # round differently, and a point must get the same bits either way.
+    gxy = gxx * gyy
+    up, down = 1.0 + mz, 1.0 - mz
+    state = TwoSpinXState(0.25 * (up * up - gxy), 0.25 * (down * down - gxy),
+                          0.25 * (1.0 - gzz), 0.25 * (gxx + gyy),
+                          0.25 * (gxx - gyy))
+    return ChainPoints(corr, state, dcorr, dstate)
 
 
 def _take(points: ChainPoints, keep: np.ndarray) -> ChainPoints:
     """The points ``keep`` (a mask) of a family."""
     def take(part):
-        return type(part)(*(getattr(part, f.name)[keep] for f in fields(part)))
+        return part._make(a[keep] for a in part)
 
     return ChainPoints(take(points.corr), take(points.state),
                        {t: take(d) for t, d in points.dcorr.items()},

@@ -206,7 +206,7 @@ def detect_features(
     points are the coarse curve that the class must agree with, so they
     should be the ``points``-point sampling (as ``np.linspace`` gives).
     """
-    if not d_values:
+    if len(d_values) == 0:
         raise ValueError("need at least one D value")
     lo, hi = d_scan if d_scan is not None else (min(d_values), max(d_values))
     if not lo <= hi:
@@ -345,10 +345,11 @@ def detect_d_loss(
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("d_range must be finite with lo < hi, got %r"
                          % ((lo, hi),))
-    if d_points < 3:
-        raise ValueError("need d_points >= 3, got %r" % d_points)
-    if j_points < 2:
-        raise ValueError("need j_points >= 2, got %r" % j_points)
+    for name, value, least in (("d_points", d_points, 3),
+                               ("j_points", j_points, 2)):
+        if not (isinstance(value, (int, np.integer)) and value >= least):
+            raise ValueError("need an integer %s >= %d, got %r"
+                             % (name, least, value))
     ds = np.linspace(lo, hi, d_points)
     profile = _integrated_h(gamma, ds, j_points, quad)
     top = float(profile.max())

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,15 +114,13 @@ def block_qfi(points: ChainPoints):
     each is (k, k) for a point from :func:`chain_point` or (k, k, n) over
     the points of :func:`chain_points`.
     """
-    state, derivs = points.state, points.dstate.values()
-
-    def stacked(name):
-        return np.array([getattr(d, name) for d in derivs])
-
+    state = points.state
+    # the derivative records' fields, each over the tags on its first axis
+    da_plus, da_minus, dc, db_plus, db_minus = np.array(
+        list(points.dstate.values())).swapaxes(0, 1)
     outer = _block_info(state.a_plus, state.a_minus, state.b_minus,
-                        stacked("a_plus"), stacked("a_minus"), stacked("b_minus"))
-    inner = _block_info(state.c, state.c, state.b_plus,
-                        stacked("c"), stacked("c"), stacked("b_plus"))
+                        da_plus, da_minus, db_minus)
+    inner = _block_info(state.c, state.c, state.b_plus, dc, dc, db_plus)
     return outer + inner, outer, inner
 
 
@@ -195,8 +193,7 @@ def qfi_xstate(
     return float(block_qfi(chain_point(params, (wrt,), quad))[0][0, 0])
 
 
-@dataclass(frozen=True)
-class FisherPoint:
+class FisherPoint(NamedTuple):
     """Classical and quantum information at one coupling point."""
 
     F: float

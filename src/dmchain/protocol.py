@@ -82,9 +82,13 @@ class ProtocolConfig:
             raise ValueError("parameters must be finite")
         if self.J_guess == 0.0:
             raise ValueError("J_guess must be nonzero (it sets the field)")
+        lo, hi, points = self.grid
+        for name, value in (("shots", self.shots), ("rounds", self.rounds),
+                            ("seed", self.seed), ("grid points", points)):
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
         if self.shots < 1 or self.rounds < 1:
             raise ValueError("shots and rounds must be positive")
-        lo, hi, points = self.grid
         if not (lo < hi and points >= 2):
             raise ValueError("grid must be (lo, hi, points>=2) with lo < hi")
 
@@ -226,6 +230,8 @@ def mle_estimate(
     counts = np.asarray(counts)
     c = counts.tolist()
     shots = sum(c)
+    if min(c) < 0:
+        raise ValueError("counts must be nonnegative")
     if shots < 1:
         raise ValueError("counts must contain at least one shot")
     js, _, log_table = _probability_curve(float(gamma), float(D),

@@ -61,6 +61,9 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("quadrature tolerances must be positive")
+        if not isinstance(self.max_subdivisions, (int, np.integer)):
+            raise ValueError("max_subdivisions must be an integer, got %r"
+                             % (self.max_subdivisions,))
         if self.max_subdivisions < 8:
             raise ValueError("max_subdivisions must be at least 8")
 

@@ -160,7 +160,7 @@ def _batch(coords: bytes, tags: Tuple[str, ...], quad: QuadratureConfig):
                                      tags, quad)
     for part in (points.corr, points.state, *points.dcorr.values(),
                  *points.dstate.values()):
-        for array in vars(part).values():
+        for array in part:
             array.flags.writeable = False
     return points, failures
 

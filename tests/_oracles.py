@@ -25,6 +25,10 @@ with each node's sin and cos taken at that node and the couplings given
 per node: the bit oracle for the library's integrand, which takes its
 phi-only factors from a table of panels and each coupling as a float (when
 the family shares it) or an array of the nodes' shape.
+
+``assembled`` builds a pass's correlators, state and derivatives from the
+integrals of that stack in four separate steps, each record a plain tuple
+in field order: the bit oracle for the library's one-step assembly.
 """
 
 import json
@@ -260,6 +264,47 @@ def integrand_rows(J, g, D, tags, phi):
         du *= -1.0 / np.pi
         dq *= (1.0 / np.pi) * s2
     return out
+
+
+def _assemble(mz, even, odd):
+    gxx = even - odd
+    gyy = even + odd
+    gzz = mz * mz - gyy * gxx
+    return mz, gxx, gyy, gzz
+
+
+def _assemble_derivative(corr, dmz, deven, dodd):
+    mz, gxx, gyy, _ = corr
+    dgxx = deven - dodd
+    dgyy = deven + dodd
+    dgzz = 2.0 * mz * dmz - (dgyy * gxx + gyy * dgxx)
+    return dmz, dgxx, dgyy, dgzz
+
+
+def _state_from(corr):
+    mz, gxx, gyy, gzz = corr
+    gxy = gxx * gyy
+    up, down = 1.0 + mz, 1.0 - mz
+    return (0.25 * (up * up - gxy), 0.25 * (down * down - gxy),
+            0.25 * (1.0 - gzz), 0.25 * (gxx + gyy), 0.25 * (gxx - gyy))
+
+
+def _dstate_from(dcorr):
+    dmz, dgxx, dgyy, dgzz = dcorr
+    return (0.25 * (2.0 * dmz + dgzz), 0.25 * (-2.0 * dmz + dgzz),
+            -0.25 * dgzz, 0.25 * (dgxx + dgyy), 0.25 * (dgxx - dgyy))
+
+
+def assembled(tags, vals):
+    """``(corr, state, dcorr, dstate)`` from the integrals ``vals`` of the
+    stack of ``integrand_rows`` (floats, or rows over points): corr
+    (mz, gxx, gyy, gzz) and state (a_plus, a_minus, c, b_plus, b_minus) as
+    tuples, and per tag their derivatives in dicts of such tuples."""
+    corr = _assemble(vals[0], vals[1], vals[2])
+    dcorr = {tag: _assemble_derivative(corr, *vals[3 + 3 * i:6 + 3 * i])
+             for i, tag in enumerate(tags)}
+    dstate = {tag: _dstate_from(d) for tag, d in dcorr.items()}
+    return corr, _state_from(corr), dcorr, dstate
 
 
 def critical_integrals(J, gamma, D, dps=30):

@@ -1,7 +1,6 @@
 """Batched evaluation of parameter families against the per-point path."""
 
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -313,8 +312,8 @@ def test_chain_points_meet_their_own_tolerance():
 
 def fields_of(pt):
     """Every value of a ChainPoints: correlators, state and derivatives."""
-    return (astuple(pt.corr) + astuple(pt.state)
-            + sum((astuple(pt.dcorr[t]) + astuple(pt.dstate[t])
+    return (tuple(pt.corr) + tuple(pt.state)
+            + sum((tuple(pt.dcorr[t]) + tuple(pt.dstate[t])
                    for t in sorted(pt.dcorr)), ()))
 
 
@@ -481,15 +480,16 @@ def test_rule_calls_hold_at_most_the_float_bound(monkeypatch, J, gamma, D,
 
 
 def test_chain_points_raise_positivity_at_first_bad_point(monkeypatch):
-    assemble = chain_mod._assemble
+    evaluated = chain_mod._evaluated
 
-    def corrupted(mz, even, odd):
-        corr = assemble(mz, even, odd)
-        gzz = corr.gzz.copy()
+    def corrupted(tags, vals):
+        points = evaluated(tags, vals)
+        gzz = points.corr.gzz.copy()
         gzz[[2, 4]] = 1.5  # inner block weight (1 - gzz)/4 < 0
-        return chain_mod.Correlators(corr.mz, corr.gxx, corr.gyy, gzz)
+        state = points.state._replace(c=0.25 * (1.0 - gzz))
+        return points._replace(corr=points.corr._replace(gzz=gzz), state=state)
 
-    monkeypatch.setattr(chain_mod, "_assemble", corrupted)
+    monkeypatch.setattr(chain_mod, "_evaluated", corrupted)
     with pytest.raises(PositivityViolation, match="negative diagonal") as info:
         chain_points(np.linspace(0.1, 0.5, 5), 0.7, 0.1)
     assert "c=-0.125" in str(info.value)

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmchain.chain import (ChainParams, Correlators, CriticalPoint,
-                           PositivityViolation, TwoSpinXState, chain_point,
-                           x_state)
+import dmchain.chain as chain_mod
+from dmchain.chain import (PARAM_TAGS, ChainParams, ChainPoints, Correlators,
+                           CriticalPoint, PositivityViolation, TwoSpinXState,
+                           chain_point, x_state)
+from dmchain.fisher import FisherPoint, fisher_point
 
-from _oracles import delta, x_matrix
+from _oracles import assembled, delta, x_matrix
 
 # Composite Simpson at 10^6 nodes on the frozen integral convention
 # (tests/_oracles.py); digits beyond ~1e-12 are quadrature noise.
@@ -217,3 +219,89 @@ def test_state_is_physical(J, gamma, D):
     assert np.all(p >= 0.0)
     ev = np.linalg.eigvalsh(x_matrix(state))
     assert ev.min() > -1e-9
+
+
+# ------------------------------------------------------------------ records
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+def records(points):
+    """The records of a ChainPoints, or of the oracle's tuple, in order."""
+    corr, state, dcorr, dstate = points
+    assert list(dcorr) == list(dstate)
+    return [corr, state, *dcorr.values(), *dstate.values()]
+
+
+def assert_same_records(points, expected):
+    assert list(points.dcorr) == list(expected[2])
+    for record, values in zip(records(points), records(expected)):
+        assert bits(tuple(record)) == bits(values)
+
+
+def integral_column(rows):
+    return st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=rows,
+                    max_size=rows)
+
+
+TAG_SETS = [(), ("gamma",), PARAM_TAGS]
+
+
+@pytest.mark.parametrize("tags", TAG_SETS, ids=lambda t: ",".join(t) or "-")
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_assembly_matches_the_step_oracle(tags, data):
+    # one point (floats) and a family (rows over the points) get the bits
+    # of the four-step oracle, and each point of the family the bits it
+    # gets alone
+    rows = 3 + 3 * len(tags)
+    one = data.draw(integral_column(rows))
+    assert_same_records(chain_mod._evaluated(tags, one), assembled(tags, one))
+    n = data.draw(st.integers(1, 6))
+    family = np.array(data.draw(st.lists(integral_column(rows), min_size=n,
+                                         max_size=n))).T
+    points = chain_mod._evaluated(tags, family)
+    assert_same_records(points, assembled(tags, family))
+    for k in range(n):
+        alone = chain_mod._evaluated(tags, family[:, k].tolist())
+        for record, values in zip(records(points), records(alone)):
+            assert bits([v[k] for v in record]) == bits(tuple(values))
+
+
+def test_records_are_immutable_named_tuples():
+    point = chain_point(ChainParams(0.5, 0.7, 0.1), ("J",))
+    fp = fisher_point(ChainParams(0.5, 0.7, 0.1), "J")
+    assert Correlators._fields == ("mz", "gxx", "gyy", "gzz")
+    assert TwoSpinXState._fields == ("a_plus", "a_minus", "c", "b_plus",
+                                     "b_minus")
+    assert ChainPoints._fields == ("corr", "state", "dcorr", "dstate")
+    assert FisherPoint._fields == ("F", "H", "H1", "H2", "S")
+    state = point.state
+    assert tuple(state) == (state.a_plus, state.a_minus, state.c,
+                            state.b_plus, state.b_minus)
+    assert state.populations() == (state.a_plus, state.c, state.c,
+                                    state.a_minus)
+    for record, name in ((point, "state"), (point.corr, "mz"),
+                         (state, "c"), (point.dstate["J"], "c"), (fp, "F")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+    moved = state._replace(c=0.5)
+    assert moved.c == 0.5 and state.c != 0.5
+    assert moved._replace(c=state.c) == state
+    assert type(moved) is TwoSpinXState
+    assert point._replace(dcorr={}).dcorr == {} and "J" in point.dcorr
+
+
+def test_records_keep_their_repr():
+    assert repr(Correlators(0.5, -0.25, 0.125, 1.0)) == \
+        "Correlators(mz=0.5, gxx=-0.25, gyy=0.125, gzz=1.0)"
+    assert repr(FisherPoint(1.0, 2.0, 0.5, 1.5, 0.5)) == \
+        "FisherPoint(F=1.0, H=2.0, H1=0.5, H2=1.5, S=0.5)"
+    with pytest.raises(PositivityViolation) as info:
+        chain_mod._check_positivity(TwoSpinXState(0.5, 0.75, -0.25, 0.125,
+                                                  -0.0))
+    assert str(info.value) == (
+        "negative diagonal entry; inner coherence exceeds its diagonal bound "
+        "(beyond 1e-09; likely quadrature inaccuracy): TwoSpinXState("
+        "a_plus=0.5, a_minus=0.75, c=-0.25, b_plus=0.125, b_minus=-0.0)")

@@ -113,6 +113,15 @@ def test_detect_features_no_transition_in_scan():
     assert rep.d_bump is None  # scan interval already past the bump onset
     with pytest.raises(ValueError):
         detect_features(0.0, [])
+    with pytest.raises(ValueError):
+        detect_features(0.0, np.array([]))
+
+
+def test_detect_features_takes_an_array_of_d():
+    ds = [0.05, 0.15, 0.25]
+    assert (detect_features(0.0, np.array(ds), points=401,
+                            sampler=synthetic_sampler)
+            == detect_features(0.0, ds, points=401, sampler=synthetic_sampler))
 
 
 def test_sampler_called_once_per_d_at_double_resolution():
@@ -264,7 +273,11 @@ def test_d_loss_profile_batch_matches_per_d_curves():
     dict(d_range=(-math.inf, 0.3)),
     dict(d_points=2),
     dict(j_points=1),
-], ids=["inverted", "zero-width", "nan", "infinite", "d_points", "j_points"])
+    dict(d_points=3.5),
+    dict(d_points=17.0),
+    dict(j_points=2.5),
+], ids=["inverted", "zero-width", "nan", "infinite", "d_points", "j_points",
+        "fractional-d_points", "float-d_points", "fractional-j_points"])
 def test_d_loss_rejects_bad_grid(kwargs):
     with pytest.raises(ValueError):
         detect_d_loss(0.2, **kwargs)

@@ -118,6 +118,25 @@ def test_config_validation():
         ProtocolConfig(J_true=math.nan, gamma=1.0, D=0.0, J_guess=1.0)
 
 
+@pytest.mark.parametrize("field", [
+    dict(shots=2.5), dict(shots=10.0), dict(rounds=2.5), dict(seed=1.5),
+    dict(seed=None), dict(grid=(-1.0, 1.0, 11.5)), dict(grid=(-1.0, 1.0, 11.0)),
+], ids=["shots", "float-shots", "rounds", "seed", "no-seed", "grid",
+        "float-grid"])
+def test_config_rejects_non_integer_counts(field):
+    with pytest.raises(ValueError, match="must be an integer"):
+        ProtocolConfig(J_true=0.5, gamma=1.0, D=0.0, J_guess=1.0, **field)
+
+
+def test_config_takes_numpy_integers():
+    cfg = ProtocolConfig(J_true=0.5, gamma=1.0, D=0.0, J_guess=1.0,
+                         shots=np.int64(100), rounds=np.int32(2),
+                         seed=np.uint8(3), grid=(-1.0, 1.0, np.int64(11)))
+    assert cfg == ProtocolConfig(J_true=0.5, gamma=1.0, D=0.0, J_guess=1.0,
+                                 shots=100, rounds=2, seed=3,
+                                 grid=(-1.0, 1.0, 11))
+
+
 def test_round_record_validation():
     with pytest.raises(ValueError):
         RoundRecord(B=1.0, counts=(-1, 0, 0, 0), estimate=0.0, variance_est=1.0)
@@ -352,6 +371,12 @@ def test_mle_uninformative_point_gets_infinite_variance():
 def test_mle_rejects_empty_counts():
     with pytest.raises(ValueError):
         mle_estimate(np.array([0, 0, 0, 0]), 1.0, 1.0, 0.1, GRID)
+
+
+def test_mle_rejects_negative_counts():
+    # as RoundRecord does; the sum 198 would pass for a round of shots
+    with pytest.raises(ValueError, match="nonnegative"):
+        mle_estimate([-5, 100, 100, 3], 1.0, 0.7, 0.1, GRID)
 
 
 # ------------------------------------------- scoring step in floats

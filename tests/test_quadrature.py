@@ -130,3 +130,20 @@ def test_invalid_config_rejected():
         QuadratureConfig(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=2)
+    for budget in (20.5, 20.0, "20", None):
+        with pytest.raises(ValueError, match="max_subdivisions must be an "
+                                             "integer"):
+            QuadratureConfig(1e-10, 1e-10, budget)
+
+
+def test_numpy_integer_budget_is_the_python_budget():
+    # both chain entry points take a numpy integer as its int
+    from dmchain.chain import ChainParams, chain_point, chain_points
+
+    as_int = QuadratureConfig(1e-10, 1e-10, 20)
+    as_numpy = QuadratureConfig(1e-10, 1e-10, np.int64(20))
+    assert as_numpy == as_int
+    one = chain_point(ChainParams(0.999, 0.7, 0.1), ("J",), as_numpy)
+    family = chain_points([0.5, 0.999], 0.7, 0.1, ("J",), as_numpy)
+    assert one == chain_point(ChainParams(0.999, 0.7, 0.1), ("J",), as_int)
+    assert family.dstate["J"].c[1] == one.dstate["J"].c

@@ -178,15 +178,16 @@ def test_failing_rows_come_from_the_one_batch(monkeypatch, cold_memo):
 
 def test_rows_with_a_state_that_is_not_positive_fail_alone(monkeypatch,
                                                            cold_memo):
-    assemble = chain_mod._assemble
+    evaluated = chain_mod._evaluated
 
-    def corrupted(mz, even, odd):
-        corr = assemble(mz, even, odd)
-        gzz = corr.gzz.copy()
+    def corrupted(tags, vals):
+        points = evaluated(tags, vals)
+        gzz = points.corr.gzz.copy()
         gzz[[2, 4]] = 1.5  # inner block weight (1 - gzz)/4 < 0
-        return chain_mod.Correlators(corr.mz, corr.gxx, corr.gyy, gzz)
+        state = points.state._replace(c=0.25 * (1.0 - gzz))
+        return points._replace(corr=points.corr._replace(gzz=gzz), state=state)
 
-    monkeypatch.setattr(chain_mod, "_assemble", corrupted)
+    monkeypatch.setattr(chain_mod, "_evaluated", corrupted)
     table = sweep(spec_fhs((0.1, 0.5, 5), gamma=0.7))
     for i in range(5):
         if i in (2, 4):
@@ -315,7 +316,7 @@ def test_batch_arrays_are_read_only(cold_memo):
              *points.dstate.values()]
     assert len(parts) == 8
     for part in parts:
-        for array in vars(part).values():
+        for array in part:
             assert array.shape == (2,) and not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
@@ -329,9 +330,9 @@ def test_warnings_are_raised_again_on_a_hit(monkeypatch, cold_memo):
 
     def doctored(*args, **kwargs):
         points, failures = real(*args, **kwargs)
-        bumped = dataclasses.replace(points.dstate["J"],
-                                     c=np.ones_like(points.dstate["J"].c))
-        return dataclasses.replace(points, dstate={"J": bumped}), failures
+        bumped = points.dstate["J"]._replace(
+            c=np.ones_like(points.dstate["J"].c))
+        return points._replace(dstate={"J": bumped}), failures
 
     monkeypatch.setattr(sweep_mod, "chain_outcome", doctored)
     spec = SweepSpec("J", (-0.01, 0.01, 3), {"gamma": 0.7, "D": 0.0})
