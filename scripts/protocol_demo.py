@@ -5,6 +5,10 @@ statistics over many seeds with and without the antisymmetric coupling,
 which is the cleanest way to see the D term rescue a poor prior guess.
 
     python scripts/protocol_demo.py --J-true -0.7 --J-guess -0.3 --stats 100
+
+The estimator grid is given as the CLI's ``dmchain protocol --grid`` takes
+it, ``lo:hi:n``; a leading minus needs the ``=`` form, as in
+``--grid=-1.5:1.5:301``.
 """
 
 import argparse
@@ -13,6 +17,7 @@ import warnings
 
 import numpy as np
 
+from dmchain.cli import _range_triple
 from dmchain.protocol import ProtocolConfig, adaptive_run
 
 
@@ -20,7 +25,7 @@ def one_trace(args, D, seed):
     cfg = ProtocolConfig(J_true=args.J_true, gamma=args.gamma, D=D,
                          J_guess=args.J_guess, shots=args.shots,
                          rounds=args.rounds, seed=seed,
-                         grid=tuple(args.grid))
+                         grid=args.grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return adaptive_run(cfg)
@@ -35,8 +40,8 @@ def main():
     ap.add_argument("--shots", type=int, default=10_000)
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--grid", type=float, nargs=3, default=[-2.5, 2.5, 801],
-                    metavar=("LO", "HI", "POINTS"))
+    ap.add_argument("--grid", type=_range_triple, default=(-2.5, 2.5, 801),
+                    metavar="lo:hi:n")
     ap.add_argument("--stats", type=int, default=0,
                     help="also run this many seeds at D=0 and D as given")
     args = ap.parse_args()

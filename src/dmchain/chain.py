@@ -14,9 +14,10 @@ A coupling derivative is held in the type of the quantity it differentiates:
 state.  These records, and the :class:`ChainPoints` that holds them, are
 named tuples: immutable, iterated in field order.  Every pass starts on a
 mesh graded toward the endpoint where the integrands peak near
-criticality (see :func:`chain_point`), whose panels are rows of one node
-table built at import: sin and cos tabulated at the Kronrod nodes of each
-distinct start panel.
+criticality, with a coarser tail where the couplings keep
+u = J (cos phi - 2 D sin phi) - 1 away from 0 (see :func:`chain_point`).
+Its panels are rows of one node table built at import: sin and cos
+tabulated at the Kronrod nodes of each distinct start panel.
 """
 
 from __future__ import annotations
@@ -60,11 +61,17 @@ _PI = math.pi
 # the first of them cut by a geometric ladder of rungs _RUNG 2^-k.  The
 # deepest rung is the last one above _LADDER_FLOOR: the Kronrod nodes of
 # the panel below it keep cos(phi) < 1 in double precision (the smallest
-# is 5e-8), so u = J cos(phi) - 1 stays nonzero at J = 1.
+# is 5e-8), so u = J cos(phi) - 1 stays nonzero at J = 1.  A point where
+# u cannot vanish starts on the coarse tail instead of the uniform panels
+# above the first: the edges _COARSE_EDGES of the uniform ones, pi/8, pi/4,
+# pi/2, 3 pi/4 and pi (mirrored for J < 0).  Its rows are those of the
+# uniform tail plus _COARSE.
 _UNIFORM_PANELS = 8
 _RUNG = _PI / _UNIFORM_PANELS
 _LADDER_FLOOR = 1e-5
 _MAX_RUNGS = int(math.log2(_RUNG / _LADDER_FLOOR))
+_COARSE_EDGES = [0, 1, 3, 5, 7]
+_COARSE = 2 * (_MAX_RUNGS + 1)
 
 
 def _phi_factors(phi: np.ndarray) -> np.ndarray:
@@ -80,26 +87,31 @@ def _phi_factors(phi: np.ndarray) -> np.ndarray:
 
 
 def _start_tables():
-    """Start panels of every end and ladder depth, and where along J each
-    row starts.  Row ``k + end * (_MAX_RUNGS + 1)`` of ``panels`` holds in
-    its ``keep`` entries the ladder of depth k toward phi = 0 (end 0,
-    J >= 0) or pi, innermost first, as ids into the node table of the
-    distinct start panels, ``table``.  The depth
+    """Start panels of every tail, end and ladder depth, and where along J
+    each row starts.  Row ``k + end * (_MAX_RUNGS + 1) + coarse * _COARSE``
+    of ``panels`` holds in its ``keep`` entries the ladder of depth k
+    toward phi = 0 (end 0, J >= 0) or pi, innermost first, then the
+    uniform tail (coarse 0) or the coarse one, as ids into the node table
+    of the distinct start panels, ``table``.  The depth
     rint(log2(_RUNG / max(||J| - 1|, _LADDER_FLOOR))), held to
     [0, _MAX_RUNGS], changes within an ulp or two of
     |J| = 1 -+ _RUNG 2^-(k + 1/2), so each ``breaks`` entry, the first J
     of a stretch of one row, is found exactly on the ulps around that
-    guess; ``rows[cap]`` is each stretch's row with the depth at most cap."""
-    edges = np.concatenate([[0.0], _RUNG * 2.0 ** -np.arange(_MAX_RUNGS, 0, -1),
-                            np.linspace(0.0, _PI, _UNIFORM_PANELS + 1)[1:]])
-    lo = np.zeros((2 * (_MAX_RUNGS + 1), edges.size - 1))
+    guess; ``rows[cap]`` is each stretch's uniform-tail row with the depth
+    at most cap."""
+    ladder = _RUNG * 2.0 ** -np.arange(_MAX_RUNGS, 0, -1)
+    uniform = np.linspace(0.0, _PI, _UNIFORM_PANELS + 1)[1:]
+    edges = np.concatenate([[0.0], ladder, uniform])
+    lo = np.zeros((2 * _COARSE, edges.size - 1))
     hi, keep = np.zeros_like(lo), np.zeros(lo.shape, dtype=bool)
-    for k in range(_MAX_RUNGS + 1):
-        n, down = k + _UNIFORM_PANELS, k + _MAX_RUNGS + 1
-        lo[k, 1:n] = edges[_MAX_RUNGS - k + 1:-1]
-        hi[k, :n] = edges[_MAX_RUNGS - k + 1:]
-        lo[down, :n], hi[down, :n] = _PI - hi[k, :n], _PI - lo[k, :n]
-        keep[k, :n] = keep[down, :n] = True
+    for offset, tail in ((0, uniform), (_COARSE, uniform[_COARSE_EDGES])):
+        for k in range(_MAX_RUNGS + 1):
+            up, down = offset + k, offset + k + _MAX_RUNGS + 1
+            n = k + tail.size
+            hi[up, :n] = np.concatenate([ladder[_MAX_RUNGS - k:], tail])
+            lo[up, 1:n] = hi[up, :n - 1]
+            lo[down, :n], hi[down, :n] = _PI - hi[up, :n], _PI - lo[up, :n]
+            keep[up, :n] = keep[down, :n] = True
     # Number the distinct panels, which the rows share.  Every bound is an
     # entry of ``bounds``, so a panel is keyed by the first entries equal
     # to its bounds (no sort: its code would be paged in for this alone).
@@ -323,9 +335,9 @@ def _integrand_rows(J, g, D, tags: Tuple[str, ...], rows: np.ndarray) -> np.ndar
     return out
 
 
-def _start_mesh(J, max_subdivisions: int):
-    """Start panels ``(panels, counts)`` of the points with couplings J, an
-    array, or a number for one point, as row ids into ``_START_TABLE``.
+def _start_mesh(J, D, max_subdivisions: int):
+    """Start panels ``(panels, counts)`` of the points with couplings J and
+    D, arrays, or numbers for one point, as row ids into ``_START_TABLE``.
 
     Near |J| = 1 the integrands peak within about ||J| - 1| of phi = 0
     (J > 0) or phi = pi (J < 0), where Delta vanishes at criticality.
@@ -335,15 +347,24 @@ def _start_mesh(J, max_subdivisions: int):
     start panels count against the budget.  Panels are grouped by point,
     the innermost first.
 
+    Where |J| (1 + 2|D|) < 1, u = J (cos phi - 2 D sin phi) - 1 keeps
+    |u| >= 1 - |J| (1 + 2|D|) > 0 on [0, pi], so no integrand has a step,
+    and above the first uniform panel 4 coarse panels replace the other 7.
+    Near the first panel the ladder stays: u comes within 1 - |J| of 0 at
+    phi = 0 (J > 0) or pi.
+
     A number's row is found by ``bisect`` on the table's breaks as a list,
     an array's by one ``np.searchsorted``: the same binary search for the
-    same row, without numpy calls on a 1-element array.
+    same row, without numpy calls on a 1-element array.  Both take the tail
+    from the same float operations, ``abs`` being numpy's on an array.
     """
     cap = min(_MAX_RUNGS, max_subdivisions - _UNIFORM_PANELS)
+    coarse = abs(J) * (1.0 + 2.0 * abs(D)) < 1.0
     if not isinstance(J, np.ndarray):
         return _START_MESHES[_START_ROW_LISTS[cap][
-            bisect.bisect_right(_START_BREAK_LIST, J)]]
+            bisect.bisect_right(_START_BREAK_LIST, J)] + coarse * _COARSE]
     row = _START_ROWS[cap][np.searchsorted(_START_BREAKS, J, side="right")]
+    row += coarse * _COARSE
     return _START_PANELS[row][_START_KEEP[row]], _START_COUNTS[row]
 
 
@@ -450,7 +471,7 @@ def _integrals(f, J, gamma, D, quad: QuadratureConfig):
     naming the couplings per point k that did not converge; each pass
     starts on its graded mesh."""
     vals, _, stuck = integrate_points(
-        f, _START_TABLE, *_start_mesh(J, quad.max_subdivisions), quad)
+        f, _START_TABLE, *_start_mesh(J, D, quad.max_subdivisions), quad)
     return vals, [(k, QuadratureFailure(
         f"{exc} (J = {np.atleast_1d(J)[k]:g}, "
         f"gamma = {np.atleast_1d(gamma)[k]:g}, D = {np.atleast_1d(D)[k]:g})"))
@@ -473,8 +494,10 @@ def chain_point(
     phi = 0 for J > 0, or phi = pi for J < 0, where the integrands peak
     near criticality.  The ladder reaches down to the rung nearest
     ||J| - 1|, but not below about 1e-5, and its rungs count against
-    ``quad.max_subdivisions``: with a budget of 8 panels the start is the
-    uniform mesh alone.
+    ``quad.max_subdivisions``: with a budget of 8 panels the start has no
+    ladder.  Where |J| (1 + 2|D|) < 1, u cannot vanish on [0, pi], and
+    the 7 uniform panels above the first give way to 4, with edges pi/8,
+    pi/4, pi/2, 3 pi/4 and pi (mirrored for J < 0).
     """
     tags = _validate_tags(tags)
     if tags:

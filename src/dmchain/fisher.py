@@ -95,7 +95,9 @@ def _block_info(p, q, b, dp, dq, db):
                       "its divergent contribution is dropped",
                       BlockDegenerateWarning, stacklevel=4)
     d = p - q
-    r = (d * d + 4.0 * b * b) ** 0.5                # lambda_+ - lambda_-
+    # np.sqrt, not ** 0.5: a float's power is libm pow, which can round
+    # differently from the correctly rounded sqrt that an array gets
+    r = np.sqrt(d * d + 4.0 * b * b)                # lambda_+ - lambda_-
     s_plus = w0 + r                                 # 2 lambda_+
     s_minus = _ratio(4.0 * (p * q - b * b), s_plus, 0.0)
     dw0 = dp + dq

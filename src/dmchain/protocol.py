@@ -168,7 +168,10 @@ def _normalized(p: np.ndarray) -> np.ndarray:
 
 
 def sample_outcomes(probs: np.ndarray, shots: int, seed) -> np.ndarray:
-    """Multinomial draw of outcome counts; seed may be int or Generator."""
+    """Multinomial draw of outcome counts; seed may be int or Generator.
+    Refuses a shot count that is not a positive integer."""
+    if not isinstance(shots, (int, np.integer)):
+        raise ValueError("shots must be an integer, got %r" % (shots,))
     if shots < 1:
         raise ValueError("shots must be positive")
     return np.random.default_rng(seed).multinomial(shots, probs)

@@ -17,8 +17,11 @@ grid of ``tests/critical_oracle.json`` (about 20 s) are regenerated by
 ``python tests/_oracles.py tests/critical_oracle.json > new.json``.
 
 ``start_mesh`` builds the graded start panels of each point the direct
-way: the ladder depth from its formula per point, and the rows from
-padded tables of every depth with a mask of the panels each one uses.
+way: the ladder depth from its formula per point, and the edges of each
+point's panels listed one point at a time, the coarse tail included
+where the point's couplings call for it; with ``coarse=False`` every
+point gets the uniform tail, the fine start that the coarse tail is
+checked against.
 
 ``integrand_rows`` is the chain's integrand stack evaluated per node,
 with each node's sin and cos taken at that node and the couplings given
@@ -179,35 +182,37 @@ def qfi_eigen(rho: np.ndarray, drho: np.ndarray, tol: float = SUPPORT_TOL) -> fl
     return float((2.0 * np.abs(m[mask]) ** 2 / denom[mask]).sum())
 
 
-def start_mesh(J, max_subdivisions):
-    """Start panels ``(lo, hi, counts)`` of the points J: 8 uniform panels
-    on [0, pi], the first cut by rungs (pi/8) 2^-k toward phi = 0 (J >= 0)
-    or pi (J < 0), down to the rung nearest max(||J| - 1|, 1e-5), at most
-    min(15, max_subdivisions - 8) of them, innermost panel first."""
-    rungs_max = 15
-    edges = np.concatenate([
-        [0.0],
-        (np.pi / 8) * 2.0 ** -np.arange(rungs_max, 0, -1),
-        np.linspace(0.0, np.pi, 9)[1:],
-    ])
-    depths = np.arange(rungs_max + 1)
-    first = rungs_max - depths
-    keep_table = np.arange(edges.size - 1) >= first[:, None]
-    lo_up = np.tile(edges[:-1], (depths.size, 1))
-    lo_up[depths, first] = 0.0
-    hi_up = np.tile(edges[1:], (depths.size, 1))
-    lo_table = np.stack([lo_up, np.pi - hi_up])
-    hi_table = np.stack([hi_up, np.pi - lo_up])
-
-    J = np.asarray(J, dtype=float)
+def start_mesh(J, D, max_subdivisions, coarse=True):
+    """Start panels ``(lo, hi, counts)`` of the points (J, D), innermost
+    panel first.  The first of 8 uniform panels on [0, pi] is cut by rungs
+    (pi/8) 2^-k toward phi = 0 (J >= 0) or pi (J < 0), down to the rung
+    nearest max(||J| - 1|, 1e-5), at most min(15, max_subdivisions - 8)
+    of them.  The other 7 uniform panels follow, or, where coarse is true
+    and |J| (1 + 2|D|) < 1, so that u = J (cos - 2 D sin) - 1 cannot
+    vanish, the 4 panels with edges pi/8, pi/4, pi/2, 3 pi/4 and pi.  The
+    mesh of J < 0 is that of |J| mirrored about pi/2."""
+    J, D = (a.ravel() for a in np.broadcast_arrays(np.asarray(J, dtype=float),
+                                                    np.asarray(D, dtype=float)))
     near = np.maximum(np.abs(np.abs(J) - 1.0), 1e-5)
     depth = np.rint(np.log2((np.pi / 8) / near))
-    cap = min(rungs_max, max_subdivisions - 8)
+    cap = min(15, max_subdivisions - 8)
     rungs = np.minimum(np.maximum(depth, 0), cap).astype(np.intp)
-    end = (J < 0.0).astype(np.intp)
-    keep = keep_table[rungs]
-    return (lo_table[end, rungs][keep], hi_table[end, rungs][keep],
-            rungs + 8)
+    uniform = np.linspace(0.0, np.pi, 9)
+    lo, hi = [], []
+    for j, d, k in zip(J.tolist(), D.tolist(), rungs.tolist()):
+        tail = uniform[1:]
+        if coarse and abs(j) * (1.0 + 2.0 * abs(d)) < 1.0:
+            tail = uniform[[1, 2, 4, 6, 8]]
+        edges = np.concatenate([[0.0], (np.pi / 8) * 2.0 ** -np.arange(k, 0, -1),
+                                tail])
+        if j < 0.0:
+            lo.append(np.pi - edges[1:])
+            hi.append(np.pi - edges[:-1])
+        else:
+            lo.append(edges[:-1])
+            hi.append(edges[1:])
+    counts = np.array([a.size for a in lo], dtype=np.intp)
+    return np.concatenate(lo), np.concatenate(hi), counts
 
 
 def integrand_rows(J, g, D, tags, phi):

@@ -302,7 +302,7 @@ def test_chain_points_meet_their_own_tolerance():
 
     vals, errs, failures = integrate_points(
         f, chain_mod._START_TABLE,
-        *chain_mod._start_mesh(js, DEFAULT_QUAD.max_subdivisions))
+        *chain_mod._start_mesh(js, 0.3, DEFAULT_QUAD.max_subdivisions))
     assert failures == []
     assert np.all(errs <= np.maximum(DEFAULT_QUAD.abs_tol,
                                      DEFAULT_QUAD.rel_tol * np.abs(vals)))
@@ -328,7 +328,7 @@ def test_chain_points_match_chain_point():
     # rule calls; a D axis that shares J and gamma; and a family where all
     # three couplings vary.
     curve = [(j, 0.7, 0.1) for j in np.linspace(-0.9, 0.999, 64)]
-    assert (chain_mod._start_mesh(np.array(curve)[:, 0], 4096)[0].size
+    assert (chain_mod._start_mesh(np.array(curve)[:, 0], 0.1, 4096)[0].size
             > 2 * quad_mod._rule_panels(quad_mod._FIRST_HEIGHT))
     d_axis = [(0.6, 0.7, d) for d in np.linspace(-0.4, 0.4, 9)]
     rng = np.random.default_rng(23)
@@ -523,7 +523,7 @@ def per_node(J, gamma, D, tags, quad):
                               rows[0].ravel())
 
     vals, _, failures = integrate_points(
-        f, table, *chain_mod._start_mesh(J, quad.max_subdivisions), quad)
+        f, table, *chain_mod._start_mesh(J, D, quad.max_subdivisions), quad)
     for i, exc in failures:
         raise QuadratureFailure(
             f"{exc} (J = {J[i]:g}, gamma = {gamma[i]:g}, D = {D[i]:g})")
@@ -583,7 +583,7 @@ def test_node_table_holds_only_the_start_panels(monkeypatch):
     js = -1.0 + np.linspace(-1e-3, 1e-3, 400)
     chain_points(js, 0.7, 0.1, ("J",), TIGHT)
     assert sum(tabulated) > 0
-    assert table.lo.size == table.hi.size == table.rows.shape[1] == 68
+    assert table.lo.size == table.hi.size == table.rows.shape[1] == 72
     for got, want in zip((table.lo, table.hi, table.rows), before):
         assert np.array_equal(got, want)
 

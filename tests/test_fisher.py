@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmchain.chain import ChainParams, chain_point, x_state
-from dmchain.fisher import (DivergentInformationWarning, classical_fi,
-                            classical_fi_point, fisher_point,
+from dmchain.chain import (PARAM_TAGS, ChainParams, chain_point, chain_points,
+                           x_state)
+from dmchain.fisher import (DivergentInformationWarning, block_qfi,
+                            classical_fi, classical_fi_point, fisher_point,
                             magnetization_fi, qfi_xstate)
 
 sys.path.insert(0, "tests")
@@ -123,6 +124,22 @@ def test_block_route_equals_eigen_route(J, gamma, D):
     block = qfi_xstate(ChainParams(J, gamma, D), "J")
     eig = qfi_eigen(x_matrix(pt.state), x_matrix(pt.dstate["J"]))
     assert block == pytest.approx(eig, rel=1e-6, abs=1e-10)
+
+
+
+@settings(max_examples=20, deadline=None)
+@given(fisher_J, st.floats(0.1, 1.0), st.floats(-0.4, 0.4))
+# points where a float's ** 0.5 (libm pow) and an array's sqrt round the
+# block's eigenvalue gap differently
+@example(J=-0.5507256300989016, gamma=0.4194178828109545, D=0.30582361694137983)
+@example(J=0.34756834658678226, gamma=0.5525295402763167, D=-0.38538008952892033)
+@example(J=-0.7265491473172978, gamma=0.7005694971715654, D=-0.010202119262026688)
+@example(J=0.7818841545652, gamma=0.24329493359249613, D=-0.11595116447685222)
+def test_block_qfi_of_a_point_equals_its_family_bits(J, gamma, D):
+    one = block_qfi(chain_point(ChainParams(J, gamma, D), PARAM_TAGS))
+    family = block_qfi(chain_points([J], gamma, D, PARAM_TAGS))
+    for got, want in zip(one, family):
+        assert np.array_equal(got, want[..., 0])
 
 
 # ------------------------------------------------------------ support
