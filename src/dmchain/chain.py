@@ -73,6 +73,10 @@ _MAX_RUNGS = int(math.log2(_RUNG / _LADDER_FLOOR))
 _COARSE_EDGES = [0, 1, 3, 5, 7]
 _COARSE = 2 * (_MAX_RUNGS + 1)
 
+# Floats of estimates a family's pass may start with (512 KB): a larger
+# family is integrated in several passes (see :func:`_integrals`).
+_PASS_FLOATS = 2 ** 16
+
 
 def _phi_factors(phi: np.ndarray) -> np.ndarray:
     """sin and cos of the nodes phi, stacked on a new first axis: the
@@ -465,13 +469,33 @@ def _shared(a: np.ndarray):
     return float(a[0]) if a.size and (bits == bits[0]).all() else a
 
 
-def _integrals(f, J, gamma, D, quad: QuadratureConfig):
-    """Integrals of the stack ``f(rows, owner)`` at the points J, gamma, D
-    (arrays, or floats for one point), and a ``(k, QuadratureFailure)``
-    naming the couplings per point k that did not converge; each pass
-    starts on its graded mesh."""
-    vals, _, stuck = integrate_points(
-        f, _START_TABLE, *_start_mesh(J, D, quad.max_subdivisions), quad)
+def _integrals(f, J, gamma, D, tags: Tuple[str, ...], quad: QuadratureConfig):
+    """Integrals of the stack ``f(rows, owner)`` of :func:`_integrand_rows`
+    for ``tags`` at the points J, gamma, D (arrays, or floats for one
+    point), and a ``(k, QuadratureFailure)`` naming the couplings per point
+    k that did not converge; each pass starts on its graded mesh.
+
+    A pass holds two floats per integrand and panel, its Kronrod sums and
+    error estimates.  A family whose start panels would hold more than
+    _PASS_FLOATS of them is integrated in passes over consecutive groups
+    of its points, about equal in number, so that its estimates are not
+    one large array; a point's values do not depend on the points that
+    share its pass."""
+    panels, counts = _start_mesh(J, D, quad.max_subdivisions)
+    passes = -(-2 * (3 + 3 * len(tags)) * len(panels) // _PASS_FLOATS)
+    if passes <= 1:
+        vals, _, stuck = integrate_points(f, _START_TABLE, panels, counts, quad)
+    else:
+        cuts = np.linspace(0, counts.size, passes + 1).astype(int).tolist()
+        ends = [0] + counts.cumsum().tolist()
+        parts, stuck = [], []
+        for a, b in zip(cuts, cuts[1:]):
+            v, _, s = integrate_points(
+                lambda rows, owner, a=a: f(rows, owner + a), _START_TABLE,
+                panels[ends[a]:ends[b]], counts[a:b], quad)
+            parts.append(v)
+            stuck += [(a + k, exc) for k, exc in s]
+        vals = np.concatenate(parts, axis=1)
     return vals, [(k, QuadratureFailure(
         f"{exc} (J = {np.atleast_1d(J)[k]:g}, "
         f"gamma = {np.atleast_1d(gamma)[k]:g}, D = {np.atleast_1d(D)[k]:g})"))
@@ -507,7 +531,7 @@ def chain_point(
     def f(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return _integrand_rows(J, g, D, tags, rows)
 
-    vals, failures = _integrals(f, J, g, D, quad)
+    vals, failures = _integrals(f, J, g, D, tags, quad)
     for _, exc in failures:
         raise exc
     points = _evaluated(tags, vals[:, 0].tolist())
@@ -544,7 +568,7 @@ def chain_outcome(J, gamma, D, tags: Sequence[str] = (),
                                  else c[owner].repeat(shape[1]).reshape(shape)
                                  for c in couplings], tags, rows)
 
-    vals, stuck = _integrals(f, J, gamma, D, quad)
+    vals, stuck = _integrals(f, J, gamma, D, tags, quad)
     points = _evaluated(tags, vals)
     failed = {}
     for k, exc in stuck + list(_violations(points.state)):

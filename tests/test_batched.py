@@ -479,6 +479,45 @@ def test_rule_calls_hold_at_most_the_float_bound(monkeypatch, J, gamma, D,
     assert max(n for _, n, _ in calls) == 15 * quad_mod._rule_panels(k)
 
 
+def test_large_family_is_integrated_in_passes_of_bounded_estimates(
+        monkeypatch):
+    # the d_loss profile of features starts on 11152 panels of 6 integrands:
+    # its points are integrated in passes over consecutive groups, each
+    # starting with at most _PASS_FLOATS estimates, with the bits of one pass
+    J = np.tile(np.linspace(1.2, 2.0, 81), 17)
+    D = np.repeat(np.linspace(0.0, 0.3, 17), 81)
+    passes = []
+    real = chain_mod.integrate_points
+
+    def spy(f, table, panels, counts, quad):
+        passes.append((panels.size, counts.size))
+        return real(f, table, panels, counts, quad)
+
+    monkeypatch.setattr(chain_mod, "integrate_points", spy)
+    split = fields_of(chain_points(J, 0.7, D, ("J",)))
+    assert len(passes) == 3 and sum(n for _, n in passes) == J.size
+    assert all(2 * 6 * p <= chain_mod._PASS_FLOATS for p, _ in passes)
+    monkeypatch.setattr(chain_mod, "_PASS_FLOATS", 2 * 6 * 11152)
+    passes.clear()
+    whole = fields_of(chain_points(J, 0.7, D, ("J",)))
+    assert len(passes) == 1
+    assert all(np.array_equal(a, b) for a, b in zip(split, whole))
+    # a pass per point: failures keep their family index and message
+    J = [0.5, -0.9999, 0.3, 1.0, 0.99999, np.nan]
+    quad = QuadratureConfig(1e-10, 1e-10, 9)
+    passes.clear()
+    one, one_failures = chain_outcome(J, 0.2, 0.1, ("J",), quad)
+    assert len(passes) == 1
+    monkeypatch.setattr(chain_mod, "_PASS_FLOATS", 2 * 6 * 9)
+    passes.clear()
+    each, failures = chain_outcome(J, 0.2, 0.1, ("J",), quad)
+    assert [n for _, n in passes] == [1, 1, 1, 1]
+    assert [(i, type(e), str(e)) for i, e in failures] == [
+        (i, type(e), str(e)) for i, e in one_failures]
+    assert all(np.array_equal(a, b)
+               for a, b in zip(fields_of(each), fields_of(one)))
+
+
 def test_chain_points_raise_positivity_at_first_bad_point(monkeypatch):
     evaluated = chain_mod._evaluated
 

@@ -188,7 +188,6 @@ def test_ladder_stops_at_its_floor_and_within_the_budget():
     assert np.all(counts <= DEFAULT_QUAD.max_subdivisions)
 
 
-
 # ------------------------------------------------------------ coarse tail
 
 def bits(pts, k=None):

@@ -126,7 +126,6 @@ def test_block_route_equals_eigen_route(J, gamma, D):
     assert block == pytest.approx(eig, rel=1e-6, abs=1e-10)
 
 
-
 @settings(max_examples=20, deadline=None)
 @given(fisher_J, st.floats(0.1, 1.0), st.floats(-0.4, 0.4))
 # points where a float's ** 0.5 (libm pow) and an array's sqrt round the
