@@ -54,6 +54,9 @@ def main():
         # S has a removable zero at exactly J=0 (F(0)=0, limit is 1);
         # not what "where does the curve bottom out" is asking
         sub = [(s, j) for d, j, _, _, s in rows if d == D and j != 0.0]
+        if not sub:
+            print("gamma=%g D=%g: no point succeeded" % (args.gamma, D))
+            continue
         s_min, j_min = min(sub)
         print("gamma=%g D=%g: min S = %.4f at J = %.3f"
               % (args.gamma, D, s_min, j_min))

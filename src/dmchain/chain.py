@@ -15,9 +15,9 @@ state.  These records, and the :class:`ChainPoints` that holds them, are
 named tuples: immutable, iterated in field order.  Every pass starts on a
 mesh graded toward the endpoint where the integrands peak near
 criticality, with a coarser tail where the couplings keep
-u = J (cos phi - 2 D sin phi) - 1 away from 0 (see :func:`chain_point`).
-Its panels are rows of one node table built at import: sin and cos
-tabulated at the Kronrod nodes of each distinct start panel.
+u = J (cos phi - 2 D sin phi) - 1 away from 0 (see :func:`chain_point`):
+a row built at import, picked by comparing ||J| - 1| with fixed bounds.
+Its panels index one node table, of sin and cos at their Kronrod nodes.
 """
 
 from __future__ import annotations
@@ -91,69 +91,38 @@ def _phi_factors(phi: np.ndarray) -> np.ndarray:
 
 
 def _start_tables():
-    """Start panels of every tail, end and ladder depth, and where along J
-    each row starts.  Row ``k + end * (_MAX_RUNGS + 1) + coarse * _COARSE``
-    of ``panels`` holds in its ``keep`` entries the ladder of depth k
-    toward phi = 0 (end 0, J >= 0) or pi, innermost first, then the
-    uniform tail (coarse 0) or the coarse one, as ids into the node table
-    of the distinct start panels, ``table``.  The depth
-    rint(log2(_RUNG / max(||J| - 1|, _LADDER_FLOOR))), held to
-    [0, _MAX_RUNGS], changes within an ulp or two of
-    |J| = 1 -+ _RUNG 2^-(k + 1/2), so each ``breaks`` entry, the first J
-    of a stretch of one row, is found exactly on the ulps around that
-    guess; ``rows[cap]`` is each stretch's uniform-tail row with the depth
-    at most cap."""
-    ladder = _RUNG * 2.0 ** -np.arange(_MAX_RUNGS, 0, -1)
-    uniform = np.linspace(0.0, _PI, _UNIFORM_PANELS + 1)[1:]
-    edges = np.concatenate([[0.0], ladder, uniform])
-    lo = np.zeros((2 * _COARSE, edges.size - 1))
-    hi, keep = np.zeros_like(lo), np.zeros(lo.shape, dtype=bool)
-    for offset, tail in ((0, uniform), (_COARSE, uniform[_COARSE_EDGES])):
-        for k in range(_MAX_RUNGS + 1):
-            up, down = offset + k, offset + k + _MAX_RUNGS + 1
-            n = k + tail.size
-            hi[up, :n] = np.concatenate([ladder[_MAX_RUNGS - k:], tail])
-            lo[up, 1:n] = hi[up, :n - 1]
-            lo[down, :n], hi[down, :n] = _PI - hi[up, :n], _PI - lo[up, :n]
-            keep[up, :n] = keep[down, :n] = True
-    # Number the distinct panels, which the rows share.  Every bound is an
-    # entry of ``bounds``, so a panel is keyed by the first entries equal
-    # to its bounds (no sort: its code would be paged in for this alone).
-    bounds = np.concatenate([edges, _PI - edges])
-    key = ((lo[keep][:, None] == bounds).argmax(axis=1),
-           (hi[keep][:, None] == bounds).argmax(axis=1))
-    seen = np.zeros((bounds.size, bounds.size), dtype=bool)
-    seen[key] = True
-    panels = np.zeros(keep.shape, dtype=np.intp)
-    panels[keep] = (seen.cumsum() - 1).reshape(seen.shape)[key]
-    lo, hi = (bounds[i] for i in np.nonzero(seen))
-
-    def depth(J):
-        near = np.maximum(np.abs(np.abs(J) - 1.0), _LADDER_FLOOR)
-        return np.clip(np.rint(np.log2(_RUNG / near)), 0, _MAX_RUNGS)
-
-    offsets = _RUNG * 2.0 ** -(np.arange(_MAX_RUNGS) + 0.5)
-    guess = np.concatenate([1.0 - offsets, 1.0 + offsets[::-1]])
-    ulps = (guess.view(np.int64)[:, None] + np.arange(-8, 9)).view(np.float64)
-    d = depth(ulps)
-    up = ulps[np.arange(guess.size), (d != d[:, :1]).argmax(axis=1)]
-    # depth(-J) = depth(J): below 0 a stretch starts one ulp nearer 0
-    breaks = np.concatenate([-np.nextafter(up, 0.0)[::-1], [0.0], up])
-    first = np.concatenate([[breaks[0] - 1.0], breaks])
-    rows = (np.minimum(depth(first), np.arange(_MAX_RUNGS + 1)[:, None])
-            + (first < 0.0) * (_MAX_RUNGS + 1))
-    table = NodeTable(lo, hi, _phi_factors)
-    return (table, panels, keep, keep.sum(axis=1), breaks,
-            rows.astype(np.intp))
+    """Start panels of every tail, end and ladder depth.  Row
+    ``k + end * (_MAX_RUNGS + 1) + coarse * _COARSE`` of ``panels`` holds
+    in its ``keep`` entries the ladder of depth k toward phi = 0 (end 0,
+    J >= 0) or pi, innermost first, then the uniform tail (coarse 0) or
+    the coarse one, as ids into the node table of the distinct start
+    panels, ``table``, numbered in their order of first use."""
+    ladder = (_RUNG * 2.0 ** -np.arange(_MAX_RUNGS, 0, -1)).tolist()
+    uniform = np.linspace(0.0, _PI, _UNIFORM_PANELS + 1)[1:].tolist()
+    rows = []
+    for tail in (uniform, [uniform[i] for i in _COARSE_EDGES]):
+        for end in (0, 1):
+            for k in range(_MAX_RUNGS + 1):
+                edges = [0.0] + ladder[_MAX_RUNGS - k:] + tail
+                rows.append([(_PI - hi, _PI - lo) if end else (lo, hi)
+                             for lo, hi in zip(edges, edges[1:])])
+    ids = {}
+    panels = np.zeros((len(rows), max(map(len, rows))), dtype=np.intp)
+    keep = np.zeros(panels.shape, dtype=bool)
+    for r, row in enumerate(rows):
+        panels[r, :len(row)] = [ids.setdefault(p, len(ids)) for p in row]
+        keep[r, :len(row)] = True
+    table = NodeTable(*zip(*ids), _phi_factors)
+    return table, panels, keep, keep.sum(axis=1)
 
 
-(_START_TABLE, _START_PANELS, _START_KEEP, _START_COUNTS, _START_BREAKS,
- _START_ROWS) = _start_tables()
-# The same table for one point, in Python: the breaks and rows as lists,
-# and per row its panel ids and count, read-only since every pass shares
-# them.
-_START_BREAK_LIST = _START_BREAKS.tolist()
-_START_ROW_LISTS = _START_ROWS.tolist()
+_START_TABLE, _START_PANELS, _START_KEEP, _START_COUNTS = _start_tables()
+# The rung midpoints _RUNG 2^-(k + 1/2), k < _MAX_RUNGS, ascending: a
+# point's ladder depth is the number of them at or above ||J| - 1|.
+_DEPTH_BOUNDS = tuple(
+    (_RUNG * 2.0 ** -(np.arange(_MAX_RUNGS, 0, -1) - 0.5)).tolist())
+# Per row its panel ids and count, for one point, read-only since every
+# pass shares them.
 _START_MESHES = tuple(
     (_START_PANELS[r][_START_KEEP[r]], _START_COUNTS[r:r + 1])
     for r in range(_START_PANELS.shape[0]))
@@ -357,18 +326,23 @@ def _start_mesh(J, D, max_subdivisions: int):
     Near the first panel the ladder stays: u comes within 1 - |J| of 0 at
     phi = 0 (J > 0) or pi.
 
-    A number's row is found by ``bisect`` on the table's breaks as a list,
-    an array's by one ``np.searchsorted``: the same binary search for the
-    same row, without numpy calls on a 1-element array.  Both take the tail
-    from the same float operations, ``abs`` being numpy's on an array.
+    The depth is the number of rung midpoints ``_DEPTH_BOUNDS`` at or
+    above ||J| - 1| among the ``cap`` largest: ``bisect`` counts them for a
+    number, without numpy calls on a 1-element array, and one
+    ``np.searchsorted`` for an array.  Both make the same float
+    comparisons, ``abs`` being numpy's on an array, so a point gets the
+    same row either way.
     """
     cap = min(_MAX_RUNGS, max_subdivisions - _UNIFORM_PANELS)
     coarse = abs(J) * (1.0 + 2.0 * abs(D)) < 1.0
+    near = abs(abs(J) - 1.0)
     if not isinstance(J, np.ndarray):
-        return _START_MESHES[_START_ROW_LISTS[cap][
-            bisect.bisect_right(_START_BREAK_LIST, J)] + coarse * _COARSE]
-    row = _START_ROWS[cap][np.searchsorted(_START_BREAKS, J, side="right")]
-    row += coarse * _COARSE
+        depth = _MAX_RUNGS - bisect.bisect_left(_DEPTH_BOUNDS, near,
+                                                _MAX_RUNGS - cap)
+        return _START_MESHES[depth + (J < 0.0) * (_MAX_RUNGS + 1)
+                             + coarse * _COARSE]
+    row = cap - np.searchsorted(_DEPTH_BOUNDS[_MAX_RUNGS - cap:], near)
+    row += (J < 0.0) * (_MAX_RUNGS + 1) + coarse * _COARSE
     return _START_PANELS[row][_START_KEEP[row]], _START_COUNTS[row]
 
 

@@ -208,6 +208,8 @@ def detect_features(
     """
     if len(d_values) == 0:
         raise ValueError("need at least one D value")
+    if not (isinstance(points, (int, np.integer)) and points >= 2):
+        raise ValueError("need an integer points >= 2, got %r" % (points,))
     lo, hi = d_scan if d_scan is not None else (min(d_values), max(d_values))
     if not lo <= hi:
         raise ValueError("scan interval must have lo <= hi, got %r" % ((lo, hi),))

@@ -139,8 +139,8 @@ def matrix_crb(qfim: QfiMatrix, shots: int = 1) -> np.ndarray:
     Refuses near-singular matrices: inverting a sloppy QFIM returns
     noise, and the interesting statement is the singularity itself.
     """
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    if not (isinstance(shots, (int, np.integer)) and shots >= 1):
+        raise ValueError("shots must be a positive integer, got %r" % (shots,))
     if qfim.condition_ratio < CONDITION_FLOOR:
         raise SingularInformation(
             "QFI matrix condition ratio below %.0e; no covariance bound"

@@ -89,8 +89,8 @@ class ProtocolConfig:
                 raise ValueError("%s must be an integer, got %r" % (name, value))
         if self.shots < 1 or self.rounds < 1:
             raise ValueError("shots and rounds must be positive")
-        if not (lo < hi and points >= 2):
-            raise ValueError("grid must be (lo, hi, points>=2) with lo < hi")
+        if not (np.isfinite([lo, hi]).all() and lo < hi and points >= 2):
+            raise ValueError("grid must be (lo, hi, points>=2) with finite lo < hi")
 
 
 @dataclass(frozen=True)

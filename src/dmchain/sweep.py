@@ -67,8 +67,9 @@ class SweepSpec:
         lo, hi, points = self.range
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError("range must satisfy lo < hi")
-        if int(points) < 2:
-            raise ValueError("need at least 2 sweep points")
+        if not (isinstance(points, (int, np.integer)) and points >= 2):
+            raise ValueError("need an integer number of sweep points >= 2, "
+                             "got %r" % (points,))
         others = tuple(t for t in PARAM_TAGS if t != self.axis)
         if set(self.fixed) != set(others):
             raise ValueError("fixed must provide exactly %s" % (others,))
@@ -83,7 +84,7 @@ class SweepSpec:
 
     def axis_values(self) -> np.ndarray:
         lo, hi, points = self.range
-        values = np.linspace(lo, hi, int(points))
+        values = np.linspace(lo, hi, points)
         if self.axis == "J":
             on_line = np.abs(np.abs(values) - 1.0) <= 1e-9
             if np.any(on_line):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import dmchain.quadrature as quad_mod
 from dmchain.chain import (PARAM_TAGS, ChainParams, _LADDER_FLOOR, _MAX_RUNGS,
-                           _START_BREAKS, _START_TABLE, _start_mesh,
+                           _DEPTH_BOUNDS, _START_TABLE, _start_mesh,
                            chain_point, chain_points)
 from dmchain.quadrature import (DEFAULT_QUAD, NodeTable, QuadratureConfig,
                                 QuadratureFailure, integrate_points)
@@ -105,11 +105,14 @@ def test_start_mesh_equals_the_padded_table_oracle(max_subdivisions):
 
 
 def near_breaks():
-    """Every start-row break and the two floats either side of it, and
-    J = +-0, +-1 and +-1e99."""
-    J = [_START_BREAKS]
+    """J = +-1 -+ b for every depth bound b, where a start row changes, the
+    two floats either side of each, and J = +-0, +-1 and +-1e99."""
+    bounds = np.array(_DEPTH_BOUNDS)
+    breaks = np.concatenate([1.0 - bounds, 1.0 + bounds, bounds - 1.0,
+                             -1.0 - bounds])
+    J = [breaks]
     for toward in (-np.inf, np.inf):
-        step = _START_BREAKS
+        step = breaks
         for _ in range(2):
             step = np.nextafter(step, toward)
             J.append(step)
@@ -120,9 +123,9 @@ def near_breaks():
 @pytest.mark.parametrize("max_subdivisions",
                          [*range(8, 8 + _MAX_RUNGS + 1), 4096])
 def test_one_point_start_row_equals_the_family_search(max_subdivisions):
-    # a float's row comes from bisect on lists, an array's from
-    # np.searchsorted: the same panels and count, as the same arrays;
-    # and both take the tail from the same float test
+    # a float's row comes from bisect, an array's from np.searchsorted:
+    # the same panels and count, as the same arrays; and both take the
+    # tail from the same float test
     J = near_breaks()
     edge_J, edge_D = coarse_edge(np.array(J))
     D = [0.0] * len(J) + [-0.5] * len(J) + edge_D.tolist()

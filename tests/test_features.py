@@ -167,6 +167,13 @@ def test_detect_features_rejects_bad_sampled_curve(defect):
                         sampler=corrupting(defect))
 
 
+@pytest.mark.parametrize("points", [281.5, 281.0, 1, None])
+def test_detect_features_refuses_a_bad_point_count(points):
+    with pytest.raises(ValueError, match="points"):
+        detect_features(0.2, (0.1,), points=points,
+                        sampler=synthetic_sampler)
+
+
 def test_detect_features_rejects_inverted_scan():
     with pytest.raises(ValueError, match="scan"):
         detect_features(0.0, [0.05, 0.15], d_scan=(0.3, 0.0), points=401,

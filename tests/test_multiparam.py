@@ -239,5 +239,14 @@ def test_matrix_crb_rejects_singular():
         matrix_crb(qfi_matrix(REF), shots=0)
 
 
+def test_matrix_crb_refuses_a_shot_count_that_is_not_an_integer():
+    m = qfi_matrix(ChainParams(0.5, 0.7, 0.3))
+    for shots in (2.5, 100.0):
+        with pytest.raises(ValueError, match="integer"):
+            matrix_crb(m, shots=shots)
+    assert np.array_equal(matrix_crb(m, shots=np.int64(100)),
+                          matrix_crb(m, shots=100))
+
+
 def test_condition_floor_value():
     assert CONDITION_FLOOR == 1e-10

@@ -137,6 +137,13 @@ def test_config_rejects_non_integer_counts(field):
         ProtocolConfig(J_true=0.5, gamma=1.0, D=0.0, J_guess=1.0, **field)
 
 
+@pytest.mark.parametrize("grid", [(-np.inf, 2.5, 801), (-2.5, np.inf, 801),
+                                  (math.nan, 2.5, 801), (-2.5, math.nan, 801)])
+def test_config_refuses_grid_bounds_that_are_not_finite(grid):
+    with pytest.raises(ValueError, match="finite"):
+        ProtocolConfig(0.5, 0.5, 0.0, 0.5, grid=grid)
+
+
 def test_config_takes_numpy_integers():
     cfg = ProtocolConfig(J_true=0.5, gamma=1.0, D=0.0, J_guess=1.0,
                          shots=np.int64(100), rounds=np.int32(2),

@@ -23,6 +23,18 @@ def test_script_exits_cleanly(argv, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_saturation_scan_reports_a_d_where_every_point_fails(tmp_path):
+    # at gamma = 0 every |J| >= 1 is gapless, so every row of D = 0.1 fails
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "saturation_scan.py"),
+         "--gamma", "0", "--D", "0.1", "--j-range", "1.5", "2",
+         "--points", "5"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "gamma=0 D=0.1: no point succeeded" in proc.stdout
+
+
 def test_protocol_demo_takes_an_explicit_grid(tmp_path):
     # the grid is lo:hi:n as in `dmchain protocol --grid`, n an integer
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))

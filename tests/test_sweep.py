@@ -70,6 +70,19 @@ def test_spec_validation():
         SweepSpec("J", (0.0, 1.0, 5), {"gamma": 0.5, "D": 0.0}, wrt="B")
 
 
+@pytest.mark.parametrize("points", [2.7, 5.0, "5", None])
+def test_spec_refuses_a_point_count_that_is_not_an_integer(points):
+    # a float count would be truncated by the sweep and by the manifest
+    with pytest.raises(ValueError, match="integer"):
+        SweepSpec("J", (0.1, 0.5, points), {"gamma": 0.5, "D": 0.0})
+
+
+def test_spec_takes_a_numpy_integer_point_count():
+    spec = SweepSpec("J", (0.1, 0.5, np.int64(3)), {"gamma": 0.5, "D": 0.0})
+    assert spec.axis_values().size == 3
+    assert json.dumps(spec.to_dict()["range"]) == "[0.1, 0.5, 3]"
+
+
 def test_axis_nudges_critical_coupling():
     spec = SweepSpec("J", (0.5, 1.5, 3), {"gamma": 0.5, "D": 0.0})
     with pytest.warns(CriticalNudgeWarning):
