@@ -4,10 +4,12 @@ The chain is probed at a tunable field B; outcome statistics depend only on
 the effective coupling j = J/B (the model is written in field units), so a
 round of M magnetization shots is a multinomial draw from the X-state
 probabilities at j.  Each round estimates j by maximum likelihood: the grid
-maximizer is refined by Fisher scoring on the analytic score inside its grid
-cell, the Fisher information of the last scoring pass gives the variance
-proxy, and the estimate is converted back to J units.  The field is retuned
-to the running inverse-variance average of the round estimates.
+maximizer is refined inside its grid cell by scoring on the analytic score,
+from the peak of the quartic through five tabulated log-likelihoods and with
+secant steps near |j| = 1; the Fisher information of the last scoring pass
+gives the variance proxy, and the estimate is converted back to J units.
+The field is retuned to the running inverse-variance average of the round
+estimates.
 Variance bookkeeping therefore improves round over round, which is what the
 adaptive narrative needs even when the starting guess is already optimal.
 """
@@ -47,6 +49,9 @@ EDGE_CLAMP = 1e-6
 # of max(1, |j|), or after SCORING_MAX_ITER passes.
 SCORING_TOL = 1e-9
 SCORING_MAX_ITER = 40
+# Newton steps to the stationary point of the likelihood quartic that
+# starts the scoring; the first lands on the parabola vertex.
+QUARTIC_NEWTON_STEPS = 6
 # A round estimate is "stable" when it sits within this many standard
 # deviations of the running average.
 STABLE_SIGMA = 3.0
@@ -104,8 +109,7 @@ class RoundRecord:
     at_edge: bool = False
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
+        _check_round(self.counts, self.B)
         if not (self.variance_est >= 0.0 or math.isinf(self.variance_est)):
             raise ValueError("variance_est must be nonnegative")
 
@@ -207,6 +211,17 @@ def _nature_probabilities(j: float, gamma: float, D: float,
     return probs
 
 
+def _check_round(counts, B) -> None:
+    """Refuse counts that are not four nonnegative integers, or a field
+    that is not finite and nonzero."""
+    if not (len(counts) == 4 and all(
+            isinstance(n, (int, np.integer)) and n >= 0 for n in counts)):
+        raise ValueError("counts must be four nonnegative integers, got %r"
+                         % (counts,))
+    if not (math.isfinite(B) and B != 0.0):
+        raise ValueError("B must be finite and nonzero, got %r" % (B,))
+
+
 def _clamp_critical(j: float) -> float:
     d = abs(j) - 1.0
     if abs(d) < EDGE_CLAMP:
@@ -230,11 +245,10 @@ def mle_estimate(
     units with the local Cramer-Rao variance proxy B^2 / (M F(j_hat)),
     where F comes from the last scoring pass.
     """
-    counts = np.asarray(counts)
+    counts = np.atleast_1d(counts)
     c = counts.tolist()
+    _check_round(c, B)
     shots = sum(c)
-    if min(c) < 0:
-        raise ValueError("counts must be nonnegative")
     if shots < 1:
         raise ValueError("counts must contain at least one shot")
     js, _, log_table = _probability_curve(float(gamma), float(D),
@@ -261,8 +275,7 @@ def mle_estimate(
 
     if refine:
         j_hat, fisher = _score_refine(weights, occupied, shots, gamma, D,
-                                      js[k - 1:k + 2].tolist(),
-                                      ll[k - 1:k + 2].tolist(), quad)
+                                      js, ll, k, quad)
     else:
         j_hat = _clamp_critical(j_hat)
         fisher = magnetization_fi(ChainParams(j_hat, gamma, D), "J", quad)
@@ -275,40 +288,54 @@ def mle_estimate(
     return MleResult(estimate=j_hat * B, variance_est=variance, at_edge=at_edge)
 
 
-def _score_refine(weights, occupied, shots, gamma, D, cell, ll, quad):
-    """Likelihood maximizer in the grid cell [cell[0], cell[2]] around the
-    grid maximizer cell[1], by Fisher scoring on the analytic score, for
-    a round of ``shots`` with counts ``weights`` (an array) on the
-    ``occupied`` outcomes.
+def _score_refine(weights, occupied, shots, gamma, D, js, ll, k, quad):
+    """Likelihood maximizer in the grid cell [js[k-1], js[k+1]] around the
+    grid maximizer js[k] of the table log-likelihoods ``ll``, by scoring on
+    the analytic score of a round of ``shots`` with counts ``weights`` (an
+    array) on the ``occupied`` outcomes.
 
-    Starts at the vertex of the parabola through the log-likelihoods ``ll``
-    at the three grid points (floats, as is the cell).  Each iterate costs
-    one derivative pass, which gives the score sum n_i p_i'/p_i and F; the
-    bracket shrinks on the sign of the score, and a step that leaves it, or
-    an information M F that is not finite and positive, is replaced by
-    bisection.
-    Returns the last evaluated iterate and its F, also when the
-    SCORING_MAX_ITER passes run out.
+    Starts at the stationary point of the quartic through ll[k-2..k+2] if
+    it lies inside the cell, else at the vertex of the parabola through
+    ll[k-1..k+1].  Each iterate is one derivative pass, which gives the
+    score sum n_i p_i'/p_i and F.  The step divides the score by M F or,
+    once the last two iterates are within 0.3 ||j| - 1| of each other, by
+    the secant slope of their scores: near |j| = 1, M F and the
+    likelihood's curvature differ.  The bracket shrinks on the sign of the
+    score; a step that leaves it, or a slope that is not finite and
+    positive, is replaced by bisection.  Returns the last evaluated
+    iterate and its F, also when the SCORING_MAX_ITER passes run out.
     """
-    lo, j, hi = cell
-    curvature = ll[0] - 2.0 * ll[1] + ll[2]
-    if curvature:                        # a zero denominator has no vertex
-        vertex = j + 0.25 * (hi - lo) * (ll[0] - ll[2]) / curvature
+    lo, j, hi = js[k - 1:k + 2].tolist()
+    five = ll[k - 2:k + 3].tolist() if 2 <= k <= len(js) - 3 else []
+    start = _quartic_peak(five, j, 0.5 * (hi - lo))
+    left, mid, right = ll[k - 1:k + 2].tolist()
+    curvature = left - 2.0 * mid + right
+    if lo < start < hi:                  # false for nan: no quartic peak
+        j = start
+    elif curvature:                      # a zero denominator has no vertex
+        vertex = j + 0.25 * (hi - lo) * (left - right) / curvature
         if lo < vertex < hi:             # false for nan from -inf ll
             j = vertex
     nxt = _clamp_critical(j)
+    j_prev = s_prev = math.nan
     for _ in range(SCORING_MAX_ITER):
         j = nxt
         point = chain_point(ChainParams(j, gamma, D), ("J",), quad)
         score, fisher = _scoring_step(weights, occupied,
                                       point.state.populations(),
                                       point.dstate["J"].populations())
-        info = shots * fisher
+        slope = shots * fisher
+        # j != j_prev: a step of zero would have stopped the loop
+        if abs(j - j_prev) <= 0.3 * abs(abs(j) - 1.0):
+            secant = (s_prev - score) / (j - j_prev)
+            if 0.0 < secant < math.inf:
+                slope = secant
+        j_prev, s_prev = j, score
         if score > 0.0:
             lo = j
         elif score < 0.0:
             hi = j
-        nxt = j + score / info if 0.0 < info < math.inf else math.nan
+        nxt = j + score / slope if 0.0 < slope < math.inf else math.nan
         if not lo < nxt < hi:            # also catches a nan step
             nxt = 0.5 * (lo + hi)
         nxt = _clamp_critical(nxt)
@@ -317,6 +344,28 @@ def _score_refine(weights, occupied, shots, gamma, D, cell, ll, quad):
         if not lo < nxt < hi or abs(nxt - j) <= SCORING_TOL * max(1.0, abs(j)):
             break
     return j, fisher
+
+
+def _quartic_peak(f, j, h):
+    """Stationary point of the quartic through the five log-likelihoods
+    ``f`` at j - 2h, ..., j + 2h: Newton on its derivative from the vertex
+    of the parabola of its central differences, while its curvature is
+    negative.  NaN when ``f`` is not five finite values or the curvature
+    is not negative."""
+    if len(f) != 5 or not all(map(math.isfinite, f)):
+        return math.nan
+    a1, a2 = f[3] - f[1], f[4] - f[0]
+    s1, s2 = f[1] + f[3] - 2.0 * f[2], f[0] + f[4] - 2.0 * f[2]
+    # p'(x) = d1 + d2 x + d3 x^2 / 2 + d4 x^3 / 6 in x = (j' - j) / h
+    d1, d2 = (8.0 * a1 - a2) / 12.0, (16.0 * s1 - s2) / 12.0
+    d3, d4 = 0.5 * a2 - a1, s2 - 4.0 * s1
+    x = 0.0
+    for _ in range(QUARTIC_NEWTON_STEPS):
+        curvature = d2 + x * (d3 + 0.5 * d4 * x)
+        if not curvature < 0.0:
+            return math.nan
+        x -= (d1 + x * (d2 + x * (0.5 * d3 + d4 * x / 6.0))) / curvature
+    return j + h * x
 
 
 def _scoring_step(weights, occupied, probs, dprobs):

@@ -158,6 +158,24 @@ def test_round_record_validation():
         RoundRecord(B=1.0, counts=(-1, 0, 0, 0), estimate=0.0, variance_est=1.0)
     with pytest.raises(ValueError):
         RoundRecord(B=1.0, counts=(1, 0, 0, 0), estimate=0.0, variance_est=-1.0)
+    assert RoundRecord(B=-0.5, counts=(0, 2, np.int64(3), 4), estimate=0.5,
+                       variance_est=0.1).counts[2] == 3
+
+
+@pytest.mark.parametrize("field,match", [
+    (dict(counts=(1, 2)), "four nonnegative integers"),
+    (dict(counts=(1, 2, 3, 4, 5)), "four nonnegative integers"),
+    (dict(counts=(1, 2, 3, 4.0)), "four nonnegative integers"),
+    (dict(B=0.0), "finite and nonzero"),
+    (dict(B=math.nan), "finite and nonzero"),
+    (dict(B=math.inf), "finite and nonzero"),
+], ids=["two_counts", "five_counts", "float_count", "zero_field",
+        "nan_field", "inf_field"])
+def test_round_record_refuses_bad_counts_and_fields(field, match):
+    kw = dict(dict(B=1.0, counts=(1, 2, 3, 4), estimate=0.5,
+                   variance_est=0.1), **field)
+    with pytest.raises(ValueError, match=match):
+        RoundRecord(**kw)
 
 
 # -------------------------------------------------------------------- MLE
@@ -260,6 +278,19 @@ def test_mle_matches_bounded_likelihood_oracle():
         assert abs(res.estimate / B - ref.x) <= 1e-7, (gamma, D, j, grid)
 
 
+def bounded_maximizer(counts, gamma, D, lo, hi):
+    """The likelihood maximizer in [lo, hi] by scipy's bounded search on
+    per-point probabilities, as the oracle test above finds it."""
+    occupied = counts > 0
+
+    def neg_ll(x):
+        q = outcome_probabilities(ChainParams(float(x), gamma, D))
+        return -float(np.log(q[occupied]) @ counts[occupied])
+
+    return minimize_scalar(neg_ll, bounds=(lo, hi), method="bounded",
+                           options={"xatol": 1e-10}).x
+
+
 def _record_passes(monkeypatch):
     """Record the (J, tags) of every protocol.chain_point pass, and make
     any other quadrature route of mle_estimate fail."""
@@ -337,6 +368,22 @@ def test_maximizer_inside_the_critical_band_stops(monkeypatch, gamma, D, j0):
     assert math.isfinite(res.variance_est)
 
 
+@pytest.mark.parametrize("grid", [GRID, (0.02, 2.5, 801)],
+                         ids=["symmetric", "one_sided"])
+def test_near_critical_round_needs_few_passes(monkeypatch, grid):
+    # a round whose maximizer is 4.7e-5 from |j| = 1, where M F and the
+    # likelihood's curvature differ: Fisher steps from the parabola vertex
+    # take 15 passes on it
+    counts, B = np.array([7004, 1113, 1142, 741]), 0.901
+    js, k = _grid_cell(counts, 1.0, 0.0, grid)
+    ref = bounded_maximizer(counts, 1.0, 0.0, js[k - 1], js[k + 1])
+    passes = _record_passes(monkeypatch)
+    res = mle_estimate(counts, B, 1.0, 0.0, grid)
+    assert len(passes) <= 8
+    assert abs(abs(ref) - 1.0) < 1e-4
+    assert abs(res.estimate / B - ref) <= 1e-7
+
+
 def numpy_vertex(cell, ll):
     """The scoring start as numpy computed it: the parabola's vertex, in
     float64 scalars with division warnings off, if inside the cell."""
@@ -348,14 +395,10 @@ def numpy_vertex(cell, ll):
     return vertex if lo < vertex < hi else j
 
 
-@pytest.mark.parametrize("ll", [
-    [-1234.5, -1234.5, -1234.5],            # flat: 0 / 0
-    [-math.inf, -12.0, -math.inf],          # -inf ends: nan
-    [-math.inf, -12.0, -13.5],
-    [-3.0, -2.0, -1.0],                     # zero denominator only
-    [-1234.75, -1234.5, -1234.625],         # ordinary
-], ids=["flat", "inf_ends", "inf_end", "zero_denominator", "ordinary"])
-def test_first_scoring_iterate_is_the_numpy_vertex(monkeypatch, ll):
+def first_scoring_iterate(monkeypatch, js, ll, k):
+    """J of the first pass of _score_refine on the table log-likelihoods
+    ``ll`` over the grid ``js`` with grid maximizer k, with warnings as
+    errors."""
     first = []
 
     class Stop(Exception):
@@ -366,13 +409,85 @@ def test_first_scoring_iterate_is_the_numpy_vertex(monkeypatch, ll):
         raise Stop
 
     monkeypatch.setattr(protocol, "chain_point", stop)
-    cell = [0.6, 0.60625, 0.6125]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Stop):
             protocol._score_refine(np.array([6000, 3000, 1000]), [0, 1, 3],
-                                   10_000, 0.7, 0.1, cell, ll, DEFAULT_QUAD)
-    assert first == [protocol._clamp_critical(numpy_vertex(cell, ll))]
+                                   10_000, 0.7, 0.1,
+                                   np.asarray(js, dtype=float),
+                                   np.asarray(ll, dtype=float), k,
+                                   DEFAULT_QUAD)
+    return first[0]
+
+
+@pytest.mark.parametrize("ll", [
+    [-1234.5, -1234.5, -1234.5],            # flat: 0 / 0
+    [-math.inf, -12.0, -math.inf],          # -inf ends: nan
+    [-math.inf, -12.0, -13.5],
+    [-3.0, -2.0, -1.0],                     # zero denominator only
+    [-1234.75, -1234.5, -1234.625],         # ordinary
+], ids=["flat", "inf_ends", "inf_end", "zero_denominator", "ordinary"])
+def test_first_scoring_iterate_is_the_numpy_vertex(monkeypatch, ll):
+    # one grid point on each side of the maximizer: no quartic
+    cell = [0.6, 0.60625, 0.6125]
+    assert first_scoring_iterate(monkeypatch, cell, ll, 1) == (
+        protocol._clamp_critical(numpy_vertex(cell, ll)))
+
+
+def table_log_likelihood(gamma, D, j, seed):
+    """Grid, grid maximizer k and table log-likelihoods, less their
+    maximum, of a round of 10^4 shots at j on GRID."""
+    counts = sample_outcomes(outcome_probabilities(ChainParams(j, gamma, D)),
+                             10_000, seed)
+    js, _, log_table = _probability_curve(gamma, D, GRID, DEFAULT_QUAD)
+    occupied = counts > 0
+    ll = log_table[:, occupied] @ counts[occupied]
+    k = int(ll.argmax())
+    return js, k, ll - ll[k]
+
+
+@pytest.mark.parametrize("gamma,D,j,seed", [
+    (0.7, 0.1, 0.7, 0), (1.0, 0.0, 0.9, 3), (0.2, 0.3, -1.3, 1)])
+def test_first_scoring_iterate_is_the_quartic_peak(monkeypatch, gamma, D, j,
+                                                   seed):
+    js, k, ll = table_log_likelihood(gamma, D, j, seed)
+    window, lo, hi = slice(k - 2, k + 3), js[k - 1], js[k + 1]
+    roots = np.polynomial.Polynomial.fit(js[window], ll[window],
+                                         4).deriv().roots()
+    peak = [r.real for r in np.atleast_1d(roots)
+            if r.imag == 0.0 and lo < r.real < hi]
+    assert len(peak) == 1
+    first = first_scoring_iterate(monkeypatch, js, ll, k)
+    assert first != numpy_vertex(js[k - 1:k + 2], ll[k - 1:k + 2])
+    assert abs(first - peak[0]) <= 1e-12 * (hi - lo)
+
+
+# five table values, less their maximum, whose quartic has its stationary
+# point, found by Newton from the five-point vertex, at 1.12 cells from the
+# middle point; the three inner ones put the parabola vertex at 0.21 cells
+OUTSIDE_PEAK = [-0.8, -0.5, 0.0, -0.2, -9.4]
+
+
+@pytest.mark.parametrize("case", ["k=1", "k=n-2", "outer_inf",
+                                  "peak_outside"])
+def test_first_scoring_iterate_falls_back_to_the_vertex(monkeypatch, case):
+    js, k, ll = table_log_likelihood(0.7, 0.1, 0.7, 0)
+    js, ll = js[k - 2:k + 3], ll[k - 2:k + 3].copy()
+    if case == "k=1":
+        js, ll, k = js[1:], ll[1:], 1
+    elif case == "k=n-2":
+        js, ll, k = js[:-1], ll[:-1], 2
+    else:
+        k = 2
+        if case == "outer_inf":
+            ll[0] = -math.inf
+        else:
+            ll = np.array(OUTSIDE_PEAK)
+            peak = protocol._quartic_peak(OUTSIDE_PEAK, js[2], js[2] - js[1])
+            assert not js[1] < peak < js[3]
+    vertex = numpy_vertex(js[k - 1:k + 2], ll[k - 1:k + 2])
+    assert vertex != js[k]
+    assert first_scoring_iterate(monkeypatch, js, ll, k) == vertex
 
 
 def test_mle_uninformative_point_gets_infinite_variance():
@@ -393,6 +508,23 @@ def test_mle_rejects_negative_counts():
     # as RoundRecord does; the sum 198 would pass for a round of shots
     with pytest.raises(ValueError, match="nonnegative"):
         mle_estimate([-5, 100, 100, 3], 1.0, 0.7, 0.1, GRID)
+
+
+@pytest.mark.parametrize("counts", [
+    [5000, 3000, 2000], [5000, 3000, 1000, 500, 500],
+    [5000.5, 3000, 1000, 1000], np.array([5000.0, 3000.0, 1000.0, 1000.0]),
+    np.array([[5000, 3000], [1000, 1000]]), 10_000,
+], ids=["three", "five", "fractional", "float_array", "matrix", "scalar"])
+def test_mle_refuses_counts_that_are_not_four_integers(counts):
+    with pytest.raises(ValueError, match="four nonnegative integers"):
+        mle_estimate(counts, 1.0, 0.7, 0.1, GRID)
+
+
+@pytest.mark.parametrize("B", [0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_mle_refuses_a_field_that_is_not_finite_and_nonzero(B):
+    # B = 0 would claim variance 0, B = nan return a nan estimate
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        mle_estimate([5000, 3000, 1000, 1000], B, 0.7, 0.1, GRID)
 
 
 # ------------------------------------------- scoring step in floats
@@ -584,9 +716,10 @@ def test_adaptive_run_matches_frozen_trace(case):
     # change of quadrature roundoff needs no new file, except for the two
     # runs whose first round sees counts (100, 0, 0, 0) (zero_truth and
     # uninformative_first_round): their exact maximizer is j = 0, and the
-    # estimate, about 6e-10, is where the score's quadrature roundoff
-    # crosses zero, so any change of quadrature roundoff moves it by more
-    # than 1e-9 relative and those two entries must be regenerated
+    # estimate, about 5e-13, is where the scoring stops amid the score's
+    # quadrature roundoff, so any change of that roundoff or of the
+    # scoring moves it by more than 1e-9 relative and those two entries
+    # must be regenerated
     cfg = frozen_config(case)
     tr = quiet_run(cfg)
     assert tr.converged is case["converged"]
@@ -604,23 +737,25 @@ def test_adaptive_run_matches_frozen_trace(case):
 
 # The work of each frozen run from cold caches: chain_point calls (from
 # any module) and Gauss-Kronrod rule calls, probability tables included.
-# A change that adds or drops a pass fails here by name.
+# A change that adds or drops a pass fails here by name; the refreeze
+# command at the end of this file prints these entries.
 FROZEN_WORK = {
-    "converged_d0.1": (14, 42),
-    "converged_d0.3": (14, 46),
-    "one_sided_grid_seed0": (15, 45),
+    "converged_d0.1": (11, 39),
+    "converged_d0.3": (11, 42),
+    "one_sided_grid_seed0": (14, 43),
     "one_sided_grid_seed1": (16, 45),
     "edge_round": (11, 39),
-    "uninformative_last_round": (44, 73),
-    "uninformative_first_round": (32, 61),
-    "three_sigma_break": (13, 50),
-    "zero_truth": (76, 105),
+    "uninformative_last_round": (16, 45),
+    "uninformative_first_round": (8, 37),
+    "three_sigma_break": (11, 47),
+    "zero_truth": (10, 39),
     "field_retuned_to_zero": (2, 29),
 }
 
 
-@pytest.mark.parametrize("case", FROZEN, ids=[c["name"] for c in FROZEN])
-def test_frozen_trace_work(monkeypatch, case):
+def counted_run(case):
+    """The frozen case's trace from cold caches, and its work: the
+    (chain_point, rule) counts of FROZEN_WORK."""
     work = {"chain_point": 0, "rule": 0}
     real_point, real_rule = chain_mod.chain_point, quadrature._panel_rule
 
@@ -632,13 +767,19 @@ def test_frozen_trace_work(monkeypatch, case):
         work["rule"] += 1
         return real_rule(*args, **kwargs)
 
-    for module in (chain_mod, fisher, protocol):
-        monkeypatch.setattr(module, "chain_point", counting_point)
-    monkeypatch.setattr(quadrature, "_panel_rule", counting_rule)
-    protocol._probability_curve.cache_clear()
-    protocol._nature_probabilities.cache_clear()
-    quiet_run(frozen_config(case))
-    assert (work["chain_point"], work["rule"]) == FROZEN_WORK[case["name"]]
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (chain_mod, fisher, protocol):
+            patch.setattr(module, "chain_point", counting_point)
+        patch.setattr(quadrature, "_panel_rule", counting_rule)
+        protocol._probability_curve.cache_clear()
+        protocol._nature_probabilities.cache_clear()
+        trace = quiet_run(frozen_config(case))
+    return trace, (work["chain_point"], work["rule"])
+
+
+@pytest.mark.parametrize("case", FROZEN, ids=[c["name"] for c in FROZEN])
+def test_frozen_trace_work(case):
+    assert counted_run(case)[1] == FROZEN_WORK[case["name"]]
 
 
 # ------------------------------------------------------------------ traces
@@ -687,11 +828,13 @@ def test_protocol_constants():
 
 if __name__ == "__main__":
     # python tests/test_protocol.py tests/protocol_traces.json > new.json
-    # reruns the frozen configurations; refreeze only when the retuning
-    # or convergence rule changes on purpose
+    # reruns the frozen configurations from cold caches and prints their
+    # FROZEN_WORK entries to stderr; refreeze only when the estimator, the
+    # retuning or the convergence rule changes on purpose
     lines = []
     for case in json.loads(Path(sys.argv[1]).read_text()):
-        tr = quiet_run(frozen_config(case))
+        tr, work = counted_run(case)
+        print("    %s: %s," % (json.dumps(case["name"]), work), file=sys.stderr)
         rounds = [json.loads(line) for line in tr.jsonl().splitlines()]
         lines.append('{"name": %s, "config": %s, "converged": %s, "rounds": [\n'
                      % (json.dumps(case["name"]), json.dumps(case["config"]),
