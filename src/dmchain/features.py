@@ -8,15 +8,15 @@ threshold finders bisect the classification boundary in D.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .chain import chain_points
-from .errors import FlatProfile, InsufficientResolution
-from .fisher import block_qfi
+from .errors import (FlatProfile, InsufficientResolution, check_count,
+                     check_grid)
+from .fisher import block_qfi, cell_peak
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
 __all__ = [
@@ -208,8 +208,7 @@ def detect_features(
     """
     if len(d_values) == 0:
         raise ValueError("need at least one D value")
-    if not (isinstance(points, (int, np.integer)) and points >= 2):
-        raise ValueError("need an integer points >= 2, got %r" % (points,))
+    check_count("points", points, 2)
     lo, hi = d_scan if d_scan is not None else (min(d_values), max(d_values))
     if not lo <= hi:
         raise ValueError("scan interval must have lo <= hi, got %r" % ((lo, hi),))
@@ -258,73 +257,6 @@ def _integrated_h(gamma: float, ds: np.ndarray, j_points: int,
     return np.trapezoid(hs.reshape(ds.size, j_points), js, axis=1)
 
 
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
-
-
-def _bounded_max(f: Callable[[float], float], lo: float, hi: float,
-                 xatol: float) -> float:
-    """Maximizer of f on [lo, hi] by Brent's method, to about xatol.
-
-    Brent, Algorithms for Minimization without Derivatives (1973), ch. 5.
-    The search starts at the golden-section point.  Each step is the
-    vertex of the parabola through the three best points so far, unless
-    that vertex leaves the bracket or the step is not under half the step
-    before last; then it is a golden-section step into the larger side.
-    No step is shorter than ``tol1 = sqrt(eps) |x| + xatol / 3``, and the
-    search stops once both ends of the bracket lie within ``2 tol1`` of
-    the best point x.  The tests check it against a reference bounded
-    minimizer, evaluation for evaluation.
-    """
-    a, b = lo, hi
-    x = w = v = a + _GOLDEN * (b - a)      # best, second best, previous w
-    fx = fw = fv = -f(x)
-    step = last = 0.0                      # this step and the one before
-    while True:
-        m = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return x
-        parabolic = False
-        if abs(last) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            before, last = last, step
-            if (abs(p) < abs(0.5 * q * before)
-                    and q * (a - x) < p < q * (b - x)):
-                parabolic = True
-                step = p / q
-                if x + step - a < tol2 or b - (x + step) < tol2:
-                    step = tol1 if m >= x else -tol1
-        if not parabolic:
-            last = (a - x) if x >= m else (b - x)
-            step = _GOLDEN * last
-        u = x + (step if abs(step) >= tol1 else
-                 (tol1 if step >= 0.0 else -tol1))
-        fu = -f(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
 def detect_d_loss(
     gamma: float,
     d_range: Tuple[float, float] = (0.0, 0.4),
@@ -337,22 +269,20 @@ def detect_d_loss(
     Beyond this value raising D stops paying for itself: the curves sink
     over the whole interval.  The profile is the trapezoid integral of H
     over ``j_points`` couplings in [1.2, 2] at ``d_points`` values of D
-    spanning ``d_range``; an interior grid maximizer is refined by
-    :func:`_bounded_max` between its neighbours to 1e-4 in D.  Returns
-    (d_loss, bracket, (d_grid, profile)) so the operational definition
-    stays auditable.  Raises ValueError unless ``d_range`` is finite with
-    lo < hi, ``d_points >= 3`` and ``j_points >= 2``.
+    spanning ``d_range``.  An interior grid maximizer k is refined from
+    the profile alone by ``fisher.cell_peak``, the rule that starts the
+    protocol's likelihood scoring: the stationary point of the quartic
+    through the profile at k-2..k+2 if it lies between the neighbours of
+    k, else the vertex of the parabola through k-1..k+1 (the only one at
+    k = 1 or k = d_points - 2).  Returns (d_loss, bracket,
+    (d_grid, profile)), from which d_loss can be recomputed.  Raises
+    ValueError unless ``d_range`` is finite with lo < hi,
+    ``d_points >= 3`` and ``j_points >= 2``.
     """
-    lo, hi = (float(d) for d in d_range)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError("d_range must be finite with lo < hi, got %r"
-                         % ((lo, hi),))
-    for name, value, least in (("d_points", d_points, 3),
-                               ("j_points", j_points, 2)):
-        if not (isinstance(value, (int, np.integer)) and value >= least):
-            raise ValueError("need an integer %s >= %d, got %r"
-                             % (name, least, value))
-    ds = np.linspace(lo, hi, d_points)
+    check_count("d_points", d_points, 3)
+    check_count("j_points", j_points, 2)
+    check_grid("d_range", (*d_range, d_points))
+    ds = np.linspace(*d_range, d_points)
     profile = _integrated_h(gamma, ds, j_points, quad)
     top = float(profile.max())
     if top <= 0.0 or (top - profile.min()) < 0.01 * top:
@@ -364,7 +294,4 @@ def detect_d_loss(
         hi = ds[min(k + 1, d_points - 1)]
         return float(ds[k]), (float(lo), float(hi)), (ds, profile)
     bracket = (float(ds[k - 1]), float(ds[k + 1]))
-    d_loss = _bounded_max(
-        lambda d: float(_integrated_h(gamma, [d], j_points, quad)[0]),
-        *bracket, xatol=1e-4)
-    return d_loss, bracket, (ds, profile)
+    return cell_peak(ds, profile, k), bracket, (ds, profile)

@@ -3,7 +3,7 @@
 This module is the package's one information layer: other modules reach
 F, H and S = F/H only through it, and only it knows the support cuts
 ``P_TOL``, ``DP_TOL`` and ``SUPPORT_TOL``.  Besides the exported
-per-point functions, it shares four names with the package:
+per-point functions, it shares five names with the package:
 
 - :func:`classical_fi`, F from outcome probabilities and derivatives as
   arrays over points, outcomes first, summed in numpy; and
@@ -16,11 +16,15 @@ per-point functions, it shares four names with the package:
   ``SUPPORT_TOL`` lies outside the support and is dropped.
 - :func:`information`, (F, H, H1, H2, S) for one tag of a ChainPoints,
   with the blocks it evaluated on the way.
+- :func:`cell_peak`, the maximizer of equally spaced samples near an
+  interior one: the protocol's scoring start and ``features``' d_loss.
+  Both load this module, and a ``state`` start does not.
 
-They take populations or ChainPoints and run inside the exported
-functions, so they stay out of ``__all__``.  Instrumentation that wraps
-each exported function (``perfbench/tracer.py``) reads a ChainParams
-from each call and counts each call as one request to this layer.
+They take populations, ChainPoints or samples and run inside the
+exported functions, so they stay out of ``__all__``.  Instrumentation
+that wraps each exported function (``perfbench/tracer.py``) reads a
+ChainParams from each call and counts each call as one request to this
+layer.
 """
 
 from __future__ import annotations
@@ -53,6 +57,9 @@ DP_TOL = 1e-6
 # Eigenvalue pairs of the state summing to at most SUPPORT_TOL lie outside
 # its support and carry no information.
 SUPPORT_TOL = 1e-12
+# Newton steps to the stationary point of the quartic in cell_peak; the
+# first lands on the five-point vertex.
+QUARTIC_NEWTON_STEPS = 6
 _DIVERGENT = ("an outcome probability vanished with nonvanishing derivative; "
               "classical information diverges")
 
@@ -213,3 +220,47 @@ def fisher_point(
     """F, H with its block split, and their ratio, from one quadrature pass."""
     values, _ = information(chain_point(params, (wrt,), quad), wrt)
     return FisherPoint(*map(float, values))
+
+
+def cell_peak(xs, ys, k) -> float:
+    """Maximizer of the samples ``ys`` at the equally spaced ``xs`` (both
+    arrays) inside the cell (xs[k-1], xs[k+1]) around an interior k.
+
+    It is the stationary point of the quartic through ys[k-2..k+2] if
+    that lies inside the cell, else the vertex of the parabola through
+    ys[k-1..k+1] if that does, else xs[k].
+    """
+    lo, x, hi = xs[k - 1:k + 2].tolist()
+    five = ys[k - 2:k + 3].tolist() if 2 <= k <= len(xs) - 3 else []
+    peak = _quartic_peak(five, x, 0.5 * (hi - lo))
+    if lo < peak < hi:                   # false for nan: no quartic peak
+        return peak
+    left, mid, right = ys[k - 1:k + 2].tolist()
+    curvature = left - 2.0 * mid + right
+    if curvature:                        # a zero denominator has no vertex
+        vertex = x + 0.25 * (hi - lo) * (left - right) / curvature
+        if lo < vertex < hi:             # false for nan from -inf samples
+            return vertex
+    return x
+
+
+def _quartic_peak(f, x, h):
+    """Stationary point of the quartic through the five values ``f`` at
+    x - 2h, ..., x + 2h: Newton on its derivative from the vertex of the
+    parabola of its central differences, while its curvature is
+    negative.  NaN when ``f`` is not five finite values or the curvature
+    is not negative."""
+    if len(f) != 5 or not all(map(math.isfinite, f)):
+        return math.nan
+    a1, a2 = f[3] - f[1], f[4] - f[0]
+    s1, s2 = f[1] + f[3] - 2.0 * f[2], f[0] + f[4] - 2.0 * f[2]
+    # p'(t) = d1 + d2 t + d3 t^2 / 2 + d4 t^3 / 6 in t = (x' - x) / h
+    d1, d2 = (8.0 * a1 - a2) / 12.0, (16.0 * s1 - s2) / 12.0
+    d3, d4 = 0.5 * a2 - a1, s2 - 4.0 * s1
+    t = 0.0
+    for _ in range(QUARTIC_NEWTON_STEPS):
+        curvature = d2 + t * (d3 + 0.5 * d4 * t)
+        if not curvature < 0.0:
+            return math.nan
+        t -= (d1 + t * (d2 + t * (0.5 * d3 + d4 * t / 6.0))) / curvature
+    return x + h * t

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import PARAM_TAGS, ChainParams, chain_point, derivative_guard
-from .errors import SingularInformation
+from .errors import SingularInformation, check_count
 from .fisher import block_qfi
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
@@ -139,8 +139,7 @@ def matrix_crb(qfim: QfiMatrix, shots: int = 1) -> np.ndarray:
     Refuses near-singular matrices: inverting a sloppy QFIM returns
     noise, and the interesting statement is the singularity itself.
     """
-    if not (isinstance(shots, (int, np.integer)) and shots >= 1):
-        raise ValueError("shots must be a positive integer, got %r" % (shots,))
+    check_count("shots", shots, 1)
     if qfim.condition_ratio < CONDITION_FLOOR:
         raise SingularInformation(
             "QFI matrix condition ratio below %.0e; no covariance bound"

@@ -5,9 +5,10 @@ the effective coupling j = J/B (the model is written in field units), so a
 round of M magnetization shots is a multinomial draw from the X-state
 probabilities at j.  Each round estimates j by maximum likelihood: the grid
 maximizer is refined inside its grid cell by scoring on the analytic score,
-from the peak of the quartic through five tabulated log-likelihoods and with
-secant steps near |j| = 1; the Fisher information of the last scoring pass
-gives the variance proxy, and the estimate is converted back to J units.
+from the peak of the quartic through five tabulated log-likelihoods (the
+cell-peak rule that ``features`` also uses) and with secant steps near
+|j| = 1; the Fisher information of the last scoring pass gives the
+variance proxy, and the estimate is converted back to J units.
 The field is retuned to the running inverse-variance average of the round
 estimates.
 Variance bookkeeping therefore improves round over round, which is what the
@@ -26,7 +27,8 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .chain import ChainParams, chain_point, chain_points, x_state
-from .fisher import classical_fi_point, magnetization_fi
+from .errors import check_count, check_grid, is_count
+from .fisher import cell_peak, classical_fi_point, magnetization_fi
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
 __all__ = [
@@ -49,9 +51,6 @@ EDGE_CLAMP = 1e-6
 # of max(1, |j|), or after SCORING_MAX_ITER passes.
 SCORING_TOL = 1e-9
 SCORING_MAX_ITER = 40
-# Newton steps to the stationary point of the likelihood quartic that
-# starts the scoring; the first lands on the parabola vertex.
-QUARTIC_NEWTON_STEPS = 6
 # A round estimate is "stable" when it sits within this many standard
 # deviations of the running average.
 STABLE_SIGMA = 3.0
@@ -87,15 +86,10 @@ class ProtocolConfig:
             raise ValueError("parameters must be finite")
         if self.J_guess == 0.0:
             raise ValueError("J_guess must be nonzero (it sets the field)")
-        lo, hi, points = self.grid
-        for name, value in (("shots", self.shots), ("rounds", self.rounds),
-                            ("seed", self.seed), ("grid points", points)):
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError("%s must be an integer, got %r" % (name, value))
-        if self.shots < 1 or self.rounds < 1:
-            raise ValueError("shots and rounds must be positive")
-        if not (np.isfinite([lo, hi]).all() and lo < hi and points >= 2):
-            raise ValueError("grid must be (lo, hi, points>=2) with finite lo < hi")
+        check_count("shots", self.shots, 1)
+        check_count("rounds", self.rounds, 1)
+        check_count("seed", self.seed, 0)
+        check_grid("grid", self.grid)
 
 
 @dataclass(frozen=True)
@@ -174,10 +168,7 @@ def _normalized(p: np.ndarray) -> np.ndarray:
 def sample_outcomes(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     """Multinomial draw of outcome counts; seed may be int or Generator.
     Refuses a shot count that is not a positive integer."""
-    if not isinstance(shots, (int, np.integer)):
-        raise ValueError("shots must be an integer, got %r" % (shots,))
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    check_count("shots", shots, 1)
     return np.random.default_rng(seed).multinomial(shots, probs)
 
 
@@ -214,8 +205,7 @@ def _nature_probabilities(j: float, gamma: float, D: float,
 def _check_round(counts, B) -> None:
     """Refuse counts that are not four nonnegative integers, or a field
     that is not finite and nonzero."""
-    if not (len(counts) == 4 and all(
-            isinstance(n, (int, np.integer)) and n >= 0 for n in counts)):
+    if not (len(counts) == 4 and all(is_count(n, 0) for n in counts)):
         raise ValueError("counts must be four nonnegative integers, got %r"
                          % (counts,))
     if not (math.isfinite(B) and B != 0.0):
@@ -245,16 +235,18 @@ def mle_estimate(
     units with the local Cramer-Rao variance proxy B^2 / (M F(j_hat)),
     where F comes from the last scoring pass.
     """
-    counts = np.atleast_1d(counts)
-    c = counts.tolist()
+    # a list keeps its bools, which an array of them would make integers
+    c = (list(counts) if isinstance(counts, (list, tuple))
+         else np.atleast_1d(counts).tolist())
     _check_round(c, B)
+    check_grid("grid", grid)
     shots = sum(c)
     if shots < 1:
         raise ValueError("counts must contain at least one shot")
     js, _, log_table = _probability_curve(float(gamma), float(D),
                                           tuple(grid), quad)
     occupied = [i for i, n in enumerate(c) if n > 0]
-    weights = counts[occupied]
+    weights = np.array(c)[occupied]
     ll = log_table[:, occupied] @ weights
     k = int(ll.argmax())
     ll_max = ll[k]
@@ -294,9 +286,9 @@ def _score_refine(weights, occupied, shots, gamma, D, js, ll, k, quad):
     the analytic score of a round of ``shots`` with counts ``weights`` (an
     array) on the ``occupied`` outcomes.
 
-    Starts at the stationary point of the quartic through ll[k-2..k+2] if
-    it lies inside the cell, else at the vertex of the parabola through
-    ll[k-1..k+1].  Each iterate is one derivative pass, which gives the
+    Starts at :func:`cell_peak` of ``ll``: the stationary point of the
+    quartic through ll[k-2..k+2] if it lies inside the cell, else the
+    vertex of the parabola through ll[k-1..k+1].  Each iterate is one derivative pass, which gives the
     score sum n_i p_i'/p_i and F.  The step divides the score by M F or,
     once the last two iterates are within 0.3 ||j| - 1| of each other, by
     the secant slope of their scores: near |j| = 1, M F and the
@@ -305,18 +297,8 @@ def _score_refine(weights, occupied, shots, gamma, D, js, ll, k, quad):
     positive, is replaced by bisection.  Returns the last evaluated
     iterate and its F, also when the SCORING_MAX_ITER passes run out.
     """
-    lo, j, hi = js[k - 1:k + 2].tolist()
-    five = ll[k - 2:k + 3].tolist() if 2 <= k <= len(js) - 3 else []
-    start = _quartic_peak(five, j, 0.5 * (hi - lo))
-    left, mid, right = ll[k - 1:k + 2].tolist()
-    curvature = left - 2.0 * mid + right
-    if lo < start < hi:                  # false for nan: no quartic peak
-        j = start
-    elif curvature:                      # a zero denominator has no vertex
-        vertex = j + 0.25 * (hi - lo) * (left - right) / curvature
-        if lo < vertex < hi:             # false for nan from -inf ll
-            j = vertex
-    nxt = _clamp_critical(j)
+    lo, hi = float(js[k - 1]), float(js[k + 1])
+    nxt = _clamp_critical(cell_peak(js, ll, k))
     j_prev = s_prev = math.nan
     for _ in range(SCORING_MAX_ITER):
         j = nxt
@@ -344,28 +326,6 @@ def _score_refine(weights, occupied, shots, gamma, D, js, ll, k, quad):
         if not lo < nxt < hi or abs(nxt - j) <= SCORING_TOL * max(1.0, abs(j)):
             break
     return j, fisher
-
-
-def _quartic_peak(f, j, h):
-    """Stationary point of the quartic through the five log-likelihoods
-    ``f`` at j - 2h, ..., j + 2h: Newton on its derivative from the vertex
-    of the parabola of its central differences, while its curvature is
-    negative.  NaN when ``f`` is not five finite values or the curvature
-    is not negative."""
-    if len(f) != 5 or not all(map(math.isfinite, f)):
-        return math.nan
-    a1, a2 = f[3] - f[1], f[4] - f[0]
-    s1, s2 = f[1] + f[3] - 2.0 * f[2], f[0] + f[4] - 2.0 * f[2]
-    # p'(x) = d1 + d2 x + d3 x^2 / 2 + d4 x^3 / 6 in x = (j' - j) / h
-    d1, d2 = (8.0 * a1 - a2) / 12.0, (16.0 * s1 - s2) / 12.0
-    d3, d4 = 0.5 * a2 - a1, s2 - 4.0 * s1
-    x = 0.0
-    for _ in range(QUARTIC_NEWTON_STEPS):
-        curvature = d2 + x * (d3 + 0.5 * d4 * x)
-        if not curvature < 0.0:
-            return math.nan
-        x -= (d1 + x * (d2 + x * (0.5 * d3 + d4 * x / 6.0))) / curvature
-    return j + h * x
 
 
 def _scoring_step(weights, occupied, probs, dprobs):

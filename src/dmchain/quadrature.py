@@ -41,7 +41,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import QuadratureFailure, check_count
 
 __all__ = [
     "QuadratureConfig",
@@ -61,11 +61,7 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("quadrature tolerances must be positive")
-        if not isinstance(self.max_subdivisions, (int, np.integer)):
-            raise ValueError("max_subdivisions must be an integer, got %r"
-                             % (self.max_subdivisions,))
-        if self.max_subdivisions < 8:
-            raise ValueError("max_subdivisions must be at least 8")
+        check_count("max_subdivisions", self.max_subdivisions, 8)
 
 
 DEFAULT_QUAD = QuadratureConfig()

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .chain import PARAM_TAGS, ChainPoints, chain_outcome
+from .errors import check_grid
 from .fisher import block_qfi, information
 from .multiparam import QFIM_COLS, U_COLS, spectrum
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
@@ -64,12 +65,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in PARAM_TAGS:
             raise ValueError("axis must be one of %s" % (PARAM_TAGS,))
-        lo, hi, points = self.range
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError("range must satisfy lo < hi")
-        if not (isinstance(points, (int, np.integer)) and points >= 2):
-            raise ValueError("need an integer number of sweep points >= 2, "
-                             "got %r" % (points,))
+        check_grid("range", self.range)
         others = tuple(t for t in PARAM_TAGS if t != self.axis)
         if set(self.fixed) != set(others):
             raise ValueError("fixed must provide exactly %s" % (others,))

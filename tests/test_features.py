@@ -13,9 +13,10 @@ import dmchain.features as features_mod
 from dmchain.features import (BRACKET_WIDTH, DEFAULT_POINTS, MIN_POINTS,
                               PEAK_PROMINENCE, SLOPE_PROMINENCE, WINDOW,
                               FeatureReport, FlatProfile,
-                              InsufficientResolution, _bounded_max, _h_curve,
+                              InsufficientResolution, _h_curve,
                               _has_peak, _integrated_h, classify_curve,
                               default_curve, detect_d_loss, detect_features)
+from dmchain.fisher import cell_peak
 from dmchain.quadrature import DEFAULT_QUAD
 
 
@@ -249,8 +250,7 @@ def test_d_loss_flat_profile():
         detect_d_loss(0.2, d_range=(0.105, 0.109), d_points=3, j_points=21)
 
 
-def test_d_loss_benchmark_call_makes_one_profile_batch_and_six_refinements(
-        monkeypatch):
+def test_d_loss_benchmark_call_makes_one_profile_batch(monkeypatch):
     calls = []
     integrated_h = features_mod._integrated_h
 
@@ -260,9 +260,35 @@ def test_d_loss_benchmark_call_makes_one_profile_batch_and_six_refinements(
 
     monkeypatch.setattr(features_mod, "_integrated_h", counting)
     d_loss, bracket, _ = detect_d_loss(0.7, (0.0, 0.3))
-    assert calls == [17] + [1] * 6
+    assert calls == [17]
     assert bracket == (0.20625, 0.24375)
-    assert abs(d_loss - 0.2343344485066047) <= 1e-4
+    assert bracket[0] < d_loss < bracket[1]
+
+
+def bounded_maximizer(gamma, bracket):
+    """Maximizer of the integrated H between the bracket ends, by scipy."""
+    return minimize_scalar(
+        lambda d: -_integrated_h(gamma, [d], 81, DEFAULT_QUAD)[0],
+        bounds=bracket, method="bounded", options={"xatol": 1e-9}).x
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7, 1.0])
+def test_d_loss_is_the_profile_cell_peak_near_the_maximizer(gamma):
+    d_loss, bracket, (ds, profile) = detect_d_loss(gamma)
+    k = int(np.argmax(profile))
+    assert 2 <= k <= ds.size - 3
+    assert d_loss == cell_peak(ds, profile, k)
+    assert abs(d_loss - bounded_maximizer(gamma, bracket)) <= 5e-5
+
+
+def test_d_loss_from_four_points_is_the_parabola_vertex():
+    d_loss, bracket, (ds, profile) = detect_d_loss(0.2, d_points=4)
+    assert int(np.argmax(profile)) == 1
+    assert bracket == (ds[0], ds[2])
+    a, b, _ = np.polyfit(ds[:3], profile[:3], 2)
+    assert bracket[0] < d_loss < bracket[1]
+    assert abs(d_loss + b / (2.0 * a)) <= 1e-12
+    assert d_loss == cell_peak(ds, profile, 1)
 
 
 def test_d_loss_profile_batch_matches_per_d_curves():
@@ -357,46 +383,3 @@ def test_has_peak_matches_find_peaks_on_random_curves(xs, prominence, scale):
 def test_has_peak_matches_find_peaks_on_random_floats(xs, prominence):
     x = np.array(xs, dtype=float)
     assert _has_peak(x, prominence) == scipy_has_peak(x, prominence)
-
-
-def scipy_bounded_max(f, lo, hi):
-    res = minimize_scalar(lambda d: -f(d), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-4})
-    return res.x, res.nfev
-
-
-def counted(f):
-    calls = []
-
-    def g(x):
-        calls.append(x)
-        return f(x)
-    return g, calls
-
-
-@pytest.mark.parametrize("f, lo, hi", [
-    (lambda x: -(x - 0.3) ** 2, 0.0, 1.0),
-    (math.sin, 0.0, math.pi),
-    (lambda x: x * math.exp(-x), 0.0, 3.0),
-    (lambda x: -(x - 0.1) ** 4 + 0.01 * x, -1.0, 2.0),
-    (lambda x: x, 0.0, 1.0),             # maximizer on the upper bound
-    (lambda x: -math.cosh(x - 1.7), 1.7, 2.7),   # ... on the lower bound
-], ids=["quadratic", "sine", "xexp", "quartic", "rising", "at-lower-bound"])
-def test_bounded_max_matches_scipy(f, lo, hi):
-    g, calls = counted(f)
-    x = _bounded_max(g, lo, hi, xatol=1e-4)
-    ref, nfev = scipy_bounded_max(f, lo, hi)
-    assert abs(x - ref) <= 1e-4
-    assert lo <= x <= hi
-    assert len(calls) == nfev
-
-
-def test_bounded_max_matches_scipy_on_d_loss_profile():
-    def f(d):
-        return float(_integrated_h(0.7, [d], 81, DEFAULT_QUAD)[0])
-
-    g, calls = counted(f)
-    x = _bounded_max(g, 0.20625, 0.24375, xatol=1e-4)
-    ref, nfev = scipy_bounded_max(f, 0.20625, 0.24375)
-    assert abs(x - ref) <= 1e-4
-    assert len(calls) == nfev == 6

@@ -462,9 +462,9 @@ def test_first_scoring_iterate_is_the_quartic_peak(monkeypatch, gamma, D, j,
     assert abs(first - peak[0]) <= 1e-12 * (hi - lo)
 
 
-# five table values, less their maximum, whose quartic has its stationary
-# point, found by Newton from the five-point vertex, at 1.12 cells from the
-# middle point; the three inner ones put the parabola vertex at 0.21 cells
+# five table values, less their maximum, whose Newton search from the
+# five-point vertex ends 1.12 cells from the middle point, outside the
+# cell; the three inner ones put the parabola vertex at 0.21 cells
 OUTSIDE_PEAK = [-0.8, -0.5, 0.0, -0.2, -9.4]
 
 
@@ -483,10 +483,11 @@ def test_first_scoring_iterate_falls_back_to_the_vertex(monkeypatch, case):
             ll[0] = -math.inf
         else:
             ll = np.array(OUTSIDE_PEAK)
-            peak = protocol._quartic_peak(OUTSIDE_PEAK, js[2], js[2] - js[1])
+            peak = fisher._quartic_peak(OUTSIDE_PEAK, js[2], js[2] - js[1])
             assert not js[1] < peak < js[3]
     vertex = numpy_vertex(js[k - 1:k + 2], ll[k - 1:k + 2])
     assert vertex != js[k]
+    assert fisher.cell_peak(js, ll, k) == vertex
     assert first_scoring_iterate(monkeypatch, js, ll, k) == vertex
 
 
