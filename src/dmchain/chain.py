@@ -14,10 +14,9 @@ A coupling derivative is held in the type of the quantity it differentiates:
 state.  These records, and the :class:`ChainPoints` that holds them, are
 named tuples: immutable, iterated in field order.  Every pass starts on a
 mesh graded toward the endpoint where the integrands peak near
-criticality, with a coarser tail where the couplings keep
-u = J (cos phi - 2 D sin phi) - 1 away from 0 (see :func:`chain_point`):
-a row built at import, picked by comparing ||J| - 1| with fixed bounds.
-Its panels index one node table, of sin and cos at their Kronrod nodes.
+criticality, then 4 coarse panels (see :func:`chain_point`): a row built
+at import, picked by comparing ||J| - 1| with fixed bounds.  Its panels
+index one node table, of sin and cos at their Kronrod nodes.
 """
 
 from __future__ import annotations
@@ -57,21 +56,19 @@ _CRIT_EPS = 1e-9
 _MAX_SCALE = 1e100
 _PI = math.pi
 
-# Start mesh of every quadrature pass: _UNIFORM_PANELS panels on [0, pi],
-# the first of them cut by a geometric ladder of rungs _RUNG 2^-k.  The
-# deepest rung is the last one above _LADDER_FLOOR: the Kronrod nodes of
-# the panel below it keep cos(phi) < 1 in double precision (the smallest
-# is 5e-8), so u = J cos(phi) - 1 stays nonzero at J = 1.  A point where
-# u cannot vanish starts on the coarse tail instead of the uniform panels
-# above the first: the edges _COARSE_EDGES of the uniform ones, pi/8, pi/4,
-# pi/2, 3 pi/4 and pi (mirrored for J < 0).  Its rows are those of the
-# uniform tail plus _COARSE.
-_UNIFORM_PANELS = 8
-_RUNG = _PI / _UNIFORM_PANELS
+# Start mesh of every quadrature pass: the panel [0, _RUNG] cut by a
+# geometric ladder of rungs _RUNG 2^-k, then the 4 panels of the tail,
+# with edges _TAIL (all mirrored about pi/2 for J < 0).  The deepest rung
+# is the last one above _LADDER_FLOOR: the Kronrod nodes of the panel
+# below it keep cos(phi) < 1 in double precision (the smallest is 5e-8),
+# so u = J cos(phi) - 1 stays nonzero at J = 1.  _MIN_BUDGET is the least
+# max_subdivisions a QuadratureConfig allows; each panel above it buys a
+# rung.
+_MIN_BUDGET = 8
+_RUNG = _PI / 8
 _LADDER_FLOOR = 1e-5
 _MAX_RUNGS = int(math.log2(_RUNG / _LADDER_FLOOR))
-_COARSE_EDGES = [0, 1, 3, 5, 7]
-_COARSE = 2 * (_MAX_RUNGS + 1)
+_TAIL = [_RUNG, 2 * _RUNG, 4 * _RUNG, 6 * _RUNG, _PI]
 
 # Floats of estimates a family's pass may start with (512 KB): a larger
 # family is integrated in several passes (see :func:`_integrals`).
@@ -91,21 +88,19 @@ def _phi_factors(phi: np.ndarray) -> np.ndarray:
 
 
 def _start_tables():
-    """Start panels of every tail, end and ladder depth.  Row
-    ``k + end * (_MAX_RUNGS + 1) + coarse * _COARSE`` of ``panels`` holds
-    in its ``keep`` entries the ladder of depth k toward phi = 0 (end 0,
-    J >= 0) or pi, innermost first, then the uniform tail (coarse 0) or
-    the coarse one, as ids into the node table of the distinct start
-    panels, ``table``, numbered in their order of first use."""
+    """Start panels of every end and ladder depth.  Row
+    ``k + end * (_MAX_RUNGS + 1)`` of ``panels`` holds in its ``keep``
+    entries the ladder of depth k toward phi = 0 (end 0, J >= 0) or pi,
+    innermost first, then the tail, as ids into the node table of the
+    distinct start panels, ``table``, numbered in their order of first
+    use."""
     ladder = (_RUNG * 2.0 ** -np.arange(_MAX_RUNGS, 0, -1)).tolist()
-    uniform = np.linspace(0.0, _PI, _UNIFORM_PANELS + 1)[1:].tolist()
     rows = []
-    for tail in (uniform, [uniform[i] for i in _COARSE_EDGES]):
-        for end in (0, 1):
-            for k in range(_MAX_RUNGS + 1):
-                edges = [0.0] + ladder[_MAX_RUNGS - k:] + tail
-                rows.append([(_PI - hi, _PI - lo) if end else (lo, hi)
-                             for lo, hi in zip(edges, edges[1:])])
+    for end in (0, 1):
+        for k in range(_MAX_RUNGS + 1):
+            edges = [0.0] + ladder[_MAX_RUNGS - k:] + _TAIL
+            rows.append([(_PI - hi, _PI - lo) if end else (lo, hi)
+                         for lo, hi in zip(edges, edges[1:])])
     ids = {}
     panels = np.zeros((len(rows), max(map(len, rows))), dtype=np.intp)
     keep = np.zeros(panels.shape, dtype=bool)
@@ -308,23 +303,21 @@ def _integrand_rows(J, g, D, tags: Tuple[str, ...], rows: np.ndarray) -> np.ndar
     return out
 
 
-def _start_mesh(J, D, max_subdivisions: int):
-    """Start panels ``(panels, counts)`` of the points with couplings J and
-    D, arrays, or numbers for one point, as row ids into ``_START_TABLE``.
+def _start_mesh(J, max_subdivisions: int):
+    """Start panels ``(panels, counts)`` of the points J, an array, or a
+    number for one point, as row ids into ``_START_TABLE``.
 
     Near |J| = 1 the integrands peak within about ||J| - 1| of phi = 0
     (J > 0) or phi = pi (J < 0), where Delta vanishes at criticality.
-    Each point gets the uniform panels plus the rungs of the ladder toward
-    that endpoint down to the rung nearest max(||J| - 1|, _LADDER_FLOOR),
-    at most ``max_subdivisions - _UNIFORM_PANELS`` of them, since the
-    start panels count against the budget.  Panels are grouped by point,
-    the innermost first.
+    Each point gets the rungs of the ladder toward that endpoint down to
+    the rung nearest max(||J| - 1|, _LADDER_FLOOR), at most
+    ``max_subdivisions - _MIN_BUDGET`` of them, and the tail.  Panels are
+    grouped by point, the innermost first.
 
-    Where |J| (1 + 2|D|) < 1, u = J (cos phi - 2 D sin phi) - 1 keeps
-    |u| >= 1 - |J| (1 + 2|D|) > 0 on [0, pi], so no integrand has a step,
-    and above the first uniform panel 4 coarse panels replace the other 7.
-    Near the first panel the ladder stays: u comes within 1 - |J| of 0 at
-    phi = 0 (J > 0) or pi.
+    Each tail panel is one or two of the 8 uniform panels of [0, pi], so
+    the engine's halvings reach any mesh that the uniform start refines
+    to; its per-panel error test decides where they go, such as around a
+    root of u = J (cos phi - 2 D sin phi) - 1.
 
     The depth is the number of rung midpoints ``_DEPTH_BOUNDS`` at or
     above ||J| - 1| among the ``cap`` largest: ``bisect`` counts them for a
@@ -333,16 +326,14 @@ def _start_mesh(J, D, max_subdivisions: int):
     comparisons, ``abs`` being numpy's on an array, so a point gets the
     same row either way.
     """
-    cap = min(_MAX_RUNGS, max_subdivisions - _UNIFORM_PANELS)
-    coarse = abs(J) * (1.0 + 2.0 * abs(D)) < 1.0
+    cap = min(_MAX_RUNGS, max_subdivisions - _MIN_BUDGET)
     near = abs(abs(J) - 1.0)
     if not isinstance(J, np.ndarray):
         depth = _MAX_RUNGS - bisect.bisect_left(_DEPTH_BOUNDS, near,
                                                 _MAX_RUNGS - cap)
-        return _START_MESHES[depth + (J < 0.0) * (_MAX_RUNGS + 1)
-                             + coarse * _COARSE]
+        return _START_MESHES[depth + (J < 0.0) * (_MAX_RUNGS + 1)]
     row = cap - np.searchsorted(_DEPTH_BOUNDS[_MAX_RUNGS - cap:], near)
-    row += (J < 0.0) * (_MAX_RUNGS + 1) + coarse * _COARSE
+    row += (J < 0.0) * (_MAX_RUNGS + 1)
     return _START_PANELS[row][_START_KEEP[row]], _START_COUNTS[row]
 
 
@@ -455,7 +446,7 @@ def _integrals(f, J, gamma, D, tags: Tuple[str, ...], quad: QuadratureConfig):
     of its points, about equal in number, so that its estimates are not
     one large array; a point's values do not depend on the points that
     share its pass."""
-    panels, counts = _start_mesh(J, D, quad.max_subdivisions)
+    panels, counts = _start_mesh(J, quad.max_subdivisions)
     passes = -(-2 * (3 + 3 * len(tags)) * len(panels) // _PASS_FLOATS)
     if passes <= 1:
         vals, _, stuck = integrate_points(f, _START_TABLE, panels, counts, quad)
@@ -487,15 +478,13 @@ def chain_point(
     integral; a tag at a divergence of its integral raises CriticalPoint.
 
     The pass is the one-point case of :func:`chain_points`, with the same
-    values bit for bit and every field a float.  It starts on 8 uniform
-    panels on [0, pi] plus a geometric ladder of rungs (pi/8) 2^-k toward
-    phi = 0 for J > 0, or phi = pi for J < 0, where the integrands peak
-    near criticality.  The ladder reaches down to the rung nearest
-    ||J| - 1|, but not below about 1e-5, and its rungs count against
-    ``quad.max_subdivisions``: with a budget of 8 panels the start has no
-    ladder.  Where |J| (1 + 2|D|) < 1, u cannot vanish on [0, pi], and
-    the 7 uniform panels above the first give way to 4, with edges pi/8,
-    pi/4, pi/2, 3 pi/4 and pi (mirrored for J < 0).
+    values bit for bit and every field a float.  It starts on the 5
+    panels with edges 0, pi/8, pi/4, pi/2, 3 pi/4 and pi, the first cut by
+    a geometric ladder of rungs (pi/8) 2^-k toward phi = 0 (all mirrored
+    about pi/2 for J < 0), where the integrands peak near criticality.
+    The ladder reaches down to the rung nearest ||J| - 1|, but not below
+    about 1e-5, and a budget of 8 + m panels in ``quad.max_subdivisions``
+    allows at most m rungs: with 8 the start has no ladder.
     """
     tags = _validate_tags(tags)
     if tags:

@@ -58,8 +58,12 @@ DP_TOL = 1e-6
 # its support and carry no information.
 SUPPORT_TOL = 1e-12
 # Newton steps to the stationary point of the quartic in cell_peak; the
-# first lands on the five-point vertex.
+# first lands on the five-point vertex.  After QUARTIC_NEWTON_STEPS it
+# steps on while the last step exceeds QUARTIC_SETTLED cells, at most
+# QUARTIC_MAX_STEPS in all.
 QUARTIC_NEWTON_STEPS = 6
+QUARTIC_MAX_STEPS = 30
+QUARTIC_SETTLED = 1e-12
 _DIVERGENT = ("an outcome probability vanished with nonvanishing derivative; "
               "classical information diverges")
 
@@ -248,8 +252,8 @@ def _quartic_peak(f, x, h):
     """Stationary point of the quartic through the five values ``f`` at
     x - 2h, ..., x + 2h: Newton on its derivative from the vertex of the
     parabola of its central differences, while its curvature is
-    negative.  NaN when ``f`` is not five finite values or the curvature
-    is not negative."""
+    negative.  NaN when ``f`` is not five finite values, the curvature
+    is not negative or Newton has not settled after QUARTIC_MAX_STEPS."""
     if len(f) != 5 or not all(map(math.isfinite, f)):
         return math.nan
     a1, a2 = f[3] - f[1], f[4] - f[0]
@@ -258,9 +262,12 @@ def _quartic_peak(f, x, h):
     d1, d2 = (8.0 * a1 - a2) / 12.0, (16.0 * s1 - s2) / 12.0
     d3, d4 = 0.5 * a2 - a1, s2 - 4.0 * s1
     t = 0.0
-    for _ in range(QUARTIC_NEWTON_STEPS):
+    for n in range(1, QUARTIC_MAX_STEPS + 1):
         curvature = d2 + t * (d3 + 0.5 * d4 * t)
         if not curvature < 0.0:
             return math.nan
-        t -= (d1 + t * (d2 + t * (0.5 * d3 + d4 * t / 6.0))) / curvature
-    return x + h * t
+        step = (d1 + t * (d2 + t * (0.5 * d3 + d4 * t / 6.0))) / curvature
+        t -= step
+        if n >= QUARTIC_NEWTON_STEPS and abs(step) <= QUARTIC_SETTLED:
+            return x + h * t
+    return math.nan

@@ -178,7 +178,7 @@ def _probability_curve(gamma: float, D: float, grid: Tuple[float, float, int],
     """Outcome probabilities tabulated over the whole estimator grid.
 
     One batched quadrature; pure in its arguments, so ensembles and
-    rounds share one table.
+    rounds share one table, and its three arrays are read-only.
     """
     lo, hi, points = grid
     js = np.linspace(lo, hi, points)
@@ -186,6 +186,8 @@ def _probability_curve(gamma: float, D: float, grid: Tuple[float, float, int],
     table = np.ascontiguousarray(_normalized(states.probabilities()).T)
     with np.errstate(divide="ignore"):
         log_table = np.where(table > 0.0, np.log(np.maximum(table, 1e-300)), -np.inf)
+    for array in (js, table, log_table):
+        array.flags.writeable = False
     return js, table, log_table
 
 

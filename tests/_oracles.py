@@ -18,10 +18,14 @@ grid of ``tests/critical_oracle.json`` (about 20 s) are regenerated by
 
 ``start_mesh`` builds the graded start panels of each point the direct
 way: the ladder depth from its formula per point, and the edges of each
-point's panels listed one point at a time, the coarse tail included
-where the point's couplings call for it; with ``coarse=False`` every
-point gets the uniform tail, the fine start that the coarse tail is
-checked against.
+point's panels listed one point at a time; with ``coarse=False`` every
+point gets the 7 uniform panels above pi/8 instead of the library's 4,
+the fine start that the library's is checked against.
+
+``free_fermion_chain`` is the spin chain itself: the correlators at the
+centre bond of an open chain of N sites in its ground state, from the
+Bogoliubov-de Gennes matrix that Jordan-Wigner makes of the Hamiltonian,
+with no momentum integral.
 
 ``integrand_rows`` is the chain's integrand stack evaluated per node,
 with each node's sin and cos taken at that node and the couplings given
@@ -182,27 +186,23 @@ def qfi_eigen(rho: np.ndarray, drho: np.ndarray, tol: float = SUPPORT_TOL) -> fl
     return float((2.0 * np.abs(m[mask]) ** 2 / denom[mask]).sum())
 
 
-def start_mesh(J, D, max_subdivisions, coarse=True):
-    """Start panels ``(lo, hi, counts)`` of the points (J, D), innermost
-    panel first.  The first of 8 uniform panels on [0, pi] is cut by rungs
+def start_mesh(J, max_subdivisions, coarse=True):
+    """Start panels ``(lo, hi, counts)`` of the points J, innermost panel
+    first.  The first of 8 uniform panels on [0, pi] is cut by rungs
     (pi/8) 2^-k toward phi = 0 (J >= 0) or pi (J < 0), down to the rung
     nearest max(||J| - 1|, 1e-5), at most min(15, max_subdivisions - 8)
-    of them.  The other 7 uniform panels follow, or, where coarse is true
-    and |J| (1 + 2|D|) < 1, so that u = J (cos - 2 D sin) - 1 cannot
-    vanish, the 4 panels with edges pi/8, pi/4, pi/2, 3 pi/4 and pi.  The
+    of them.  The 4 panels with edges pi/8, pi/4, pi/2, 3 pi/4 and pi
+    follow, or, where coarse is false, the other 7 uniform panels.  The
     mesh of J < 0 is that of |J| mirrored about pi/2."""
-    J, D = (a.ravel() for a in np.broadcast_arrays(np.asarray(J, dtype=float),
-                                                    np.asarray(D, dtype=float)))
+    J = np.asarray(J, dtype=float).ravel()
     near = np.maximum(np.abs(np.abs(J) - 1.0), 1e-5)
     depth = np.rint(np.log2((np.pi / 8) / near))
     cap = min(15, max_subdivisions - 8)
     rungs = np.minimum(np.maximum(depth, 0), cap).astype(np.intp)
     uniform = np.linspace(0.0, np.pi, 9)
     lo, hi = [], []
-    for j, d, k in zip(J.tolist(), D.tolist(), rungs.tolist()):
-        tail = uniform[1:]
-        if coarse and abs(j) * (1.0 + 2.0 * abs(d)) < 1.0:
-            tail = uniform[[1, 2, 4, 6, 8]]
+    tail = uniform[[1, 2, 4, 6, 8]] if coarse else uniform[1:]
+    for j, k in zip(J.tolist(), rungs.tolist()):
         edges = np.concatenate([[0.0], (np.pi / 8) * 2.0 ** -np.arange(k, 0, -1),
                                 tail])
         if j < 0.0:
@@ -213,6 +213,48 @@ def start_mesh(J, D, max_subdivisions, coarse=True):
             hi.append(edges[1:])
     counts = np.array([a.size for a in lo], dtype=np.intp)
     return np.concatenate(lo), np.concatenate(hi), counts
+
+
+def free_fermion_chain(J, gamma, D, N):
+    """(mz, gxx, gyy, gzz) at the centre bond of the open chain of N sites
+    H = sum_i J [(1+gamma)/2 X_i X_i+1 + (1-gamma)/2 Y_i Y_i+1
+    + D (X_i Y_i+1 - Y_i X_i+1)] - sum_i Z_i, in its ground state.
+
+    Jordan-Wigner with Z_i = 1 - 2 c_i^dag c_i gives the matrix
+    [[A, B], [-B*, -A*]] with A_ii = 2, A_i,i+1 = J - 2i J D (A
+    Hermitian) and B_i,i+1 = -B_i+1,i = J gamma.  The projector P onto
+    its positive modes is <psi psi^dag> for psi = (c, c^dag).  With the
+    Majorana operators A_i = c_i^dag + c_i and B_i = c_i^dag - c_i,
+    Z_i = A_i B_i, gxx = <B_i A_i+1>, gyy = -<A_i B_i+1>, and gzz follows
+    from Wick's theorem."""
+    hop = J * (1.0 - 2.0j * D) if D else J
+    A = np.zeros((N, N), dtype=complex if D else float)
+    B = np.zeros((N, N))
+    np.fill_diagonal(A, 2.0)
+    i = np.arange(N - 1)
+    A[i, i + 1], A[i + 1, i] = hop, np.conj(hop)
+    B[i, i + 1], B[i + 1, i] = J * gamma, -J * gamma
+    w, v = np.linalg.eigh(np.block([[A, B], [-B.conj(), -A.conj()]]))
+    pos = v[:, w > 0.0]
+    P = pos @ pos.conj().T
+    pairs = np.roll(P, N, axis=1)           # <psi_a psi_b>
+    k = N // 2 - 1
+
+    def majorana(site, sign):
+        x = np.zeros(2 * N)
+        x[site], x[N + site] = sign, 1.0
+        return x
+
+    a0, b0 = majorana(k, 1.0), majorana(k, -1.0)
+    a1, b1 = majorana(k + 1, 1.0), majorana(k + 1, -1.0)
+
+    def ev(x, y):
+        return (x @ pairs @ y).real
+
+    mz = 1.0 - 2.0 * P[N + k, N + k].real
+    gxx, gyy = ev(b0, a1), -ev(a0, b1)
+    gzz = ev(a0, b0) * ev(a1, b1) - ev(a0, a1) * ev(b0, b1) + ev(a0, b1) * ev(b0, a1)
+    return mz, gxx, gyy, gzz
 
 
 def integrand_rows(J, g, D, tags, phi):

@@ -302,7 +302,7 @@ def test_chain_points_meet_their_own_tolerance():
 
     vals, errs, failures = integrate_points(
         f, chain_mod._START_TABLE,
-        *chain_mod._start_mesh(js, 0.3, DEFAULT_QUAD.max_subdivisions))
+        *chain_mod._start_mesh(js, DEFAULT_QUAD.max_subdivisions))
     assert failures == []
     assert np.all(errs <= np.maximum(DEFAULT_QUAD.abs_tol,
                                      DEFAULT_QUAD.rel_tol * np.abs(vals)))
@@ -328,7 +328,7 @@ def test_chain_points_match_chain_point():
     # rule calls; a D axis that shares J and gamma; and a family where all
     # three couplings vary.
     curve = [(j, 0.7, 0.1) for j in np.linspace(-0.9, 0.999, 64)]
-    assert (chain_mod._start_mesh(np.array(curve)[:, 0], 0.1, 4096)[0].size
+    assert (chain_mod._start_mesh(np.array(curve)[:, 0], 4096)[0].size
             > 2 * quad_mod._rule_panels(quad_mod._FIRST_HEIGHT))
     d_axis = [(0.6, 0.7, d) for d in np.linspace(-0.4, 0.4, 9)]
     rng = np.random.default_rng(23)
@@ -481,7 +481,7 @@ def test_rule_calls_hold_at_most_the_float_bound(monkeypatch, J, gamma, D,
 
 def test_large_family_is_integrated_in_passes_of_bounded_estimates(
         monkeypatch):
-    # the d_loss profile of features starts on 11152 panels of 6 integrands:
+    # the d_loss profile of features starts on 7021 panels of 6 integrands:
     # its points are integrated in passes over consecutive groups, each
     # starting with at most _PASS_FLOATS estimates, with the bits of one pass
     J = np.tile(np.linspace(1.2, 2.0, 81), 17)
@@ -495,9 +495,9 @@ def test_large_family_is_integrated_in_passes_of_bounded_estimates(
 
     monkeypatch.setattr(chain_mod, "integrate_points", spy)
     split = fields_of(chain_points(J, 0.7, D, ("J",)))
-    assert len(passes) == 3 and sum(n for _, n in passes) == J.size
+    assert len(passes) == 2 and sum(n for _, n in passes) == J.size
     assert all(2 * 6 * p <= chain_mod._PASS_FLOATS for p, _ in passes)
-    monkeypatch.setattr(chain_mod, "_PASS_FLOATS", 2 * 6 * 11152)
+    monkeypatch.setattr(chain_mod, "_PASS_FLOATS", 2 * 6 * 7021)
     passes.clear()
     whole = fields_of(chain_points(J, 0.7, D, ("J",)))
     assert len(passes) == 1
@@ -508,7 +508,7 @@ def test_large_family_is_integrated_in_passes_of_bounded_estimates(
     passes.clear()
     one, one_failures = chain_outcome(J, 0.2, 0.1, ("J",), quad)
     assert len(passes) == 1
-    monkeypatch.setattr(chain_mod, "_PASS_FLOATS", 2 * 6 * 9)
+    monkeypatch.setattr(chain_mod, "_PASS_FLOATS", 2 * 6 * 6)
     passes.clear()
     each, failures = chain_outcome(J, 0.2, 0.1, ("J",), quad)
     assert [n for _, n in passes] == [1, 1, 1, 1]
@@ -562,7 +562,7 @@ def per_node(J, gamma, D, tags, quad):
                               rows[0].ravel())
 
     vals, _, failures = integrate_points(
-        f, table, *chain_mod._start_mesh(J, D, quad.max_subdivisions), quad)
+        f, table, *chain_mod._start_mesh(J, quad.max_subdivisions), quad)
     for i, exc in failures:
         raise QuadratureFailure(
             f"{exc} (J = {J[i]:g}, gamma = {gamma[i]:g}, D = {D[i]:g})")
@@ -622,7 +622,7 @@ def test_node_table_holds_only_the_start_panels(monkeypatch):
     js = -1.0 + np.linspace(-1e-3, 1e-3, 400)
     chain_points(js, 0.7, 0.1, ("J",), TIGHT)
     assert sum(tabulated) > 0
-    assert table.lo.size == table.hi.size == table.rows.shape[1] == 72
+    assert table.lo.size == table.hi.size == table.rows.shape[1] == 68
     for got, want in zip((table.lo, table.hi, table.rows), before):
         assert np.array_equal(got, want)
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dmchain.chain as chain_mod
@@ -14,7 +14,7 @@ from dmchain.chain import (PARAM_TAGS, ChainParams, ChainPoints, Correlators,
                            chain_point, x_state)
 from dmchain.fisher import FisherPoint, fisher_point
 
-from _oracles import assembled, delta, x_matrix
+from _oracles import assembled, delta, free_fermion_chain, x_matrix
 
 # Composite Simpson at 10^6 nodes on the frozen integral convention
 # (tests/_oracles.py); digits beyond ~1e-12 are quadrature noise.
@@ -130,6 +130,22 @@ def test_correlators_match_simpson_oracle(point, expected):
 def test_derivatives_match_finite_differences(wrt):
     d = chain_point(ChainParams(0.5, 0.7, 0.1), (wrt,)).dcorr[wrt]
     assert np.allclose(corr_tuple(d), ORACLE_DCORR[wrt], rtol=1e-6, atol=1e-9)
+
+
+@settings(max_examples=5, deadline=None)
+@given(J=st.floats(0.0, 3.0).filter(lambda j: abs(j - 1.0) >= 0.1),
+       sign=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.2, 1.0))
+@example(J=1.1, sign=-1.0, gamma=0.2)
+@example(J=0.9, sign=1.0, gamma=1.0)
+@example(J=3.0, sign=1.0, gamma=0.2)
+def test_correlators_at_zero_dm_are_the_spin_chain_ground_state(J, sign,
+                                                                 gamma):
+    # the momentum integrals against the open free-fermion chain of 400
+    # sites, far longer than the correlation length where ||J| - 1| >= 0.1
+    # and gamma >= 0.2
+    got = corr_tuple(chain_point(ChainParams(sign * J, gamma, 0.0)).corr)
+    want = free_fermion_chain(sign * J, gamma, 0.0, 400)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 # ------------------------------------------------------------------- X state

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from dmchain.chain import (PARAM_TAGS, ChainParams, chain_point, chain_points,
                            x_state)
 from dmchain.fisher import (DivergentInformationWarning, block_qfi,
-                            classical_fi, classical_fi_point, fisher_point,
-                            magnetization_fi, qfi_xstate)
+                            cell_peak, classical_fi, classical_fi_point,
+                            fisher_point, magnetization_fi, qfi_xstate)
 
 sys.path.insert(0, "tests")
 from _oracles import (classical_fi_direct, drho_fd, qfi_eigen,
@@ -162,3 +162,18 @@ def test_divergence_warning_when_support_shrinks():
         F = classical_fi(np.array([probs, [0.25] * 4]).T,
                          np.array([dprobs, [0.5] * 4]).T)
     assert F.shape == (2,) and math.isinf(F[0]) and F[1] == 4.0
+
+
+@pytest.mark.parametrize("ys", [[0.2983, -0.0099, 0.4412, 0.721, -0.7085],
+                                [-0.8, -0.5, 0.0, -0.2, -9.4]])
+def test_cell_peak_is_the_settled_quartic_maximum(ys):
+    # six Newton steps leave the first at 0.821633, where the quartic's
+    # derivative is -7.7e-4, and the second outside the cell; stepping on
+    # until a step is below 1e-12 cells reaches the maximum inside it
+    xs = np.arange(-2.0, 3.0)
+    quartic = np.polynomial.Polynomial.fit(xs, ys, 4)
+    roots = quartic.deriv().roots()
+    peak = [r.real for r in roots if r.imag == 0.0 and -1.0 < r.real < 1.0
+            and quartic.deriv(2)(r.real) < 0.0]
+    assert len(peak) == 1
+    assert abs(cell_peak(xs, np.array(ys), 2) - peak[0]) <= 1e-12

@@ -9,12 +9,14 @@ never from the library at the same point.
 """
 
 import math
+import warnings
 
 import pytest
 
 from dmchain.chain import ChainParams, chain_point
 from dmchain.errors import NUMERICAL_ERRORS
 from dmchain.fisher import fisher_point
+from dmchain.protocol import ProtocolConfig, adaptive_run
 
 
 def known(direction):
@@ -59,6 +61,40 @@ def test_xx_magnetization_matches_its_closed_form(J):
     except NUMERICAL_ERRORS:
         return
     assert abs(mz - (1.0 - 2.0 * math.acos(1.0 / J) / math.pi)) <= 1e-10
+
+
+@known(3)
+def test_j_derivative_resolves_the_narrow_peak_at_the_root_of_u():
+    # at J = -1.001, gamma = 1e-3, D = -2 the J-derivative integrand of mz,
+    # -J gamma^2 sin^2 / (pi Delta^3), peaks about 6e-8 wide at the root
+    # phi = pi - 2.4974e-4 of u; the reference is mpmath.quad at 40 digits
+    # with breakpoints at that root and at 1e-2, ..., 1e-11 either side of
+    # it.  The library reads 0.158827314061116, off by 3.1e-10 against a
+    # tolerance of 1e-10.
+    try:
+        dmz = chain_point(ChainParams(-1.001, 0.001, -2.0),
+                          ("J",)).dcorr["J"].mz
+    except NUMERICAL_ERRORS:
+        return
+    assert abs(dmz - 0.15882731436990929) <= 1e-10
+
+
+@known(6)
+def test_final_variance_covers_the_truth():
+    # the frozen uninformative_first_round run: all 100 first-round shots
+    # land on one outcome, so round 2 measures at a field of 5e-13, and
+    # the run ends 0.02 from the truth reporting a variance of 1.39e-25,
+    # 5e10 of its standard deviations; a finite variance must cover the
+    # truth within 5 of them
+    config = ProtocolConfig(J_true=0.02, gamma=1.0, D=0.1, J_guess=0.9,
+                            shots=100, rounds=3, grid=(-2.5, 2.5, 801),
+                            seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        trace = adaptive_run(config)
+    if math.isfinite(trace.final_variance):
+        assert (abs(trace.final_estimate - config.J_true)
+                <= 5.0 * math.sqrt(trace.final_variance))
 
 
 @known(8)

@@ -144,24 +144,24 @@ def test_sweep_matrix_quantities():
 
 
 def test_failing_batch_rows_fail_alone(monkeypatch, cold_memo):
-    # a tight budget: rows 0-4 converge, rows 5-6 (J near 1) do not
+    # a tight budget: rows 1-5 converge, rows 0 and 6 (|J| near 1) do not
     calls = counted_chain_calls(monkeypatch)
-    spec = SweepSpec("J", (0.1, 0.99, 7), {"gamma": 0.5, "D": 0.1})
+    spec = SweepSpec("J", (-0.99, 0.99, 7), {"gamma": 0.5, "D": 0.1})
     table = sweep(spec, QuadratureConfig(1e-10, 1e-10, 8))
     # the batch is kept with its failures: a second sweep makes no new
     # chain call and gives the same table
     assert sweep(spec, QuadratureConfig(1e-10, 1e-10, 8)).to_csv() \
         == table.to_csv()
     assert len(calls) == 1
-    for i in (5, 6):
+    for i in (0, 6):
         assert table.errors[i].startswith("QuadratureFailure: no convergence "
                                           "with ")
         assert all(math.isnan(table.columns[c][i]) for c in ("F", "H", "S"))
     # the message names the row's couplings, not an index
-    assert "point" not in table.errors[5]
-    assert "J = 0.841667, gamma = 0.5, D = 0.1" in table.errors[5]
+    assert "point" not in table.errors[0]
+    assert "J = -0.99, gamma = 0.5, D = 0.1" in table.errors[0]
     assert "J = 0.99, gamma = 0.5, D = 0.1" in table.errors[6]
-    for i in range(5):
+    for i in range(1, 6):
         assert table.errors[i] == ""
         assert all(math.isfinite(table.columns[c][i]) for c in ("F", "H", "S"))
 
@@ -170,16 +170,16 @@ def test_failing_rows_come_from_the_one_batch(monkeypatch, cold_memo):
     # the 400-row J grid near |J| = 1 with a budget of 12 panels: one chain
     # call, and each row as evaluated alone (the error cell, or the bits)
     calls = counted_chain_calls(monkeypatch)
-    spec = SweepSpec("J", (-2.0, 2.0, 400), {"gamma": 0.5, "D": 0.1})
+    spec = SweepSpec("J", (-2.0, 2.0, 400), {"gamma": 0.5, "D": 0.3})
     quad = QuadratureConfig(max_subdivisions=12)
     table = sweep(spec, quad)
     assert len(calls) == 1
     failed = [i for i, msg in enumerate(table.errors) if msg]
-    assert failed == [99, 100, 101, 299, 300]
+    assert failed == [100, 101, 102, 300]
     for i, v in enumerate(table.axis_values):
         try:
             alone = sweep_mod._columns(
-                chain_points(float(v), 0.5, 0.1, ("J",), quad), spec)
+                chain_points(float(v), 0.5, 0.3, ("J",), quad), spec)
         except QuadratureFailure as exc:
             assert table.errors[i] == "QuadratureFailure: %s" % exc
             assert all(math.isnan(c[i]) for c in table.columns.values())
@@ -240,9 +240,9 @@ def test_block_algebra_runs_once_per_batch(monkeypatch, cold_memo):
 
     monkeypatch.setattr(sweep_mod, "chain_outcome", recording)
     calls.clear()
-    table = sweep(dataclasses.replace(spec, range=(0.1, 0.99, 7)),
+    table = sweep(dataclasses.replace(spec, range=(-0.99, 0.99, 7)),
                   QuadratureConfig(1e-10, 1e-10, 8))
-    assert [i for i, msg in enumerate(table.errors) if msg] == [5, 6]
+    assert [i for i, msg in enumerate(table.errors) if msg] == [0, 6]
     assert len(calls) == len(batches) == 1
     assert calls[0] is batches[0][0] and calls[0].state.c.shape == (5,)
 
