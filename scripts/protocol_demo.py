@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from dmchain.cli import _range_triple
+from dmchain.cli import range_triple
 from dmchain.protocol import ProtocolConfig, adaptive_run
 
 
@@ -40,7 +40,7 @@ def main():
     ap.add_argument("--shots", type=int, default=10_000)
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--grid", type=_range_triple, default=(-2.5, 2.5, 801),
+    ap.add_argument("--grid", type=range_triple, default=(-2.5, 2.5, 801),
                     metavar="lo:hi:n")
     ap.add_argument("--stats", type=int, default=0,
                     help="also run this many seeds at D=0 and D as given")

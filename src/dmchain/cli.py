@@ -6,6 +6,8 @@ multiparameter objects, `protocol` simulates the adaptive estimation run
 (seed required, trace as JSON lines), `features` classifies information
 curves, `figure` regenerates the reference figure data.  Each handler
 imports the layers its command runs, so a start loads no other layer.
+The ``lo:hi:n`` parser :func:`range_triple` is shared with the scripts,
+so it carries no underscore but stays out of ``__all__``.
 
 Exit codes: 0 success, 2 invalid arguments or spec, 3 numerical failure.
 """
@@ -38,7 +40,7 @@ def _colon_tuple(text: str, types, form: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _range_triple(text: str):
+def range_triple(text: str):
     return _colon_tuple(text, (float, float, int), "lo:hi:n")
 
 
@@ -109,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="walk one parameter axis")
     p_sweep.add_argument("--axis", choices=("J", "gamma", "D"), required=True)
-    p_sweep.add_argument("--range", type=_range_triple, required=True,
+    p_sweep.add_argument("--range", type=range_triple, required=True,
                          metavar="lo:hi:n")
     p_sweep.add_argument("--J", type=float, default=None)
     p_sweep.add_argument("--gamma", type=float, default=None)
@@ -134,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_proto.add_argument("--J-guess", type=float, required=True)
     p_proto.add_argument("--shots", type=int, default=10_000)
     p_proto.add_argument("--rounds", type=int, default=3)
-    p_proto.add_argument("--grid", type=_range_triple, default=(-2.5, 2.5, 801),
+    p_proto.add_argument("--grid", type=range_triple, default=(-2.5, 2.5, 801),
                          metavar="lo:hi:n")
     p_proto.add_argument("--seed", type=int, required=True)
     p_proto.add_argument("--tol", type=float, default=None)

@@ -77,41 +77,23 @@ def default_curve(
 
 
 def _has_peak(x: np.ndarray, prominence: float) -> bool:
-    """Whether x has a peak whose prominence is at least `prominence`.
+    """Whether x has a peak of prominence at least `prominence`, as
+    ``scipy.signal.find_peaks`` defines them (README, "Feature detection").
 
-    A peak is a sample, or a flat run of equal samples, that the curve
-    enters by a strict rise and leaves by a strict fall; so the first and
-    last samples are never peaks.  On each side of a peak, its base is the
-    lowest sample between the peak and the nearest sample strictly higher
-    than the peak, or the end of the curve if there is none.  The
-    prominence is the peak's height above the higher of its two bases.
-    These are the usual topographic definitions of signal-processing peak
-    finders; the tests check this function against one.
+    That holds exactly when a sample stands strictly above the lowest
+    samples before and after it, by at least `prominence` over the higher
+    low: the highest sample between those lows is then a peak whose bases
+    lie no higher, and a peak's own bases are such lows.
     """
-    # Collapse flat runs: a peak is then a run above both neighbouring runs.
-    starts = np.ones(x.size, dtype=bool)
-    starts[1:] = x[1:] != x[:-1]
-    runs = x[starts]
-    inner = runs[1:-1]
-    tops = np.flatnonzero((inner > runs[:-2]) & (inner > runs[2:])) + 1
-    for k in tops:
-        top = runs[k]
-        higher = np.flatnonzero(runs > top)
-        left = higher[higher < k]
-        right = higher[higher > k]
-        lo = left[-1] + 1 if left.size else 0
-        hi = right[0] if right.size else runs.size
-        base = max(runs[lo:k].min(), runs[k + 1:hi].min())
-        if top - base >= prominence:
-            return True
-    return False
+    before = np.minimum.accumulate(x)[:-2]
+    after = np.minimum.accumulate(x[::-1])[::-1][2:]
+    top = (x[1:-1] - np.maximum(before, after)).max(initial=0.0)
+    # strictly above: prominence 0 still asks for a peak to exist
+    return bool(top > 0.0 and top >= prominence)
 
 
 def _classify_once(js: np.ndarray, hs: np.ndarray) -> str:
-    scale = float(np.abs(hs).max())
-    if scale == 0.0:
-        return "monotone"
-    if _has_peak(hs, PEAK_PROMINENCE * scale):
+    if _has_peak(hs, PEAK_PROMINENCE * float(hs.max())):
         return "peak"
     # shoulder: the log-slope has an interior extremum.  The samples are
     # quadrature-clean, so raw centered differences need no smoothing

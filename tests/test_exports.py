@@ -71,10 +71,15 @@ def test_module_imports_are_used():
 
 
 def test_no_module_imports_another_modules_private_names():
-    # a name shared between modules carries no underscore; dunders such
-    # as __version__ are the language's, not a module's private names
+    # a name shared between modules, or with a script, carries no
+    # underscore; dunders such as __version__ are the language's, not a
+    # module's private names
+    root = pathlib.Path(__file__).resolve().parent.parent
+    scripts = sorted((root / "scripts").glob("*.py"))
+    assert scripts
     private = []
-    for path in sorted(pathlib.Path(dmchain.__file__).parent.glob("*.py")):
+    package = sorted(pathlib.Path(dmchain.__file__).parent.glob("*.py"))
+    for path in package + scripts:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and (
                     node.level or (node.module or "").startswith("dmchain")):

@@ -380,6 +380,8 @@ def test_has_peak_matches_find_peaks_on_random_curves(xs, prominence, scale):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-1e3, 1e3), min_size=0, max_size=40),
        st.floats(0.0, 1e3))
+@example([0.0], 0.0)
+@example([], 0.0)
 def test_has_peak_matches_find_peaks_on_random_floats(xs, prominence):
     x = np.array(xs, dtype=float)
     assert _has_peak(x, prominence) == scipy_has_peak(x, prominence)
